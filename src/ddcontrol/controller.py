@@ -12,6 +12,7 @@ are precomputed, so the online work per step is one gradient evaluation
 plus a handful of matrix-vector products.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -205,7 +206,9 @@ class ControllerState:
     coefficient solves feasible. ``u_pred`` is the currently planned input
     window of length mu+1, ``z_s_prev`` the latest steady-state estimate,
     ``coeff_prev`` the previous combined coefficients, and ``e_hat_hist``
-    every noise estimate made so far (oldest first).
+    every noise estimate made so far (oldest first). ``advance`` updates
+    the state in place: the two histories shift by one row and the noise
+    estimate is appended.
     """
 
     u_hist: np.ndarray
@@ -266,8 +269,9 @@ def initialize(config: ControllerConfig, pre: Precomputed,
             e_hat_hist=[row.copy() for row in y_meas],
         )
 
+    # a copy: the controller shifts its history in place
     u_hist = np.zeros((n, m)) if u_init is None \
-        else np.asarray(u_init, dtype=float).reshape(n, m)
+        else np.array(u_init, dtype=float).reshape(n, m)
     alpha0, _ = regularized_init_solution(
         pre, y_meas, u_hist, u_pred, z_s[:m], config.lambda_init)
     # Absorb the least-squares residual into the noise estimates so that
@@ -331,35 +335,53 @@ def estimate_noise(state: ControllerState, y_meas: np.ndarray,
     return y_meas - pre.Y_next @ state.coeff_prev
 
 
-def alpha_rhs(state: ControllerState, pre: Precomputed) -> np.ndarray:
-    """Right-hand side of the prediction-coefficient system."""
-    n, m = pre.n, pre.m
-    u_s_prev = state.z_s_prev[:m]
-    return np.concatenate([
-        state.u_hist.ravel(),
-        state.u_pred.ravel()[m:],          # shifted plan, first input dropped
-        np.tile(u_s_prev, n + 1),
-        state.y_den_hist.ravel(),
-    ])
+def alpha_rhs(state: ControllerState, pre: Precomputed,
+              y_latest: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side of the prediction-coefficient system.
+
+    With ``y_latest`` the output window is the stored one shifted by one
+    step with ``y_latest`` appended: the window a step solves with before
+    it commits the new output to the state.
+    """
+    n, mu, m, p = pre.n, pre.mu, pre.m, pre.p
+    a, b, c = n * m, (n + mu) * m, (2 * n + mu + 1) * m
+    rhs = np.empty(c + n * p)
+    rhs[:a] = state.u_hist.ravel()
+    rhs[a:b] = state.u_pred.ravel()[m:]      # shifted plan, first input dropped
+    rhs[b:c].reshape(n + 1, m)[:] = state.z_s_prev[:m]
+    if y_latest is None:
+        rhs[c:] = state.y_den_hist.ravel()
+    else:
+        rhs[c:-p] = state.y_den_hist[1:].ravel()
+        rhs[-p:] = y_latest
+    return rhs
 
 
-def solve_alpha(state: ControllerState, pre: Precomputed) -> np.ndarray:
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v @ v)
+
+
+def solve_alpha(state: ControllerState, pre: Precomputed,
+                y_latest: np.ndarray | None = None) -> tuple:
     """Minimum-norm coefficients encoding initialization plus planned inputs.
 
     Any feasible coefficient vector yields the same predicted outputs, so
     the pseudoinverse solution is chosen for numerical stability. A
     residual above tolerance means the state no longer encodes a valid
     trajectory (corrupted state or violated excitation assumptions).
+    ``y_latest`` is the newest denoised output, not yet in the state (see
+    ``alpha_rhs``). Returns ``(alpha, residual)``.
     """
-    rhs = alpha_rhs(state, pre)
+    rhs = alpha_rhs(state, pre, y_latest)
     alpha = pre.H_alpha_pinv @ rhs
-    res = np.linalg.norm(pre.hankels.H_alpha @ alpha - rhs)
-    if res > FEAS_RTOL * (1.0 + np.linalg.norm(rhs)):
+    res = _norm(pre.hankels.H_alpha @ alpha - rhs)
+    if res > FEAS_RTOL * (1.0 + _norm(rhs)):
         raise FeasibilityError(
             f"prediction coefficients infeasible (residual {res:.3e}); "
             "controller state is corrupted or the data assumptions fail"
         )
-    return alpha
+    return alpha, res
 
 
 def predict_and_descend(state: ControllerState, alpha: np.ndarray,
@@ -389,43 +411,49 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     The correction keeps the initialization untouched (zero blocks), moves
     the terminal input window to the new steady-state input held for n+1
     steps, and pins the last n predicted outputs to the new steady-state
-    output. Returns ``(beta, g)`` where g is the assembled target mismatch.
+    output. Returns ``(beta, g, residual)`` where g is the assembled target
+    mismatch.
     """
     n, m, p = pre.n, pre.m, pre.p
-    u_s, y_s = z_s[:m], z_s[m:]
-    g = np.concatenate([
-        np.zeros(m * n),
-        np.tile(u_s, n + 1) - pre.U_tail @ alpha,
-        np.zeros(p * n),
-        np.tile(y_s, n) - pre.Y_tail @ alpha,
-    ])
+    a, b, c = n * m, (2 * n + 1) * m, (2 * n + 1) * m + n * p
+    g = np.zeros(c + n * p)
+    g[a:b].reshape(n + 1, m)[:] = z_s[:m] - (pre.U_tail @ alpha).reshape(n + 1, m)
+    g[c:].reshape(n, p)[:] = z_s[m:] - (pre.Y_tail @ alpha).reshape(n, p)
     beta = pre.Q_tilde @ g
-    res = np.linalg.norm(pre.hankels.H_beta @ beta - g)
-    if res > FEAS_RTOL * (1.0 + np.linalg.norm(g)):
+    res = _norm(pre.hankels.H_beta @ beta - g)
+    if res > FEAS_RTOL * (1.0 + _norm(g)):
         raise FeasibilityError(
             f"steering correction infeasible (residual {res:.3e}); "
             "the prediction horizon may be shorter than the controllability "
             "index, or the data is corrupted"
         )
-    return beta, g
+    return beta, g, res
 
 
 def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
-            z_s: np.ndarray, pre: Precomputed) -> tuple:
-    """Commit the step: emit the input and shift the controller memory."""
+            z_s: np.ndarray, pre: Precomputed,
+            y_latest: np.ndarray | None = None,
+            e_hat: np.ndarray | None = None) -> np.ndarray:
+    """Commit the step in place: emit the input and shift the controller memory.
+
+    ``y_latest`` and ``e_hat`` are the denoised output and the noise
+    estimate the step consumed (None at the first step). Returns the input
+    to apply.
+    """
     m, mu = pre.m, pre.mu
     coeff = alpha + beta
     u_plan = (pre.U_plan @ coeff).reshape(mu + 1, m)
-    u_t = u_plan[0].copy()
-    new_state = replace(
-        state,
-        u_hist=np.vstack([state.u_hist[1:], u_t[None, :]]),
-        u_pred=u_plan,
-        z_s_prev=z_s.copy(),
-        coeff_prev=coeff,
-        pending_alpha=None,
-    )
-    return u_t, new_state
+    if y_latest is not None:
+        state.y_den_hist[:-1] = state.y_den_hist[1:]
+        state.y_den_hist[-1] = y_latest
+        state.e_hat_hist.append(e_hat)
+    state.u_hist[:-1] = state.u_hist[1:]
+    state.u_hist[-1] = u_plan[0]
+    state.u_pred = u_plan
+    state.z_s_prev = z_s.copy()
+    state.coeff_prev = coeff
+    state.pending_alpha = None
+    return u_plan[0].copy()
 
 
 @dataclass
@@ -550,8 +578,8 @@ class Controller:
         """
         if self.state is None:
             raise RuntimeError("call start() before stepping")
-        state = self.state
-        e_hat_consumed = None
+        state, pre = self.state, self.pre
+        e_hat = y_den = None
         if self.t == 0:
             if y_meas is not None:
                 raise ValueError(
@@ -561,52 +589,43 @@ class Controller:
         else:
             if y_meas is None:
                 raise ValueError(f"step {self.t} requires the latest measurement")
-            e_hat = estimate_noise(state, y_meas, self.pre)
-            e_hat_consumed = e_hat
-            denoised = np.asarray(y_meas, dtype=float) - e_hat
-            state = replace(
-                state,
-                y_den_hist=np.vstack([state.y_den_hist[1:], denoised[None, :]]),
-                e_hat_hist=state.e_hat_hist + [e_hat],
-            )
+            y_meas = np.asarray(y_meas, dtype=float)
+            e_hat = estimate_noise(state, y_meas, pre)
+            y_den = y_meas - e_hat
 
+        # Nothing below touches the state until ``advance`` commits it, so a
+        # step that raises leaves the controller as it was.
         if state.pending_alpha is not None:
             alpha = state.pending_alpha
+            alpha_res = _norm(self.hankels.H_alpha @ alpha
+                              - alpha_rhs(state, pre, y_den))
         else:
-            alpha = solve_alpha(state, self.pre)
+            alpha, alpha_res = solve_alpha(state, pre, y_den)
         z_hat, z_s = predict_and_descend(
-            state, alpha, self.pre, prev_cost, self.t - 1,
+            state, alpha, pre, prev_cost, self.t - 1,
             self.projector, self.config.gamma)
-        beta, g = solve_beta(alpha, z_s, self.pre)
-        coeff_prev = state.coeff_prev
-        u_t, new_state = advance(state, alpha, beta, z_s, self.pre)
-
-        diag = StepDiagnostics(
-            t=self.t,
-            u=u_t,
-            z_hat=z_hat,
-            z_s=z_s,
-            y_meas=None if y_meas is None else np.asarray(y_meas, dtype=float),
-            e_hat=e_hat_consumed,
-            g_norm=float(np.linalg.norm(g)),
-            alpha_residual=float(np.linalg.norm(
-                self.hankels.H_alpha @ alpha - alpha_rhs(state, self.pre))),
-            beta_residual=float(np.linalg.norm(
-                self.hankels.H_beta @ beta - g)),
-        )
+        beta, g, beta_res = solve_beta(alpha, z_s, pre)
+        violation = membership = None
         if self.check_identities:
-            if coeff_prev is not None:
-                diag.identity_violation = _step_identities(
-                    self.hankels, alpha, coeff_prev, alpha + beta, z_s)
-            hist = Trajectory(new_state.u_hist, new_state.y_den_hist)
-            diag.membership = membership_residual(self.data, hist)
-            if diag.membership > FEAS_RTOL * (1.0 + float(np.linalg.norm(hist.stacked()))):
+            if state.coeff_prev is not None:
+                violation = _step_identities(
+                    self.hankels, alpha, state.coeff_prev, alpha + beta, z_s)
+            # the window this step solved with: inputs and outputs end at t-1
+            y_window = state.y_den_hist if y_den is None \
+                else np.vstack([state.y_den_hist[1:], y_den])
+            hist = Trajectory(state.u_hist, y_window)
+            membership = membership_residual(self.data, hist)
+            if membership > FEAS_RTOL * (1.0 + float(np.linalg.norm(hist.stacked()))):
                 raise FeasibilityError(
                     f"stored history is no longer a valid trajectory "
-                    f"(residual {diag.membership:.3e}) at step {self.t}"
+                    f"(residual {membership:.3e}) at step {self.t}"
                 )
-        self.diagnostics.append(diag)
-        self.state = new_state
+        u_t = advance(state, alpha, beta, z_s, pre, y_den, e_hat)
+
+        self.diagnostics.append(StepDiagnostics(
+            t=self.t, u=u_t, z_hat=z_hat, z_s=z_s, y_meas=y_meas, e_hat=e_hat,
+            g_norm=_norm(g), alpha_residual=alpha_res, beta_residual=beta_res,
+            identity_violation=violation, membership=membership))
         self.t += 1
         return u_t
 

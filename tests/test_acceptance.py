@@ -302,11 +302,11 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     proj = build_projector(data, n)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n)
     state = initialize(cfg, pre, np.zeros((n, model.p)))
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     worst_gap, worst_res = 0.0, 0.0
     for _ in range(50):
         z_s = proj.basis @ rng.normal(size=proj.dim)
-        beta, g = solve_beta(alpha, z_s, pre)
+        beta, g, _ = solve_beta(alpha, z_s, pre)
         beta_star = min_seminorm_qp(hankels.H_beta, g, Q)
         gap = np.linalg.norm(Q @ beta) - np.linalg.norm(Q @ beta_star)
         res = np.linalg.norm(hankels.H_beta @ beta - g)

@@ -175,7 +175,7 @@ def test_estimate_noise_error_follows_plant_decay(siso_model, siso_data):
 def test_solve_alpha_zero_state(siso_setup):
     cfg, hankels, pre, _ = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     assert np.linalg.norm(hankels.U.entries @ alpha) <= 1e-10
     assert np.linalg.norm(pre.Y_past @ alpha) <= 1e-10
     assert np.linalg.norm(pre.Y_ahead @ alpha) <= 1e-10
@@ -189,7 +189,7 @@ def test_solve_alpha_held_at_steady_state(siso_setup):
     state.y_den_hist[:] = 2.0
     state.u_pred[:] = 1.0
     state.z_s_prev[:] = np.array([1.0, 2.0])
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     assert_allclose(pre.Y_ahead @ alpha, [2.0], atol=1e-8)
 
 
@@ -214,7 +214,7 @@ def test_predict_and_descend_fixed_point(siso_setup):
     state.y_den_hist[:] = z_on[1]
     state.u_pred[:] = z_on[0]
     state.z_s_prev[:] = z_on
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     cost = QuadraticTrackingCost(H=np.eye(2), target=z_on)  # gradient zero at z_on
     z_hat, z_s = predict_and_descend(state, alpha, pre, cost, 0, proj, 0.3)
     assert_allclose(z_hat, z_on, atol=1e-9)
@@ -226,7 +226,7 @@ def test_predict_and_descend_hand_example(siso_setup):
     # and one step of size 0.15 lands on P (0, 0.15) = (0.06, 0.12)
     cfg, _, pre, proj = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     cost = QuadraticTrackingCost(H=np.diag([10.0, 1.0]), target=np.array([0.0, 1.0]))
     z_hat, z_s = predict_and_descend(state, alpha, pre, cost, 0, proj, 0.15)
     assert_allclose(z_hat, np.zeros(2), atol=1e-10)
@@ -272,8 +272,8 @@ def test_gradient_step_spec_instance_step_bound(siso_setup):
 def test_solve_beta_zero_mismatch(siso_setup):
     cfg, _, pre, proj = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
-    alpha = solve_alpha(state, pre)
-    beta, g = solve_beta(alpha, np.zeros(2), pre)
+    alpha, _ = solve_alpha(state, pre)
+    beta, g, _ = solve_beta(alpha, np.zeros(2), pre)
     assert_allclose(g, np.zeros_like(g), atol=1e-12)
     assert_allclose(beta, np.zeros_like(beta), atol=1e-12)
 
@@ -282,10 +282,10 @@ def test_solve_beta_optimality_against_oracle(mimo_setup):
     model, data, cfg, hankels, pre, proj = mimo_setup
     rng = np.random.default_rng(3)
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     for _ in range(20):
         z_s = proj.basis @ rng.normal(size=proj.dim)
-        beta, g = solve_beta(alpha, z_s, pre)
+        beta, g, _ = solve_beta(alpha, z_s, pre)
         beta_star = min_seminorm_qp(hankels.H_beta, g, pre.Q)
         assert np.linalg.norm(pre.Q @ beta) \
             <= np.linalg.norm(pre.Q @ beta_star) + 1e-9
@@ -298,7 +298,7 @@ def test_solve_beta_infeasible_target(mimo_setup):
     # trajectory, so the steering solve must flag it
     model, _, cfg, _, pre, proj = mimo_setup
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
-    alpha = solve_alpha(state, pre)
+    alpha, _ = solve_alpha(state, pre)
     z_bad = np.concatenate([np.ones(model.m), 37.0 * np.ones(model.p)])
     assert np.linalg.norm(proj.S @ z_bad) > 1.0   # genuinely off the manifold
     with pytest.raises(FeasibilityError, match="steering"):
@@ -460,6 +460,80 @@ def test_noise_estimate_is_pure(siso_model, siso_data):
     assert ctrl.state.coeff_prev is not None
     assert_allclose(ctrl.state.y_den_hist, before.y_den_hist)
     assert len(ctrl.state.e_hat_hist) == len(before.e_hat_hist)
+
+
+def test_failed_step_leaves_controller_unchanged(mimo_setup):
+    # a step commits its new state only after every stage succeeded, so a
+    # step that raises must leave the controller exactly as it found it
+    model, data, cfg, *_ = mimo_setup
+    ctrl = Controller(cfg, data)
+    cost = QuadraticTrackingCost(H=np.eye(4), target=np.array([0.3, -0.2, 0.5, 0.1]))
+    _, _, ymeas = run_closed_loop(model, ctrl, cost, 10, np.zeros(model.n))
+    rng = np.random.default_rng(17)
+    ctrl.state.y_den_hist[:] = rng.normal(size=ctrl.state.y_den_hist.shape) * 5
+    before = ctrl.state.copy()
+    t, n_diag = ctrl.t, len(ctrl.diagnostics)
+    with pytest.raises(FeasibilityError, match="infeasible"):
+        ctrl.step(y_meas=ymeas[-1], prev_cost=cost)
+    after = ctrl.state
+    for field in ("u_hist", "y_den_hist", "u_pred", "z_s_prev", "coeff_prev"):
+        np.testing.assert_array_equal(getattr(after, field), getattr(before, field))
+    assert after.pending_alpha is None
+    assert len(after.e_hat_hist) == len(before.e_hat_hist)
+    assert ctrl.t == t
+    assert len(ctrl.diagnostics) == n_diag
+
+
+@pytest.mark.parametrize("init_mode", ["zero", "regularized"])
+def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
+    # the diagnostics record the residuals the solves computed for their
+    # feasibility checks; they must equal a fresh recomputation from the
+    # step's own coefficients and targets. Nudging the stored outputs off
+    # the trajectory set by 1e-9 lifts the alpha residual well above
+    # round-off, yet far below the feasibility threshold.
+    import ddcontrol.controller as ctrl_module
+
+    model, data, cfg0, hankels, _, _ = mimo_setup
+    n, m = cfg0.n, model.m
+    cfg = ControllerConfig(gamma=0.1, mu=cfg0.mu, n=n, q_mode="identity",
+                           init_mode=init_mode, lambda_init=0.5)
+    ctrl = Controller(cfg, data)
+    solved = []
+    real_solve_beta = ctrl_module.solve_beta
+
+    def recording_solve_beta(alpha, z_s, pre):
+        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        solved.append((alpha, beta, g))
+        return beta, g, res
+
+    monkeypatch.setattr(ctrl_module, "solve_beta", recording_solve_beta)
+    cost = QuadraticTrackingCost(H=np.eye(4), target=np.array([0.3, -0.2, 0.5, 0.1]))
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=model.n)
+    meas = np.empty((n, model.p))
+    for k in range(n):
+        x, _, meas[k] = step(model, x, np.zeros(m), rng.uniform(-0.1, 0.1, model.p))
+    ctrl.start(meas)
+    prev, revealed = None, None
+    for t in range(40):
+        ctrl.state.y_den_hist += 1e-9 * rng.normal(size=ctrl.state.y_den_hist.shape)
+        before = ctrl.state.copy()
+        u = ctrl.step(y_meas=prev, prev_cost=revealed)
+        # the output window a step solves with is the one it commits
+        rhs = np.concatenate([before.u_hist.ravel(), before.u_pred.ravel()[m:],
+                              np.tile(before.z_s_prev[:m], n + 1),
+                              ctrl.state.y_den_hist.ravel()])
+        alpha, beta, g = solved[-1]
+        d = ctrl.diagnostics[-1]
+        assert d.alpha_residual > 1e-11
+        assert abs(d.alpha_residual
+                   - np.linalg.norm(hankels.H_alpha @ alpha - rhs)) <= 1e-12
+        assert abs(d.beta_residual
+                   - np.linalg.norm(hankels.H_beta @ beta - g)) <= 1e-12
+        assert abs(d.g_norm - np.linalg.norm(g)) <= 1e-12
+        x, _, prev = step(model, x, u, rng.uniform(-0.1, 0.1, model.p))
+        revealed = cost
+    assert len(solved) == 40
 
 
 def test_controller_trace_csv(tmp_path, siso_model, siso_data):

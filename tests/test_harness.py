@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddcontrol.costs import CostFunction, hvac_cost_schedule
-from ddcontrol.harness import (ConfigError, ExperimentConfig, cli_main,
-                               demo_siso_config, run_experiment,
-                               shipped_config_path)
+from ddcontrol.harness import (ConfigError, ControllerSpec, CostSpec,
+                               ExperimentConfig, NoiseSpec, OfflineSpec,
+                               PlantSpec, cli_main, demo_siso_config,
+                               run_experiment, shipped_config_path)
+from ddcontrol.plant import random_system
 
 
 @pytest.fixture()
@@ -105,6 +107,36 @@ def test_failing_sensor_scales_window_only(small_config):
 
 def test_identity_stats_exposed(small_config):
     record, _ = run_experiment(small_config, check_identities=True)
+    assert record.extras["max_identity_violation"] <= 1e-8
+    assert record.extras["max_membership_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_self_checks_hold_on_multi_state_plants(n):
+    # at n = 1 a one-sample history is unconstrained, so the membership
+    # check only bites on plants with n >= 2
+    rng = np.random.default_rng(40 + n)
+    model = random_system(rng, n, 2, 2)
+    config = ExperimentConfig(
+        plant=PlantSpec(type="matrices", A=model.A.tolist(), B=model.B.tolist(),
+                        C=model.C.tolist(), D=model.D.tolist(),
+                        initial_state=rng.normal(size=n).tolist()),
+        noise=NoiseSpec(seed=n, measurement={"low": -0.05, "high": 0.05}),
+        controller=ControllerSpec(gamma=0.3, mu=n, n=n, q_mode="identity"),
+        cost=CostSpec(type="quadratic", params={
+            "H": np.eye(4).tolist(), "target": rng.normal(size=4).tolist()}),
+        offline=OfflineSpec(N=150, seed=n),
+        horizon=60,
+    )
+    record, _ = run_experiment(config, check_identities=True)
+    assert record.extras["max_identity_violation"] <= 1e-8
+    assert record.extras["max_membership_residual"] <= 1e-8
+
+
+def test_self_checks_hold_on_thermal_plant():
+    config = ExperimentConfig.from_json(shipped_config_path())
+    config.horizon = 40
+    record, _ = run_experiment(config, check_identities=True)
     assert record.extras["max_identity_violation"] <= 1e-8
     assert record.extras["max_membership_residual"] <= 1e-8
 
