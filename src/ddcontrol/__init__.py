@@ -19,8 +19,8 @@ from .controller import (Controller, ControllerConfig, ControllerState,
                          initialize, precompute, predict_and_descend,
                          solve_alpha, solve_beta)
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
-                    QuadraticSoftplusCost, QuadraticTrackingCost, eval_cost,
-                    grad_cost, hvac_cost_schedule)
+                    QuadraticSoftplusCost, QuadraticTrackingCost,
+                    hvac_cost_schedule)
 from .errors import FeasibilityError, NonConvergenceError, PersistencyError
 from .harness import (ConfigError, ControllerSpec, CostSpec, ExperimentConfig,
                       NoiseSpec, OfflineSpec, PlantSpec, cli_main,

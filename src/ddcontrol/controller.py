@@ -121,8 +121,6 @@ class Precomputed:
     Q: np.ndarray
     H_alpha_pinv: np.ndarray
     Q_tilde: np.ndarray
-    U_past: np.ndarray      # U^{1:n}
-    U_apply: np.ndarray     # U^{n+1}: row block emitting the applied input
     U_plan: np.ndarray      # U^{n+1:n+mu+1}: the planned input window
     U_tail: np.ndarray      # U^{n+mu+1:2n+mu+1}: terminal input window
     Y_past: np.ndarray      # Y^{1:n}
@@ -185,8 +183,6 @@ def precompute(hankels: HankelSet, Q: np.ndarray) -> Precomputed:
         Q=Q,
         H_alpha_pinv=linalg.pinv(hankels.H_alpha),
         Q_tilde=Q_tilde,
-        U_past=block_rows(hankels.U, 1, n),
-        U_apply=block_rows(hankels.U, n + 1, n + 1),
         U_plan=block_rows(hankels.U, n + 1, n + mu + 1),
         U_tail=block_rows(hankels.U, n + mu + 1, 2 * n + mu + 1),
         Y_past=block_rows(hankels.Y, 1, n),
@@ -204,11 +200,9 @@ class ControllerState:
     denoised outputs (measurement minus noise estimate); together they
     always form a valid trajectory of the plant, which is what keeps the
     coefficient solves feasible. ``u_pred`` is the currently planned input
-    window of length mu+1, ``z_s_prev`` the latest steady-state estimate,
-    ``coeff_prev`` the previous combined coefficients, and ``e_hat_hist``
-    every noise estimate made so far (oldest first). ``advance`` updates
-    the state in place: the two histories shift by one row and the noise
-    estimate is appended.
+    window of length mu+1, ``z_s_prev`` the latest steady-state estimate
+    and ``coeff_prev`` the previous combined coefficients. ``advance``
+    updates the state in place: the two histories shift by one row.
     """
 
     u_hist: np.ndarray
@@ -216,7 +210,6 @@ class ControllerState:
     u_pred: np.ndarray
     z_s_prev: np.ndarray
     coeff_prev: np.ndarray | None
-    e_hat_hist: list
     pending_alpha: np.ndarray | None = None
 
     def copy(self) -> "ControllerState":
@@ -227,7 +220,6 @@ class ControllerState:
             u_pred=self.u_pred.copy(),
             z_s_prev=self.z_s_prev.copy(),
             coeff_prev=None if self.coeff_prev is None else self.coeff_prev.copy(),
-            e_hat_hist=list(self.e_hat_hist),
             pending_alpha=None if self.pending_alpha is None
             else self.pending_alpha.copy(),
         )
@@ -266,7 +258,6 @@ def initialize(config: ControllerConfig, pre: Precomputed,
             u_pred=u_pred,
             z_s_prev=z_s,
             coeff_prev=None,
-            e_hat_hist=[row.copy() for row in y_meas],
         )
 
     # a copy: the controller shifts its history in place
@@ -274,18 +265,16 @@ def initialize(config: ControllerConfig, pre: Precomputed,
         else np.array(u_init, dtype=float).reshape(n, m)
     alpha0, _ = regularized_init_solution(
         pre, y_meas, u_hist, u_pred, z_s[:m], config.lambda_init)
-    # Absorb the least-squares residual into the noise estimates so that
-    # the stored history is exactly the trajectory the coefficients encode;
-    # the feasibility induction of every later step depends on this.
-    y_den = (pre.Y_past @ alpha0).reshape(n, p)
-    e_hat = y_meas - y_den
+    # Absorb the least-squares residual into the noise estimates, which are
+    # y_meas minus the stored outputs, so that the stored history is exactly
+    # the trajectory the coefficients encode; the feasibility induction of
+    # every later step depends on this.
     return ControllerState(
         u_hist=u_hist,
-        y_den_hist=y_den,
+        y_den_hist=(pre.Y_past @ alpha0).reshape(n, p),
         u_pred=u_pred,
         z_s_prev=z_s,
         coeff_prev=None,
-        e_hat_hist=[row.copy() for row in e_hat],
         pending_alpha=alpha0,
     )
 
@@ -432,13 +421,11 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
 
 def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
             z_s: np.ndarray, pre: Precomputed,
-            y_latest: np.ndarray | None = None,
-            e_hat: np.ndarray | None = None) -> np.ndarray:
+            y_latest: np.ndarray | None = None) -> np.ndarray:
     """Commit the step in place: emit the input and shift the controller memory.
 
-    ``y_latest`` and ``e_hat`` are the denoised output and the noise
-    estimate the step consumed (None at the first step). Returns the input
-    to apply.
+    ``y_latest`` is the denoised output the step consumed (None at the
+    first step). Returns the input to apply.
     """
     m, mu = pre.m, pre.mu
     coeff = alpha + beta
@@ -446,7 +433,6 @@ def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
     if y_latest is not None:
         state.y_den_hist[:-1] = state.y_den_hist[1:]
         state.y_den_hist[-1] = y_latest
-        state.e_hat_hist.append(e_hat)
     state.u_hist[:-1] = state.u_hist[1:]
     state.u_hist[-1] = u_plan[0]
     state.u_pred = u_plan
@@ -458,13 +444,9 @@ def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record kept by the Controller wrapper."""
+    """What the latest step decided, and why; kept as ``Controller.last``."""
 
-    t: int
-    u: np.ndarray
-    z_hat: np.ndarray
     z_s: np.ndarray
-    y_meas: np.ndarray | None     # measurement consumed this step (None at t=0)
     e_hat: np.ndarray | None      # estimate consumed this step (None at t=0)
     g_norm: float
     alpha_residual: float
@@ -508,6 +490,8 @@ class Controller:
     instances for parallel runs. Construction factors the offline data
     (the expensive part); ``start`` installs the initialization and
     ``step`` advances one time instant and returns the input to apply.
+    Only the latest step's record is kept, as ``last``; a caller that
+    needs the history records it (``harness.run_experiment`` does).
 
     Args:
         config: tuning knobs.
@@ -541,7 +525,7 @@ class Controller:
         self.check_identities = check_identities
         self.state: ControllerState | None = None
         self.t = 0
-        self.diagnostics: list[StepDiagnostics] = []
+        self.last: StepDiagnostics | None = None
 
     def start(self, first_measurements: np.ndarray,
               u_init: np.ndarray | None = None) -> None:
@@ -549,7 +533,7 @@ class Controller:
         self.state = initialize(self.config, self.pre, first_measurements,
                                 u_init=u_init)
         self.t = 0
-        self.diagnostics = []
+        self.last = None
 
     def noise_estimate(self, y_meas: np.ndarray) -> np.ndarray:
         """Estimate for the noise on a measurement not yet consumed.
@@ -601,7 +585,7 @@ class Controller:
                               - alpha_rhs(state, pre, y_den))
         else:
             alpha, alpha_res = solve_alpha(state, pre, y_den)
-        z_hat, z_s = predict_and_descend(
+        _, z_s = predict_and_descend(
             state, alpha, pre, prev_cost, self.t - 1,
             self.projector, self.config.gamma)
         beta, g, beta_res = solve_beta(alpha, z_s, pre)
@@ -620,44 +604,11 @@ class Controller:
                     f"stored history is no longer a valid trajectory "
                     f"(residual {membership:.3e}) at step {self.t}"
                 )
-        u_t = advance(state, alpha, beta, z_s, pre, y_den, e_hat)
+        u_t = advance(state, alpha, beta, z_s, pre, y_den)
 
-        self.diagnostics.append(StepDiagnostics(
-            t=self.t, u=u_t, z_hat=z_hat, z_s=z_s, y_meas=y_meas, e_hat=e_hat,
-            g_norm=_norm(g), alpha_residual=alpha_res, beta_residual=beta_res,
-            identity_violation=violation, membership=membership))
+        self.last = StepDiagnostics(
+            z_s=z_s, e_hat=e_hat, g_norm=_norm(g), alpha_residual=alpha_res,
+            beta_residual=beta_res, identity_violation=violation,
+            membership=membership)
         self.t += 1
         return u_t
-
-    def write_trace(self, path) -> None:
-        """Optional per-step diagnostic CSV.
-
-        Columns: step index, applied input, the measurement and noise
-        estimate consumed at that step (empty at the first step), the
-        steady-state estimate, the steering-target norm, and the two solve
-        residuals.
-        """
-        import csv
-
-        m = self.pre.m
-        p = self.pre.p
-        header = (["t"] + [f"u_{i + 1}" for i in range(m)]
-                  + [f"ytilde_{i + 1}" for i in range(p)]
-                  + [f"ehat_{i + 1}" for i in range(p)]
-                  + [f"zs_{i + 1}" for i in range(m + p)]
-                  + ["g_norm", "alpha_residual", "beta_residual"])
-
-        def cells(values, width):
-            if values is None:
-                return [""] * width
-            return [f"{v:.17g}" for v in values]
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for d in self.diagnostics:
-                writer.writerow(
-                    [d.t] + cells(d.u, m) + cells(d.y_meas, p)
-                    + cells(d.e_hat, p) + cells(d.z_s, m + p)
-                    + [f"{d.g_norm:.17g}", f"{d.alpha_residual:.17g}",
-                       f"{d.beta_residual:.17g}"])

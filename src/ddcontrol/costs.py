@@ -48,16 +48,6 @@ class CostFunction:
             )
 
 
-def eval_cost(cost: CostFunction, t: int, z: np.ndarray) -> float:
-    """Value of a cost at time t and point z."""
-    return cost.eval(t, np.asarray(z, dtype=float))
-
-
-def grad_cost(cost: CostFunction, t: int, z: np.ndarray) -> np.ndarray:
-    """Gradient of a cost at time t and point z."""
-    return cost.grad(t, np.asarray(z, dtype=float))
-
-
 @dataclass
 class QuadraticTrackingCost(CostFunction):
     """Time-invariant quadratic 0.5 (z - target)' H (z - target).

@@ -8,7 +8,6 @@ are written as CSV with 17 significant digits so runs replay bit-exactly.
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -222,7 +221,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                    out_dir=None, mu: int | None = None,
                    gamma: float | None = None,
                    cost: CostFunction | None = None,
-                   controller_factory=None,
                    check_identities: bool = False):
     """Execute one closed-loop experiment.
 
@@ -232,10 +230,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     overrides (seed, mu, gamma) take precedence over the file values.
 
     ``cost`` replaces the configured cost object (used by tests that wrap
-    the cost with an access recorder); ``controller_factory`` is the
-    extension point for alternative controllers and receives
-    ``(controller_config, data, cost_moduli)``; it must return an object
-    with ``start``, ``step``, ``noise_estimate``, and ``diagnostics``.
+    the cost with an access recorder). The runner is the one per-step
+    recorder: after each step it copies the controller's ``last`` record
+    into the run's arrays.
 
     Returns ``(record, summary)``.
     """
@@ -259,12 +256,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         seed=config.offline.seed)
 
     cost = cost if cost is not None else config.cost.build(model.m, model.p)
-    moduli = (cost.alpha_z, cost.l_z)
-    if controller_factory is None:
-        controller = Controller(cc, data, cost_moduli=moduli,
-                                check_identities=check_identities)
-    else:
-        controller = controller_factory(cc, data, moduli)
+    controller = Controller(cc, data, cost_moduli=(cost.alpha_z, cost.l_z),
+                            check_identities=check_identities)
     projector = controller.projector
 
     noise = NoiseModel(seed=run_seed,
@@ -300,6 +293,10 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     zeta_log = np.empty((T + 1, model.m + model.p))
     cost_log = np.empty(T + 1)
     opt_log = np.empty(T + 1)
+    gnorm_log = np.empty(T + 1)
+    ares_log = np.empty(T + 1)
+    bres_log = np.empty(T + 1)
+    max_violation = max_membership = 0.0
     z_s_init = np.zeros(model.m + model.p)
 
     zeta_cache_key = object()
@@ -308,6 +305,10 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     revealed = None                      # cost revealed so far (one-step delay)
     for t in range(T + 1):
         u_t = controller.step(y_meas=y_meas_prev, prev_cost=revealed)
+        d = controller.last
+        if t > 0:
+            # the estimate for the measurement taken after step t-1
+            ehat_log[t - 1] = d.e_hat
         e, q = draw_noise(t)
         x, y_t, y_meas = step(model, x, u_t, e, q)
         # the cost at time t becomes visible only now
@@ -318,23 +319,26 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
             zeta_cache_key = key
         u_log[t], y_log[t] = u_t, y_t
         ymeas_log[t], etrue_log[t] = y_meas, e
-        ehat_log[t] = controller.noise_estimate(y_meas)
-        zs_log[t] = controller.diagnostics[-1].z_s
+        zs_log[t] = d.z_s
+        gnorm_log[t], ares_log[t], bres_log[t] = (
+            d.g_norm, d.alpha_residual, d.beta_residual)
+        if check_identities:
+            max_violation = max(max_violation, d.identity_violation or 0.0)
+            max_membership = max(max_membership, d.membership)
         zeta_log[t] = zeta
         cost_log[t] = cost.eval(t, np.concatenate([u_t, y_t]))
         opt_log[t] = cost.eval(t, zeta)
         y_meas_prev = y_meas
+    ehat_log[T] = controller.noise_estimate(y_meas_prev)
 
     record = RunRecord(u=u_log, y=y_log, y_meas=ymeas_log, e_hat=ehat_log,
                        z_s=zs_log, zeta=zeta_log, cost=cost_log,
-                       opt_cost=opt_log, z_s_init=z_s_init, e_true=etrue_log)
-    diags = getattr(controller, "diagnostics", [])
-    if check_identities and diags:
-        violations = [d.identity_violation for d in diags
-                      if d.identity_violation is not None]
-        record.extras["max_identity_violation"] = max(violations, default=0.0)
-        record.extras["max_membership_residual"] = max(
-            d.membership for d in diags if d.membership is not None)
+                       opt_cost=opt_log, z_s_init=z_s_init, e_true=etrue_log,
+                       g_norm=gnorm_log, alpha_residual=ares_log,
+                       beta_residual=bres_log)
+    if check_identities:
+        record.extras["max_identity_violation"] = max_violation
+        record.extras["max_membership_residual"] = max_membership
     summary = metrics.summarize(record, seed=run_seed, gamma=cc.gamma, mu=cc.mu)
     summary["accumulated_cost"] = float(cost_log.sum())
 
@@ -348,7 +352,14 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
 
 
 def write_trace_csv(path, record: RunRecord) -> None:
-    """Per-step trace with a fixed column schema and 17-digit floats."""
+    """Per-step trace with a fixed column schema and 17-digit floats.
+
+    The columns are the step index, the applied input, the true and the
+    measured output, the noise estimate, the steady-state estimate (input
+    then output part), the closed-loop and oracle cost, the steering-target
+    norm and the two solve residuals. The record must carry the last three
+    series, as every record from ``run_experiment`` does.
+    """
     m = record.u.shape[1]
     p = record.y.shape[1]
     header = (["t"]
@@ -358,20 +369,16 @@ def write_trace_csv(path, record: RunRecord) -> None:
               + [f"ehat_{i + 1}" for i in range(p)]
               + [f"us_{i + 1}" for i in range(m)]
               + [f"ys_{i + 1}" for i in range(p)]
-              + ["cost", "opt_cost"])
+              + ["cost", "opt_cost", "g_norm", "alpha_residual", "beta_residual"])
+    table = np.column_stack([
+        np.arange(len(record.u)), record.u, record.y, record.y_meas,
+        record.e_hat, record.z_s, record.cost, record.opt_cost,
+        record.g_norm, record.alpha_residual, record.beta_residual])
+    # CSV rows as csv.writer would end them; no cell needs quoting
+    row = ",".join(["{:.17g}"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(len(record.u)):
-            row = ([str(t)]
-                   + [f"{v:.17g}" for v in record.u[t]]
-                   + [f"{v:.17g}" for v in record.y[t]]
-                   + [f"{v:.17g}" for v in record.y_meas[t]]
-                   + [f"{v:.17g}" for v in record.e_hat[t]]
-                   + [f"{v:.17g}" for v in record.z_s[t][:m]]
-                   + [f"{v:.17g}" for v in record.z_s[t][m:]]
-                   + [f"{record.cost[t]:.17g}", f"{record.opt_cost[t]:.17g}"])
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row.format(*values) for values in table.tolist())
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,9 @@ class RunRecord:
     evaluated at the closed loop and at the oracle point. ``z_s_init`` is
     the steady-state estimate the run started from (used as the path-length
     base point). ``e_true`` is filled when the simulator knows the injected
-    measurement noise.
+    measurement noise. ``g_norm``, ``alpha_residual`` and ``beta_residual``
+    are the controller's per-step steering-target norm and solve residuals;
+    ``run_experiment`` fills them.
     """
 
     u: np.ndarray
@@ -34,14 +36,17 @@ class RunRecord:
     opt_cost: np.ndarray
     z_s_init: np.ndarray
     e_true: np.ndarray | None = None
+    g_norm: np.ndarray | None = None
+    alpha_residual: np.ndarray | None = None
+    beta_residual: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         T1 = len(self.u)
         series = [self.y, self.y_meas, self.e_hat, self.z_s, self.zeta,
                   self.cost, self.opt_cost]
-        if self.e_true is not None:
-            series.append(self.e_true)
+        series += [s for s in (self.e_true, self.g_norm, self.alpha_residual,
+                               self.beta_residual) if s is not None]
         if any(len(s) != T1 for s in series):
             raise ValueError("all per-step series must share the same length")
 

@@ -322,8 +322,7 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
 # ------------------------------------------------------------------ 9
 
 def test_criterion_9_gradient_correctness():
-    from ddcontrol.costs import (QuadraticSoftplusCost, eval_cost, grad_cost,
-                                 hvac_cost_schedule)
+    from ddcontrol.costs import QuadraticSoftplusCost, hvac_cost_schedule
     from helpers import central_diff
 
     rng = np.random.default_rng(99)
@@ -340,8 +339,8 @@ def test_criterion_9_gradient_correctness():
         for _ in range(100):
             t = int(rng.integers(0, 60)) if name == "scheduled" else 0
             z = rng.normal(size=3) * 2.0
-            g = grad_cost(cost, t, z)
-            fd = central_diff(lambda v: eval_cost(cost, t, v), z, h=1e-6)
+            g = cost.grad(t, z)
+            fd = central_diff(lambda v: cost.eval(t, v), z, h=1e-6)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-8)
             worst = max(worst, float(rel))
     ok = worst <= 1e-5

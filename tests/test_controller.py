@@ -40,7 +40,11 @@ def mimo_setup():
 
 
 def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
-    """Tiny manual loop mirroring the harness call order."""
+    """Tiny manual loop mirroring the harness call order.
+
+    Returns the inputs, true outputs and measurements, and ``ctrl.last``
+    after every step.
+    """
     n = ctrl.config.n
     x = np.asarray(x0, dtype=float).copy()
     meas = np.empty((n, model.p))
@@ -49,9 +53,10 @@ def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
         x, _, meas[k] = step(model, x, np.zeros(model.m), e)
     ctrl.start(meas)
     prev, revealed = None, None
-    us, ys, ymeas = [], [], []
+    us, ys, ymeas, steps = [], [], [], []
     for t in range(T + 1):
         u = ctrl.step(y_meas=prev, prev_cost=revealed)
+        steps.append(ctrl.last)
         e = None if e_seq is None else e_seq[n + t]
         q = None if q_seq is None else q_seq[t]
         x, y, ym = step(model, x, u, e, q)
@@ -60,7 +65,7 @@ def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
         ys.append(y)
         ymeas.append(ym)
         prev = ym
-    return np.array(us), np.array(ys), np.array(ymeas)
+    return np.array(us), np.array(ys), np.array(ymeas), steps
 
 
 # ---------------------------------------------------------------- precompute
@@ -111,6 +116,26 @@ def test_precompute_rejects_bad_inputs(siso_model, siso_data):
         precompute(build_hankel_set(tiny, 1, 2), np.eye(3))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Q_tilde is built from the kernel projector I - H_beta^+ H_beta, whose "
+    "round-off grows with cond(H_beta) (~1e7 on this poorly observable "
+    "plant), and the pseudoinverse of that projector inverts the round-off; "
+    "a stable kernel basis changes the loop's rounding, which the "
+    "benchmark's golden check does not allow yet"))
+def test_steering_map_on_poorly_observable_plant():
+    # a Schur-stable n=5 plant with poles below 0.33 observed through one
+    # output; run_experiment on it raises "steering correction infeasible"
+    # at step 1 although H_beta has full row rank
+    n = mu = 5
+    model = random_system(np.random.default_rng(889143), n, 2, 1)
+    data = collect_offline_data(model, 150, pe_order=3 * n + mu + 1, seed=889143)
+    hankels = build_hankel_set(data, n, mu)
+    pre = precompute(hankels, build_q(hankels, "identity"))
+    g = hankels.H_beta @ np.random.default_rng(0).normal(size=hankels.columns)
+    back = hankels.H_beta @ (pre.Q_tilde @ g)
+    assert np.linalg.norm(back - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
+
+
 def test_build_q_modes(siso_data):
     hankels = build_hankel_set(siso_data, 1, 2)
     cols = hankels.columns
@@ -135,11 +160,12 @@ def test_estimate_noise_exact_when_noise_free(siso_model, siso_data):
     cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
     ctrl = Controller(cfg, siso_data)
     cost = QuadraticTrackingCost(H=np.eye(2), target=np.array([0.2, 0.4]))
-    _, _, ymeas = run_closed_loop(siso_model, ctrl, cost, 10, np.zeros(1))
+    _, _, _, steps = run_closed_loop(siso_model, ctrl, cost, 10, np.zeros(1))
     # plant at rest, no noise: every estimate must be numerically zero
-    # (entry 0 is the initialization, entry t the estimate for step t-1)
-    assert len(ctrl.state.e_hat_hist) == 11
-    for est in ctrl.state.e_hat_hist:
+    # (step t consumes the estimate for the measurement after step t-1)
+    estimates = [d.e_hat for d in steps[1:]]
+    assert len(estimates) == 10
+    for est in estimates:
         assert np.linalg.norm(est) <= 1e-9
 
 
@@ -163,8 +189,9 @@ def test_estimate_noise_error_follows_plant_decay(siso_model, siso_data):
     cost = QuadraticTrackingCost(H=np.eye(2), target=np.array([0.2, 0.4]))
     T = 60
     e_seq = np.full((T + 2, 1), 0.3)
-    run_closed_loop(siso_model, ctrl, cost, T, np.array([1.0]), e_seq=e_seq)
-    est = np.array(ctrl.state.e_hat_hist[1:])   # estimates for steps 0..T-1
+    _, _, _, steps = run_closed_loop(siso_model, ctrl, cost, T, np.array([1.0]),
+                                     e_seq=e_seq)
+    est = np.array([d.e_hat for d in steps[1:]])   # estimates for steps 0..T-1
     err = np.abs(est[:, 0] - 0.3)
     ratios = err[5:25] / err[4:24]
     assert np.all(np.abs(ratios - 0.5) <= 0.025)   # within 5% of the true rate
@@ -311,10 +338,10 @@ def test_per_step_identities_hold_in_closed_loop(siso_model, siso_data):
     cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
     ctrl = Controller(cfg, siso_data, check_identities=True)
     cost = QuadraticTrackingCost(H=np.diag([2.0, 1.0]), target=np.array([0.5, 0.6]))
-    run_closed_loop(siso_model, ctrl, cost, 60, np.array([0.4]))
-    viol = [d.identity_violation for d in ctrl.diagnostics
+    _, _, _, steps = run_closed_loop(siso_model, ctrl, cost, 60, np.array([0.4]))
+    viol = [d.identity_violation for d in steps
             if d.identity_violation is not None]
-    memb = [d.membership for d in ctrl.diagnostics]
+    memb = [d.membership for d in steps]
     assert max(viol) <= 1e-8
     assert max(memb) <= 1e-8
 
@@ -350,7 +377,7 @@ def test_controller_converges_to_optimum(siso_model, siso_data):
     cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
     ctrl = Controller(cfg, siso_data)
     cost = QuadraticTrackingCost(H=np.diag([10.0, 1.0]), target=np.array([0.0, 1.0]))
-    us, ys, _ = run_closed_loop(siso_model, ctrl, cost, 150, np.zeros(1))
+    us, ys, _, _ = run_closed_loop(siso_model, ctrl, cost, 150, np.zeros(1))
     zeta = optimal_steady_state(ctrl.projector, cost)
     z_fin = np.array([us[-1, 0], ys[-1, 0]])
     assert np.linalg.norm(z_fin - zeta) <= 1e-8
@@ -360,11 +387,13 @@ def test_controller_converges_to_optimum(siso_model, siso_data):
 
 def test_initialize_zero_mode_state_is_valid_trajectory(siso_setup, siso_data):
     cfg, _, pre, _ = siso_setup
-    state = initialize(cfg, pre, np.array([[0.83]]))
+    y_meas = np.array([[0.83]])
+    state = initialize(cfg, pre, y_meas)
     from ddcontrol.behavioral import membership_residual
     hist = Trajectory(state.u_hist, state.y_den_hist)
     assert membership_residual(siso_data, hist) <= 1e-12
-    assert_allclose(state.e_hat_hist[0], [0.83])
+    # the initial noise estimate is the measurement minus the stored output
+    assert_allclose((y_meas - state.y_den_hist)[0], [0.83])
     with pytest.raises(ValueError, match="zero past inputs"):
         initialize(cfg, pre, np.array([[0.0]]), u_init=np.array([[1.0]]))
 
@@ -377,7 +406,7 @@ def test_initialize_at_rest_no_noise_gives_zero_estimates(siso_model, siso_data)
     for k in range(1):
         x, _, meas[k] = step(siso_model, x, np.zeros(1))
     ctrl.start(meas)
-    assert_allclose(ctrl.state.e_hat_hist[0], np.zeros(1), atol=1e-15)
+    assert_allclose((meas - ctrl.state.y_den_hist)[0], np.zeros(1), atol=1e-15)
 
 
 def test_initialize_regularized_feasible_and_consistent(mimo_setup):
@@ -395,9 +424,6 @@ def test_initialize_regularized_feasible_and_consistent(mimo_setup):
     from ddcontrol.behavioral import membership_residual
     hist = Trajectory(state.u_hist, state.y_den_hist)
     assert membership_residual(data, hist) <= 1e-8
-    # noise estimates reconcile measurements with the stored history
-    assert_allclose(np.asarray(state.e_hat_hist),
-                    y_noisy - state.y_den_hist, atol=1e-12)
     # the pending coefficients drive a feasible first step
     alpha = state.pending_alpha
     assert np.linalg.norm(hankels.H_alpha @ alpha
@@ -453,13 +479,13 @@ def test_noise_estimate_is_pure(siso_model, siso_data):
     cost = QuadraticTrackingCost(H=np.eye(2), target=np.array([0.2, 0.4]))
     run_closed_loop(siso_model, ctrl, cost, 3, np.zeros(1))
     y = np.array([0.12])
-    before = ctrl.state.copy()
+    before, last = ctrl.state.copy(), ctrl.last
     first = ctrl.noise_estimate(y)
     second = ctrl.noise_estimate(y)
     assert_allclose(first, second)
     assert ctrl.state.coeff_prev is not None
     assert_allclose(ctrl.state.y_den_hist, before.y_den_hist)
-    assert len(ctrl.state.e_hat_hist) == len(before.e_hat_hist)
+    assert ctrl.last is last
 
 
 def test_failed_step_leaves_controller_unchanged(mimo_setup):
@@ -468,20 +494,19 @@ def test_failed_step_leaves_controller_unchanged(mimo_setup):
     model, data, cfg, *_ = mimo_setup
     ctrl = Controller(cfg, data)
     cost = QuadraticTrackingCost(H=np.eye(4), target=np.array([0.3, -0.2, 0.5, 0.1]))
-    _, _, ymeas = run_closed_loop(model, ctrl, cost, 10, np.zeros(model.n))
+    _, _, ymeas, _ = run_closed_loop(model, ctrl, cost, 10, np.zeros(model.n))
     rng = np.random.default_rng(17)
     ctrl.state.y_den_hist[:] = rng.normal(size=ctrl.state.y_den_hist.shape) * 5
     before = ctrl.state.copy()
-    t, n_diag = ctrl.t, len(ctrl.diagnostics)
+    t, last = ctrl.t, ctrl.last
     with pytest.raises(FeasibilityError, match="infeasible"):
         ctrl.step(y_meas=ymeas[-1], prev_cost=cost)
     after = ctrl.state
     for field in ("u_hist", "y_den_hist", "u_pred", "z_s_prev", "coeff_prev"):
         np.testing.assert_array_equal(getattr(after, field), getattr(before, field))
     assert after.pending_alpha is None
-    assert len(after.e_hat_hist) == len(before.e_hat_hist)
     assert ctrl.t == t
-    assert len(ctrl.diagnostics) == n_diag
+    assert ctrl.last is last
 
 
 @pytest.mark.parametrize("init_mode", ["zero", "regularized"])
@@ -524,7 +549,7 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
                               np.tile(before.z_s_prev[:m], n + 1),
                               ctrl.state.y_den_hist.ravel()])
         alpha, beta, g = solved[-1]
-        d = ctrl.diagnostics[-1]
+        d = ctrl.last
         assert d.alpha_residual > 1e-11
         assert abs(d.alpha_residual
                    - np.linalg.norm(hankels.H_alpha @ alpha - rhs)) <= 1e-12
@@ -536,20 +561,30 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     assert len(solved) == 40
 
 
-def test_controller_trace_csv(tmp_path, siso_model, siso_data):
-    cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
+def test_controller_memory_stays_bounded(siso_model, siso_data):
+    # the controller keeps only its latest step, so the memory it holds
+    # at step 3000 is what it held at step 300
+    import tracemalloc
+
+    cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
     ctrl = Controller(cfg, siso_data)
-    cost = QuadraticTrackingCost(H=np.eye(2), target=np.array([0.2, 0.4]))
-    run_closed_loop(siso_model, ctrl, cost, 5, np.zeros(1))
-    path = tmp_path / "ctrl_trace.csv"
-    ctrl.write_trace(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("t,u_1,ytilde_1,ehat_1,zs_1,zs_2,g_norm,"
-                        "alpha_residual,beta_residual")
-    assert len(lines) == 7
-    # the first step consumed no measurement, later steps did
-    assert ",," in lines[1]
-    assert ",," not in lines[3]
+    cost = QuadraticTrackingCost(H=np.diag([10.0, 1.0]), target=np.array([0.0, 1.0]))
+    rng = np.random.default_rng(31)
+    x, _, meas = step(siso_model, np.array([1.0]), np.zeros(1))
+    ctrl.start(meas[None, :])
+    prev, revealed = None, None
+    tracemalloc.start()
+    try:
+        for t in range(3001):
+            if t == 300:
+                held_early = tracemalloc.get_traced_memory()[0]
+            u = ctrl.step(y_meas=prev, prev_cost=revealed)
+            x, _, prev = step(siso_model, x, u, rng.uniform(-0.1, 0.1, 1))
+            revealed = cost
+        held_late = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held_late - held_early < 64 * 1024
 
 
 def test_step_does_no_matrix_factorization(monkeypatch, siso_model, siso_data):

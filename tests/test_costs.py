@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from ddcontrol.costs import (CostSegment, QuadraticScheduledCost,
                              QuadraticSoftplusCost, QuadraticTrackingCost,
-                             eval_cost, grad_cost, hvac_cost_schedule,
-                             piecewise_linear_profile)
+                             hvac_cost_schedule, piecewise_linear_profile)
 
 from helpers import central_diff
 
@@ -24,13 +23,13 @@ def scheduled_single(output_weight, input_weight, setpoint, price=1.0, m=1):
 
 def test_eval_at_setpoint_is_zero():
     c = scheduled_single(1.0, 10.0, 3.0)
-    assert eval_cost(c, 0, np.array([0.0, 3.0])) == 0.0
+    assert c.eval(0, np.array([0.0, 3.0])) == 0.0
 
 
 def test_eval_arithmetic_example():
     # 0.5 * (0 - 3)^2 + 0.5 * 10 * 1^2 = 4.5 + 5 = 9.5
     c = scheduled_single(1.0, 10.0, 3.0)
-    assert_allclose(eval_cost(c, 0, np.array([1.0, 0.0])), 9.5)
+    assert_allclose(c.eval(0, np.array([1.0, 0.0])), 9.5)
 
 
 def test_eval_linear_in_input_weight():
@@ -38,28 +37,28 @@ def test_eval_linear_in_input_weight():
     c1 = scheduled_single(0.0 + 1.0, 4.0, 3.0)
     c2 = scheduled_single(0.0 + 1.0, 8.0, 3.0)
     out_term = 0.5 * (z[1] - 3.0) ** 2
-    assert_allclose(eval_cost(c2, 0, z) - out_term,
-                    2.0 * (eval_cost(c1, 0, z) - out_term))
+    assert_allclose(c2.eval(0, z) - out_term,
+                    2.0 * (c1.eval(0, z) - out_term))
 
 
 def test_eval_beyond_horizon_raises():
     c = scheduled_single(1.0, 10.0, 3.0)
     with pytest.raises(IndexError, match="beyond configured horizon"):
-        eval_cost(c, 10, np.zeros(2))
+        c.eval(10, np.zeros(2))
     with pytest.raises(IndexError):
-        eval_cost(c, -1, np.zeros(2))
+        c.eval(-1, np.zeros(2))
 
 
 # ---------------------------------------------------------------- grad
 
 def test_grad_zero_at_unconstrained_minimum():
     c = scheduled_single(1.0, 10.0, 3.0)
-    assert_allclose(grad_cost(c, 0, np.array([0.0, 3.0])), np.zeros(2), atol=1e-15)
+    assert_allclose(c.grad(0, np.array([0.0, 3.0])), np.zeros(2), atol=1e-15)
 
 
 def test_grad_hand_example():
     c = scheduled_single(1.0, 10.0, 3.0)
-    assert_allclose(grad_cost(c, 0, np.array([1.0, 0.0])), [10.0, -3.0])
+    assert_allclose(c.grad(0, np.array([1.0, 0.0])), [10.0, -3.0])
 
 
 @pytest.mark.parametrize("family", ["tracking", "softplus", "scheduled"])
@@ -80,8 +79,8 @@ def test_grad_matches_central_differences(family):
     for _ in range(100):
         t = int(rng.integers(0, 10))
         z = rng.normal(size=dim) * 2.0
-        g = grad_cost(cost, t, z)
-        fd = central_diff(lambda v: eval_cost(cost, t, v), z)
+        g = cost.grad(t, z)
+        fd = central_diff(lambda v: cost.eval(t, v), z)
         assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 

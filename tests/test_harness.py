@@ -1,5 +1,10 @@
+import csv
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ddcontrol.costs import CostFunction, hvac_cost_schedule
@@ -111,23 +116,37 @@ def test_identity_stats_exposed(small_config):
     assert record.extras["max_membership_residual"] <= 1e-8
 
 
+def random_plant_config(rng, n, m, p, seed):
+    """60-step tracking run on a random minimal plant with n states."""
+    model = random_system(rng, n, m, p)
+    return ExperimentConfig(
+        plant=PlantSpec(type="matrices", A=model.A.tolist(), B=model.B.tolist(),
+                        C=model.C.tolist(), D=model.D.tolist(),
+                        initial_state=rng.normal(size=n).tolist()),
+        noise=NoiseSpec(seed=seed, measurement={"low": -0.05, "high": 0.05}),
+        controller=ControllerSpec(gamma=0.3, mu=n, n=n, q_mode="identity"),
+        cost=CostSpec(type="quadratic", params={
+            "H": np.eye(m + p).tolist(), "target": rng.normal(size=m + p).tolist()}),
+        offline=OfflineSpec(N=150, seed=seed),
+        horizon=60,
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_self_checks_hold_on_multi_state_plants(n):
     # at n = 1 a one-sample history is unconstrained, so the membership
     # check only bites on plants with n >= 2
-    rng = np.random.default_rng(40 + n)
-    model = random_system(rng, n, 2, 2)
-    config = ExperimentConfig(
-        plant=PlantSpec(type="matrices", A=model.A.tolist(), B=model.B.tolist(),
-                        C=model.C.tolist(), D=model.D.tolist(),
-                        initial_state=rng.normal(size=n).tolist()),
-        noise=NoiseSpec(seed=n, measurement={"low": -0.05, "high": 0.05}),
-        controller=ControllerSpec(gamma=0.3, mu=n, n=n, q_mode="identity"),
-        cost=CostSpec(type="quadratic", params={
-            "H": np.eye(4).tolist(), "target": rng.normal(size=4).tolist()}),
-        offline=OfflineSpec(N=150, seed=n),
-        horizon=60,
-    )
+    config = random_plant_config(np.random.default_rng(40 + n), n, 2, 2, seed=n)
+    record, _ = run_experiment(config, check_identities=True)
+    assert record.extras["max_identity_violation"] <= 1e-8
+    assert record.extras["max_membership_residual"] <= 1e-8
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 10 ** 6))
+def test_self_checks_hold_on_drawn_plants(n, m, p, seed):
+    config = random_plant_config(np.random.default_rng(seed), n, m, p, seed)
     record, _ = run_experiment(config, check_identities=True)
     assert record.extras["max_identity_violation"] <= 1e-8
     assert record.extras["max_membership_residual"] <= 1e-8
@@ -150,18 +169,55 @@ def test_regularized_initialization_through_runner(small_config):
     assert record.extras["max_membership_residual"] <= 1e-8
 
 
-def test_controller_factory_extension_point(small_config):
-    calls = {}
+def test_one_noise_estimate_per_measurement(monkeypatch, small_config):
+    # the runner logs the estimate each step consumed, so every measurement
+    # is compared with its prediction once: T steps plus the final one
+    import ddcontrol.controller as ctrl_module
 
-    def factory(cc, data, moduli):
-        from ddcontrol.controller import Controller
-        calls["config"] = cc
-        calls["moduli"] = moduli
-        return Controller(cc, data)
+    calls = []
+    real_estimate_noise = ctrl_module.estimate_noise
 
-    run_experiment(small_config, controller_factory=factory)
-    assert calls["config"].mu == small_config.controller.mu
-    assert calls["moduli"][0] > 0
+    def counting_estimate_noise(state, y_meas, pre):
+        calls.append(y_meas)
+        return real_estimate_noise(state, y_meas, pre)
+
+    monkeypatch.setattr(ctrl_module, "estimate_noise", counting_estimate_noise)
+    record, _ = run_experiment(small_config)
+    assert len(calls) == small_config.horizon + 1
+    np.testing.assert_array_equal(np.array(calls), record.y_meas)
+
+
+def test_trace_telemetry_matches_recomputation(monkeypatch, tmp_path, small_config):
+    # the trace's last three columns are the steering-target norm and the
+    # two solve residuals of each step, as a fresh norm computes them
+    import ddcontrol.controller as ctrl_module
+
+    fresh = []
+    real_solve_alpha = ctrl_module.solve_alpha
+    real_solve_beta = ctrl_module.solve_beta
+
+    def recording_solve_alpha(state, pre, y_latest=None):
+        alpha, res = real_solve_alpha(state, pre, y_latest)
+        rhs = ctrl_module.alpha_rhs(state, pre, y_latest)
+        fresh.append({"alpha_residual":
+                      np.linalg.norm(pre.hankels.H_alpha @ alpha - rhs)})
+        return alpha, res
+
+    def recording_solve_beta(alpha, z_s, pre):
+        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        fresh[-1]["g_norm"] = np.linalg.norm(g)
+        fresh[-1]["beta_residual"] = np.linalg.norm(pre.hankels.H_beta @ beta - g)
+        return beta, g, res
+
+    monkeypatch.setattr(ctrl_module, "solve_alpha", recording_solve_alpha)
+    monkeypatch.setattr(ctrl_module, "solve_beta", recording_solve_beta)
+    run_experiment(small_config, out_dir=tmp_path)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(fresh) == small_config.horizon + 1
+    for key in ("g_norm", "alpha_residual", "beta_residual"):
+        assert_allclose([float(row[key]) for row in rows],
+                        [f[key] for f in fresh], rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------- information pattern
@@ -233,7 +289,8 @@ def test_cli_run_and_demo(tmp_path, small_config):
     assert cli_main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0
     header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[0]
-    assert header == "t,u_1,y_1,ytilde_1,ehat_1,us_1,ys_1,cost,opt_cost"
+    assert header == ("t,u_1,y_1,ytilde_1,ehat_1,us_1,ys_1,cost,opt_cost,"
+                      "g_norm,alpha_residual,beta_residual")
 
     assert cli_main(["demo-siso", "--out", str(tmp_path / "demo")]) == 0
     demo_header = (tmp_path / "demo" / "trace.csv").read_text().splitlines()[0]
@@ -252,6 +309,36 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, small_config, capsys):
     code = cli_main(["run", "--config", str(path), "--mu", "6"])
     assert code == 1
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_trace_columns_read_back_as_record(tmp_path, small_config):
+    # every cell of the trace parses back to the recorded value, bit for bit
+    record, _ = run_experiment(small_config, out_dir=tmp_path)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = {
+        "t": np.arange(len(record.u)), "u_1": record.u[:, 0],
+        "y_1": record.y[:, 0], "ytilde_1": record.y_meas[:, 0],
+        "ehat_1": record.e_hat[:, 0], "us_1": record.z_s[:, 0],
+        "ys_1": record.z_s[:, 1], "cost": record.cost,
+        "opt_cost": record.opt_cost, "g_norm": record.g_norm,
+        "alpha_residual": record.alpha_residual,
+        "beta_residual": record.beta_residual,
+    }
+    assert list(rows[0]) == list(expected)
+    for key, values in expected.items():
+        np.testing.assert_array_equal([float(row[key]) for row in rows], values)
+
+
+def test_readme_trace_schema_matches_writer(tmp_path, small_config):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    schema = re.search(r"`trace.csv` \(schema:\s*`([^`]+)`", readme).group(1)
+    # at m = p = 1 every ``x_1..x_m`` range is the single column x_1
+    expected = re.sub(r"(\w+)_1\.\.\1_[mp]", r"\1_1", schema)
+    small_config.horizon = 0
+    run_experiment(small_config, out_dir=tmp_path)
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+    assert header == expected
 
 
 def test_trace_floats_have_full_precision(tmp_path, small_config):
