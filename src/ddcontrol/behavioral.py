@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PersistencyError
-from .linalg import RANK_RTOL
+from .linalg import numerical_rank
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,7 @@ def persistency_check(u: np.ndarray, L: int) -> bool:
     N, m = u.shape
     if L < 1 or N < L:
         return False
-    H = build_hankel(u, L).entries
-    s = np.linalg.svd(H, compute_uv=False)
-    rank = int(np.count_nonzero(s > max(H.shape) * s[0] * RANK_RTOL)) if s.size else 0
-    return rank == m * L
+    return numerical_rank(build_hankel(u, L).entries) == m * L
 
 
 def membership_residual(data: Trajectory, candidate: Trajectory,

@@ -14,7 +14,7 @@ plus a handful of matrix-vector products.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class ControllerConfig:
     n: upper bound on the system order.
     q_mode: which seminorm the steering correction minimizes; one of
         "identity", "inputs", "outputs", "identity+inputs",
-        "identity+future_inputs", or an explicit weight matrix.
+        "identity+future_inputs".
     lambda_init: regularizer of the optional least-squares initialization.
     init_mode: "zero" (rest initialization) or "regularized".
     """
@@ -82,29 +82,21 @@ def check_step_size(gamma: float, alpha_z: float, l_z: float) -> bool:
     return True
 
 
-def build_q(hankels: HankelSet, mode: str | np.ndarray) -> np.ndarray:
+def build_q(hankels: HankelSet, mode: str) -> np.ndarray:
     """Weight matrix for the steering-correction seminorm."""
-    if isinstance(mode, np.ndarray):
-        Q = np.atleast_2d(np.asarray(mode, dtype=float))
-    else:
-        n, mu = hankels.n, hankels.mu
-        eye = np.eye(hankels.columns)
-        choices = {
-            "identity": lambda: eye,
-            "inputs": lambda: hankels.U.entries,
-            "outputs": lambda: hankels.Y.entries,
-            "identity+inputs": lambda: np.vstack([eye, hankels.U.entries]),
-            "identity+future_inputs": lambda: np.vstack(
-                [eye, block_rows(hankels.U, n + 1, 2 * n + mu + 1)]),
-        }
-        if mode not in choices:
-            raise ValueError(f"unknown q_mode {mode!r}; options: {sorted(choices)}")
-        Q = choices[mode]()
-    if Q.shape[1] != hankels.columns:
-        raise ValueError(
-            f"Q must have {hankels.columns} columns, got {Q.shape[1]}"
-        )
-    return Q
+    n, mu = hankels.n, hankels.mu
+    eye = np.eye(hankels.columns)
+    choices = {
+        "identity": lambda: eye,
+        "inputs": lambda: hankels.U.entries,
+        "outputs": lambda: hankels.Y.entries,
+        "identity+inputs": lambda: np.vstack([eye, hankels.U.entries]),
+        "identity+future_inputs": lambda: np.vstack(
+            [eye, block_rows(hankels.U, n + 1, 2 * n + mu + 1)]),
+    }
+    if mode not in choices:
+        raise ValueError(f"unknown q_mode {mode!r}; options: {sorted(choices)}")
+    return choices[mode]()
 
 
 @dataclass(frozen=True)
@@ -210,26 +202,11 @@ class ControllerState:
     u_pred: np.ndarray
     z_s_prev: np.ndarray
     coeff_prev: np.ndarray | None
-    pending_alpha: np.ndarray | None = None
-
-    def copy(self) -> "ControllerState":
-        return replace(
-            self,
-            u_hist=self.u_hist.copy(),
-            y_den_hist=self.y_den_hist.copy(),
-            u_pred=self.u_pred.copy(),
-            z_s_prev=self.z_s_prev.copy(),
-            coeff_prev=None if self.coeff_prev is None else self.coeff_prev.copy(),
-            pending_alpha=None if self.pending_alpha is None
-            else self.pending_alpha.copy(),
-        )
 
 
 def initialize(config: ControllerConfig, pre: Precomputed,
                first_measurements: np.ndarray,
-               u_init: np.ndarray | None = None,
-               u_pred_init: np.ndarray | None = None,
-               z_s_init: np.ndarray | None = None) -> ControllerState:
+               u_init: np.ndarray | None = None) -> ControllerState:
     """Controller state before the first step.
 
     In "zero" mode the plant is assumed to have been at rest under zero
@@ -239,15 +216,16 @@ def initialize(config: ControllerConfig, pre: Precomputed,
     nonzero; the initial coefficients and noise estimates are found by a
     least-squares solve that trades the output-match residual against the
     norm of the unknowns with weight ``config.lambda_init``, subject to
-    the input rows being matched exactly.
+    the input rows being matched exactly. Both modes start from a zero
+    input plan and a zero steady-state estimate, and the first step solves
+    for its coefficients like every later one.
     """
     n, mu, m, p = pre.n, pre.mu, pre.m, pre.p
     y_meas = np.atleast_2d(np.asarray(first_measurements, dtype=float))
     if y_meas.shape != (n, p):
         raise ValueError(f"need the first n={n} measurements, shape (n, p)")
-    u_pred = np.zeros((mu + 1, m)) if u_pred_init is None \
-        else np.asarray(u_pred_init, dtype=float).reshape(mu + 1, m)
-    z_s = np.zeros(m + p) if z_s_init is None else np.asarray(z_s_init, dtype=float)
+    u_pred = np.zeros((mu + 1, m))
+    z_s = np.zeros(m + p)
 
     if config.init_mode == "zero":
         if u_init is not None and np.any(np.asarray(u_init) != 0):
@@ -275,7 +253,6 @@ def initialize(config: ControllerConfig, pre: Precomputed,
         u_pred=u_pred,
         z_s_prev=z_s,
         coeff_prev=None,
-        pending_alpha=alpha0,
     )
 
 
@@ -438,7 +415,6 @@ def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
     state.u_pred = u_plan
     state.z_s_prev = z_s.copy()
     state.coeff_prev = coeff
-    state.pending_alpha = None
     return u_plan[0].copy()
 
 
@@ -496,8 +472,6 @@ class Controller:
     Args:
         config: tuning knobs.
         data: offline record with noise-free outputs.
-        projector: steady-state projector; built from ``data`` if omitted.
-        Q: explicit seminorm weight, overriding ``config.q_mode``.
         cost_moduli: optional (alpha_z, l_z) pair; triggers the step-size
             warning when gamma is too large.
         check_identities: verify the cross-step identities and the
@@ -506,20 +480,19 @@ class Controller:
     """
 
     def __init__(self, config: ControllerConfig, data: Trajectory, *,
-                 projector: SteadyStateProjector | None = None,
-                 Q: np.ndarray | None = None,
                  cost_moduli: tuple[float, float] | None = None,
                  check_identities: bool = False):
+        # Looked up at call time, not imported at the top: tools that time
+        # the offline layers replace these module attributes with wrappers,
+        # and a module-level name bound at import would bypass them.
         from .behavioral import build_hankel_set
         from .steady_state import build_projector
 
         self.config = config
         self.data = data
         self.hankels = build_hankel_set(data, config.n, config.mu)
-        q_matrix = Q if Q is not None else build_q(self.hankels, config.q_mode)
-        self.pre = precompute(self.hankels, q_matrix)
-        self.projector = projector if projector is not None \
-            else build_projector(data, config.n)
+        self.pre = precompute(self.hankels, build_q(self.hankels, config.q_mode))
+        self.projector = build_projector(data, config.n)
         if cost_moduli is not None:
             check_step_size(config.gamma, *cost_moduli)
         self.check_identities = check_identities
@@ -579,12 +552,7 @@ class Controller:
 
         # Nothing below touches the state until ``advance`` commits it, so a
         # step that raises leaves the controller as it was.
-        if state.pending_alpha is not None:
-            alpha = state.pending_alpha
-            alpha_res = _norm(self.hankels.H_alpha @ alpha
-                              - alpha_rhs(state, pre, y_den))
-        else:
-            alpha, alpha_res = solve_alpha(state, pre, y_den)
+        alpha, alpha_res = solve_alpha(state, pre, y_den)
         _, z_s = predict_and_descend(
             state, alpha, pre, prev_cost, self.t - 1,
             self.projector, self.config.gamma)

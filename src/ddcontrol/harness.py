@@ -10,7 +10,7 @@ are written as CSV with 17 significant digits so runs replay bit-exactly.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +100,6 @@ class ControllerSpec:
     lambda_init: float = 0.0
 
     def build(self) -> ControllerConfig:
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
         try:
             return ControllerConfig(gamma=self.gamma, mu=self.mu, n=self.n,
                                     q_mode=self.q_mode, init_mode=self.init_mode,
@@ -227,7 +225,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     Per step the runner (1) asks the controller for an input without
     revealing the current cost, (2) steps the plant and takes the
     measurement, (3) reveals the cost for use at the next step. Flag-style
-    overrides (seed, mu, gamma) take precedence over the file values.
+    overrides (seed, mu, gamma) take precedence over the file values and
+    are validated with them; an invalid one raises ``ConfigError``.
 
     ``cost`` replaces the configured cost object (used by tests that wrap
     the cost with an access recorder). The runner is the one per-step
@@ -238,15 +237,12 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     """
     config.validate()
     run_seed = config.noise.seed if seed is None else int(seed)
-    ctrl_spec = config.controller
-    cc = ControllerConfig(
-        gamma=ctrl_spec.gamma if gamma is None else float(gamma),
-        mu=ctrl_spec.mu if mu is None else int(mu),
-        n=ctrl_spec.n,
-        q_mode=ctrl_spec.q_mode,
-        init_mode=ctrl_spec.init_mode,
-        lambda_init=ctrl_spec.lambda_init,
-    )
+    overrides = {}
+    if gamma is not None:
+        overrides["gamma"] = float(gamma)
+    if mu is not None:
+        overrides["mu"] = int(mu)
+    cc = replace(config.controller, **overrides).build()
     model, x0 = config.plant.build()
     T = config.horizon
 
@@ -443,10 +439,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "run":
             config = ExperimentConfig.from_json(args.config)
-            if args.gamma is not None and args.gamma <= 0:
-                raise ConfigError("gamma must be positive")
-            if args.mu is not None and args.mu < 1:
-                raise ConfigError("mu must be at least 1")
             _, summary = run_experiment(config, seed=args.seed, out_dir=args.out,
                                         mu=args.mu, gamma=args.gamma)
             _print_summary(summary)

@@ -83,40 +83,35 @@ def path_length(zeta: np.ndarray, z_s_init: np.ndarray) -> float:
     return float(np.linalg.norm(zeta - prev, axis=1).sum())
 
 
-def fit_decay_rate(errors: np.ndarray, skip_fraction: float = 0.1,
-                   floor: float = 1e-13) -> float:
+def fit_decay_rate(errors: np.ndarray) -> float:
     """Geometric decay rate of an error series by a log-linear fit.
 
-    The first ``skip_fraction`` of the samples is discarded to avoid
-    transient contamination, and samples at or below ``floor`` are dropped
-    so that numerical underflow does not pollute the fit. Returns NaN when
-    fewer than two usable samples remain.
+    The first tenth of the samples is discarded to avoid transient
+    contamination, and samples at or below 1e-13 are dropped so that
+    numerical underflow does not pollute the fit. Returns NaN when fewer
+    than two usable samples remain.
     """
     errors = np.asarray(errors, dtype=float)
     t = np.arange(len(errors))
-    start = int(np.ceil(skip_fraction * len(errors)))
+    start = int(np.ceil(0.1 * len(errors)))
     t, errors = t[start:], errors[start:]
-    mask = errors > floor
+    mask = errors > 1e-13
     if mask.sum() < 2:
         return float("nan")
     slope = np.polyfit(t[mask], np.log(errors[mask]), 1)[0]
     return float(np.exp(slope))
 
 
-def noise_error_series(record: RunRecord,
-                       e_true: np.ndarray | None = None,
-                       skip_fraction: float = 0.1) -> tuple[np.ndarray, float]:
+def noise_error_series(record: RunRecord) -> tuple[np.ndarray, float]:
     """Per-step norm of the noise-estimate error and its fitted decay rate.
 
-    Only meaningful in simulation, where the injected noise is known;
-    ``e_true`` defaults to the record's stored series.
+    Only meaningful in simulation, where the record carries the injected
+    noise as ``e_true``.
     """
-    if e_true is None:
-        e_true = record.e_true
-    if e_true is None:
-        raise ValueError("true noise series unknown; pass e_true explicitly")
-    err = np.linalg.norm(record.e_hat - np.asarray(e_true, dtype=float), axis=1)
-    return err, fit_decay_rate(err, skip_fraction=skip_fraction)
+    if record.e_true is None:
+        raise ValueError("true noise series unknown: the record has no e_true")
+    err = np.linalg.norm(record.e_hat - record.e_true, axis=1)
+    return err, fit_decay_rate(err)
 
 
 def steps_to_converge(record: RunRecord, tol: float = 1e-2) -> int:
@@ -132,8 +127,7 @@ def steps_to_converge(record: RunRecord, tol: float = 1e-2) -> int:
     return -1 if last_bad == record.horizon else last_bad + 1
 
 
-def summarize(record: RunRecord, seed: int, gamma: float, mu: int,
-              converge_tol: float = 1e-2) -> dict:
+def summarize(record: RunRecord, seed: int, gamma: float, mu: int) -> dict:
     """One summary row for a run, keyed like the summary CSV columns."""
     total, _ = regret(record)
     final_noise_err = float("nan")
@@ -147,7 +141,7 @@ def summarize(record: RunRecord, seed: int, gamma: float, mu: int,
         "regret": total,
         "path_length": path_length(record.zeta, record.z_s_init),
         "final_noise_error": final_noise_err,
-        "steps_to_converge": steps_to_converge(record, converge_tol),
+        "steps_to_converge": steps_to_converge(record),
     }
 
 

@@ -93,12 +93,6 @@ class PlantModel:
             M = self.A @ M
         raise ValueError("system is not controllable")
 
-    def steady_state_output(self, u_s: np.ndarray) -> np.ndarray:
-        """Equilibrium output for a constant input, via x = Ax + Bu."""
-        u_s = np.asarray(u_s, dtype=float)
-        x = np.linalg.solve(np.eye(self.n) - self.A, self.B @ u_s)
-        return self.C @ x + self.D @ u_s
-
 
 def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
          e: np.ndarray | None = None, q: np.ndarray | None = None):
@@ -159,9 +153,6 @@ class NoiseModel:
         self._rng_e = np.random.default_rng(children[0])
         self._rng_q = np.random.default_rng(children[1])
 
-    def bounds(self) -> dict:
-        return {"measurement": self.measurement, "process": self.process}
-
     def draw_measurement(self, p: int) -> np.ndarray:
         if self.measurement is None:
             return np.zeros(p)
@@ -177,15 +168,14 @@ class NoiseModel:
 
 def collect_offline_data(model: PlantModel, N: int, pe_order: int,
                          input_box: tuple[float, float] = (-1.0, 1.0),
-                         seed: int = 0, x0: np.ndarray | None = None,
-                         retries: int = 5) -> Trajectory:
+                         seed: int = 0) -> Trajectory:
     """Record a noise-free excitation experiment of length N.
 
     Inputs are drawn i.i.d. uniform on ``input_box`` per channel, the model
-    is simulated without measurement or process noise, and the recorded
-    input is verified to be persistently exciting of order ``pe_order``.
-    A fresh seed is tried up to ``retries`` times before giving up (which
-    only happens for degenerate boxes, e.g. zero width).
+    is simulated from rest without measurement or process noise, and the
+    recorded input is verified to be persistently exciting of order
+    ``pe_order``. Five seeds are tried before giving up (which only happens
+    for degenerate boxes, e.g. zero width).
     """
     if N < (model.m + 1) * pe_order - 1:
         raise ValueError(
@@ -193,17 +183,17 @@ def collect_offline_data(model: PlantModel, N: int, pe_order: int,
             f"N >= {(model.m + 1) * pe_order - 1}, got {N}"
         )
     lo, hi = input_box
-    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     ss = np.random.SeedSequence(seed)
-    for attempt_seed in [ss] + list(ss.spawn(retries - 1)):
+    attempts = [ss] + ss.spawn(4)
+    for attempt_seed in attempts:
         rng = np.random.default_rng(attempt_seed)
         u = rng.uniform(lo, hi, size=(N, model.m))
         if persistency_check(u, pe_order):
-            traj, _ = simulate(model, x0, u)
+            traj, _ = simulate(model, np.zeros(model.n), u)
             return traj
     raise PersistencyError(
         f"could not draw an input of excitation order {pe_order} from box "
-        f"[{lo}, {hi}] after {retries} attempts"
+        f"[{lo}, {hi}] after {len(attempts)} attempts"
     )
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -424,13 +426,10 @@ def test_initialize_regularized_feasible_and_consistent(mimo_setup):
     from ddcontrol.behavioral import membership_residual
     hist = Trajectory(state.u_hist, state.y_den_hist)
     assert membership_residual(data, hist) <= 1e-8
-    # the pending coefficients drive a feasible first step
-    alpha = state.pending_alpha
-    assert np.linalg.norm(hankels.H_alpha @ alpha
-                          - np.concatenate([u_past.ravel(),
-                                            np.zeros(model.m * cfg.mu),
-                                            np.zeros(model.m * (cfg.n + 1)),
-                                            state.y_den_hist.ravel()])) <= 1e-8
+    # the first step solves for its coefficients like every later one, and
+    # the regularized state makes that solve feasible
+    _, residual = solve_alpha(state, pre)
+    assert residual <= 1e-8
 
 
 def test_regularized_solution_matches_kkt_oracle_and_monotone(mimo_setup):
@@ -479,7 +478,7 @@ def test_noise_estimate_is_pure(siso_model, siso_data):
     cost = QuadraticTrackingCost(H=np.eye(2), target=np.array([0.2, 0.4]))
     run_closed_loop(siso_model, ctrl, cost, 3, np.zeros(1))
     y = np.array([0.12])
-    before, last = ctrl.state.copy(), ctrl.last
+    before, last = copy.deepcopy(ctrl.state), ctrl.last
     first = ctrl.noise_estimate(y)
     second = ctrl.noise_estimate(y)
     assert_allclose(first, second)
@@ -497,14 +496,13 @@ def test_failed_step_leaves_controller_unchanged(mimo_setup):
     _, _, ymeas, _ = run_closed_loop(model, ctrl, cost, 10, np.zeros(model.n))
     rng = np.random.default_rng(17)
     ctrl.state.y_den_hist[:] = rng.normal(size=ctrl.state.y_den_hist.shape) * 5
-    before = ctrl.state.copy()
+    before = copy.deepcopy(ctrl.state)
     t, last = ctrl.t, ctrl.last
     with pytest.raises(FeasibilityError, match="infeasible"):
         ctrl.step(y_meas=ymeas[-1], prev_cost=cost)
     after = ctrl.state
     for field in ("u_hist", "y_den_hist", "u_pred", "z_s_prev", "coeff_prev"):
         np.testing.assert_array_equal(getattr(after, field), getattr(before, field))
-    assert after.pending_alpha is None
     assert ctrl.t == t
     assert ctrl.last is last
 
@@ -542,7 +540,7 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     prev, revealed = None, None
     for t in range(40):
         ctrl.state.y_den_hist += 1e-9 * rng.normal(size=ctrl.state.y_den_hist.shape)
-        before = ctrl.state.copy()
+        before = copy.deepcopy(ctrl.state)
         u = ctrl.step(y_meas=prev, prev_cost=revealed)
         # the output window a step solves with is the one it commits
         rhs = np.concatenate([before.u_hist.ravel(), before.u_pred.ravel()[m:],

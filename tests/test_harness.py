@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import re
 from pathlib import Path
 
@@ -99,6 +100,14 @@ def test_flag_overrides_take_precedence(small_config):
     assert summary["seed"] == 123
 
 
+def test_invalid_flag_overrides_are_config_errors(small_config):
+    # overrides are validated with the file values, by the one config check
+    with pytest.raises(ConfigError, match="mu must be at least 1"):
+        run_experiment(small_config, mu=0)
+    with pytest.raises(ConfigError, match="gamma must be positive"):
+        run_experiment(small_config, gamma=-1.0)
+
+
 def test_failing_sensor_scales_window_only(small_config):
     small_config.noise.measurement = {"low": -0.1, "high": 0.1}
     small_config.noise.failing_sensor = {"channel": 1, "start": 10,
@@ -167,6 +176,39 @@ def test_regularized_initialization_through_runner(small_config):
     assert np.isfinite(summary["regret"])
     assert record.extras["max_identity_violation"] <= 1e-8
     assert record.extras["max_membership_residual"] <= 1e-8
+
+
+def test_regularized_first_step_solves_like_every_step(monkeypatch, small_config):
+    # the regularized initialization stores no coefficients for the first
+    # step: every one of the T+1 steps solves for them
+    import ddcontrol.controller as ctrl_module
+
+    calls = []
+    real_solve_alpha = ctrl_module.solve_alpha
+
+    def counting_solve_alpha(state, pre, y_latest=None):
+        calls.append(y_latest)
+        return real_solve_alpha(state, pre, y_latest)
+
+    monkeypatch.setattr(ctrl_module, "solve_alpha", counting_solve_alpha)
+    small_config.controller.init_mode = "regularized"
+    small_config.controller.lambda_init = 1.0
+    run_experiment(small_config)
+    assert len(calls) == small_config.horizon + 1
+    assert calls[0] is None
+
+
+def test_benchmark_patch_sites_exist():
+    # the benchmark times layers by replacing these attributes; a renamed
+    # or moved function would silently drop out of its per-layer metrics
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    sites = spans._sites()
+    assert sites
+    for owner, attr, _ in sites:
+        assert attr in vars(owner), f"{owner.__name__}.{attr} is gone"
 
 
 def test_one_noise_estimate_per_measurement(monkeypatch, small_config):

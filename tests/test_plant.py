@@ -116,7 +116,6 @@ def test_noise_model_deterministic_and_bounded():
     assert np.all(np.abs(e1) <= 1.0)
     q = np.array([nm1.draw_process(2) for _ in range(50)])
     assert np.all(np.abs(q) <= 0.1)
-    assert nm1.bounds() == {"measurement": (-1.0, 1.0), "process": (-0.1, 0.1)}
     assert_allclose(NoiseModel(seed=0).draw_measurement(2), np.zeros(2))
     with pytest.raises(ValueError, match="reversed"):
         NoiseModel(seed=0, measurement=(1.0, -1.0))
