@@ -22,8 +22,9 @@ class CostFunction:
     ``grad``. ``quadratic_terms(t)`` may return (H, g, c) such that
     L_t(z) = 0.5 z'Hz + g'z + c, enabling exact reduced solves;
     the default returns None. ``params_key(t)`` identifies the cost
-    parameters active at time t so downstream caches can detect reuse;
-    the safe default treats every step as distinct.
+    parameters active at time t: ``optimal_steady_state`` solves a run of
+    consecutive times with equal keys once. The safe default treats every
+    step as distinct.
     """
 
     alpha_z: float
@@ -161,6 +162,8 @@ class QuadraticScheduledCost(CostFunction):
         self._starts = starts
         p = self.segments[0].setpoint.size
         self.p = p
+        self._input_diag = np.diag_indices(self.m)
+        self._terms = []        # per segment: H without its input block, g, c
         lo, hi = np.inf, 0.0
         for seg in self.segments:
             if seg.output_weight.shape != (p, p) or seg.setpoint.size != p:
@@ -173,6 +176,12 @@ class QuadraticScheduledCost(CostFunction):
             in_w = seg.input_weight * self.price_series
             lo = min(lo, float(w[0]), float(in_w.min()))
             hi = max(hi, float(w[-1]), float(in_w.max()))
+            H = np.zeros((self.m + p, self.m + p))
+            H[self.m:, self.m:] = seg.output_weight
+            g = np.concatenate([np.zeros(self.m), -seg.output_weight @ seg.setpoint])
+            g.setflags(write=False)
+            self._terms.append(
+                (H, g, 0.5 * float(seg.setpoint @ seg.output_weight @ seg.setpoint)))
         self.alpha_z = lo
         self.l_z = hi
         self._check_moduli()
@@ -181,14 +190,15 @@ class QuadraticScheduledCost(CostFunction):
     def horizon(self) -> int:
         return self.price_series.size
 
-    def _segment(self, t: int) -> CostSegment:
+    def _index(self, t: int) -> int:
+        """Index of the segment active at t."""
         if t < 0 or t >= self.horizon:
             raise IndexError(f"time index {t} beyond configured horizon {self.horizon}")
-        return self.segments[bisect.bisect_right(self._starts, t) - 1]
+        return bisect.bisect_right(self._starts, t) - 1
 
     def params_at(self, t: int) -> tuple[np.ndarray, float, np.ndarray]:
         """(output weight, effective input weight, setpoint) active at t."""
-        seg = self._segment(t)
+        seg = self.segments[self._index(t)]
         return seg.output_weight, seg.input_weight * float(self.price_series[t]), seg.setpoint
 
     def eval(self, t: int, z: np.ndarray) -> float:
@@ -203,15 +213,17 @@ class QuadraticScheduledCost(CostFunction):
         return np.concatenate([iw * u, W @ (y - sp)])
 
     def quadratic_terms(self, t: int):
-        W, iw, sp = self.params_at(t)
-        H = np.zeros((self.m + self.p, self.m + self.p))
-        H[:self.m, :self.m] = iw * np.eye(self.m)
-        H[self.m:, self.m:] = W
-        g = np.concatenate([np.zeros(self.m), -W @ sp])
-        return H, g, 0.5 * float(sp @ W @ sp)
+        # only the price-scaled input diagonal changes within a segment;
+        # H is a fresh copy and g is read-only, so callers cannot alter
+        # the stored terms
+        k = self._index(t)
+        H_seg, g, c = self._terms[k]
+        H = H_seg.copy()
+        H[self._input_diag] = self.segments[k].input_weight * float(self.price_series[t])
+        return H, g, c
 
     def params_key(self, t: int):
-        seg = self._segment(t)
+        seg = self.segments[self._index(t)]
         return (seg.start, float(self.price_series[t]))
 
 

@@ -231,7 +231,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     ``cost`` replaces the configured cost object (used by tests that wrap
     the cost with an access recorder). The runner is the one per-step
     recorder: after each step it copies the controller's ``last`` record
-    into the run's arrays.
+    into the run's arrays. The best equilibria ``zeta_t`` that regret is
+    measured against do not depend on the loop: one call after it solves
+    them for all t.
 
     Returns ``(record, summary)``.
     """
@@ -254,7 +256,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     cost = cost if cost is not None else config.cost.build(model.m, model.p)
     controller = Controller(cc, data, cost_moduli=(cost.alpha_z, cost.l_z),
                             check_identities=check_identities)
-    projector = controller.projector
 
     noise = NoiseModel(seed=run_seed,
                        measurement=config.noise.bounds(config.noise.measurement),
@@ -286,17 +287,13 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     ehat_log = np.empty((T + 1, model.p))
     etrue_log = np.empty((T + 1, model.p))
     zs_log = np.empty((T + 1, model.m + model.p))
-    zeta_log = np.empty((T + 1, model.m + model.p))
     cost_log = np.empty(T + 1)
-    opt_log = np.empty(T + 1)
     gnorm_log = np.empty(T + 1)
     ares_log = np.empty(T + 1)
     bres_log = np.empty(T + 1)
     max_violation = max_membership = 0.0
     z_s_init = np.zeros(model.m + model.p)
 
-    zeta_cache_key = object()
-    zeta = None
     y_meas_prev = None
     revealed = None                      # cost revealed so far (one-step delay)
     for t in range(T + 1):
@@ -309,10 +306,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         x, y_t, y_meas = step(model, x, u_t, e, q)
         # the cost at time t becomes visible only now
         revealed = cost
-        key = cost.params_key(t)
-        if key != zeta_cache_key:
-            zeta = optimal_steady_state(projector, cost, t)
-            zeta_cache_key = key
         u_log[t], y_log[t] = u_t, y_t
         ymeas_log[t], etrue_log[t] = y_meas, e
         zs_log[t] = d.z_s
@@ -321,11 +314,13 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         if check_identities:
             max_violation = max(max_violation, d.identity_violation or 0.0)
             max_membership = max(max_membership, d.membership)
-        zeta_log[t] = zeta
         cost_log[t] = cost.eval(t, np.concatenate([u_t, y_t]))
-        opt_log[t] = cost.eval(t, zeta)
         y_meas_prev = y_meas
     ehat_log[T] = controller.noise_estimate(y_meas_prev)
+
+    zeta_log = optimal_steady_state(controller.projector, cost, np.arange(T + 1))
+    opt_log = np.fromiter((cost.eval(t, z) for t, z in enumerate(zeta_log)),
+                          float, T + 1)
 
     record = RunRecord(u=u_log, y=y_log, y_meas=ymeas_log, e_hat=ehat_log,
                        z_s=zs_log, zeta=zeta_log, cost=cost_log,

@@ -315,13 +315,15 @@ def build_hvac(params: ThermalZoneParams | None = None) -> PlantModel:
     return PlantModel(A, B, C)
 
 
-def random_system(rng: np.random.Generator, n: int, m: int, p: int,
-                  rho_max: float = 0.9) -> PlantModel:
-    """Random Schur-stable, controllable, observable system for experiments."""
+def random_system(rng: np.random.Generator, n: int, m: int, p: int) -> PlantModel:
+    """Random Schur-stable, controllable, observable system for experiments.
+
+    The spectral radius of A is drawn uniformly from [0.3, 0.9).
+    """
     for _ in range(50):
         A = rng.normal(size=(n, n))
         radius = np.abs(np.linalg.eigvals(A)).max()
-        A *= rng.uniform(0.3, rho_max) / max(radius, 1e-9)
+        A *= rng.uniform(0.3, 0.9) / max(radius, 1e-9)
         B = rng.normal(size=(n, m))
         C = rng.normal(size=(p, n))
         try:

@@ -101,20 +101,49 @@ def project(proj: SteadyStateProjector, z: np.ndarray) -> np.ndarray:
     return proj.P @ z
 
 
-def optimal_steady_state(proj: SteadyStateProjector, cost, t: int = 0) -> np.ndarray:
-    """Minimizer of a strongly convex cost over the steady-state set.
+def optimal_steady_state(proj: SteadyStateProjector, cost, t=0) -> np.ndarray:
+    """Minimizers of a strongly convex cost over the steady-state set.
 
-    Quadratic costs (those exposing ``quadratic_terms``) are solved exactly
-    through the reduced normal equations in the null-space basis; general
-    smooth costs fall back to projected gradient iteration driven to a
-    projected-gradient norm of 1e-10.
+    ``t`` is one time index, which gives the minimizer at that time with
+    shape (m+p,), or a 1-D sequence of them, which gives one row per index.
+    Consecutive times with equal ``cost.params_key`` share one solve.
+    Quadratic costs (those whose ``quadratic_terms`` returns terms) are
+    reduced to the normal equations B'HB w = -B'g in the null-space basis
+    B, and all of them are solved in one batched call; B'HB >= alpha_z I,
+    so every system is nonsingular. General smooth costs fall back to
+    projected gradient iteration driven to a projected-gradient norm of
+    1e-10.
     """
+    times = np.atleast_1d(t)
     B = proj.basis
-    terms = getattr(cost, "quadratic_terms", lambda _t: None)(t)
-    if terms is not None:
-        H, g, _ = terms
-        w = linalg.lstsq(B.T @ H @ B, -B.T @ g)
-        return B @ w
+    # the first index of every run of times with equal parameter keys
+    starts = np.empty(len(times), dtype=np.intp)
+    runs, last_key = 0, object()
+    for i, ti in enumerate(map(int, times)):
+        key = cost.params_key(ti)
+        if key != last_key:
+            starts[runs], runs, last_key = i, runs + 1, key
+    starts = starts[:runs]
+    zeta = np.empty((runs, proj.m + proj.p))
+    lhs = np.empty((runs, B.shape[1], B.shape[1]))
+    rhs = np.empty((runs, B.shape[1], 1))
+    quadratic = np.zeros(runs, dtype=bool)
+    for r, ti in enumerate(map(int, times[starts])):
+        terms = getattr(cost, "quadratic_terms", lambda _t: None)(ti)
+        if terms is None:
+            zeta[r] = _projected_gradient(proj, cost, ti)
+        else:
+            H, g, _ = terms
+            lhs[r] = B.T @ H @ B
+            rhs[r, :, 0] = -B.T @ g
+            quadratic[r] = True
+    q = np.flatnonzero(quadratic)
+    zeta[q] = np.linalg.solve(lhs[q], rhs[q])[..., 0] @ B.T
+    out = np.repeat(zeta, np.diff(starts, append=len(times)), axis=0)
+    return out if np.ndim(t) else out[0]
+
+
+def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:
     if cost.alpha_z <= 0:
         raise ValueError("iterative steady-state solve needs a strongly convex cost")
     step = 2.0 / (cost.alpha_z + cost.l_z)

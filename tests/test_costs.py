@@ -134,6 +134,36 @@ def test_schedule_hessians_within_moduli():
         assert w[-1] <= cost.l_z + 1e-12
 
 
+def test_schedule_quadratic_terms_match_parameters():
+    # the terms are the closed form of params_at, bit for bit, at every t
+    cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
+    for t in range(cost.horizon):
+        W, iw, sp = cost.params_at(t)
+        H_ref = np.zeros((8, 8))
+        H_ref[:5, :5] = iw * np.eye(5)
+        H_ref[5:, 5:] = W
+        H, g, c = cost.quadratic_terms(t)
+        np.testing.assert_array_equal(H, H_ref)
+        np.testing.assert_array_equal(g, np.concatenate([np.zeros(5), -W @ sp]))
+        assert c == 0.5 * float(sp @ W @ sp)
+
+
+def test_schedule_quadratic_terms_survive_caller_mutation():
+    cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
+    H0, g0, c0 = (np.copy(x) for x in cost.quadratic_terms(40))
+    H, g, _ = cost.quadratic_terms(40)
+    H += 1.0
+    try:
+        g += 1.0
+    except ValueError:           # read-only is as good as a copy
+        pass
+    for t in (40, 41):           # same segment, same and other price
+        H_t, g_t, c_t = cost.quadratic_terms(t)
+        np.testing.assert_array_equal(g_t, g0)
+        assert c_t == c0
+    np.testing.assert_array_equal(cost.quadratic_terms(40)[0], H0)
+
+
 # ---------------------------------------------------------------- daily schedule
 
 def test_hvac_schedule_night_weight_at_3am():

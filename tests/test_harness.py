@@ -306,6 +306,50 @@ def test_information_pattern(small_config):
         assert first_eval[t] < gidx
 
 
+class TermsRecordingCost(RecordingCost):
+    """Also logs every access to the quadratic terms."""
+
+    def quadratic_terms(self, t):
+        self.log.append(("quadratic_terms", t))
+        return self.inner.quadratic_terms(t)
+
+
+def test_oracle_runs_once_after_the_loop(monkeypatch, small_config):
+    # the best equilibria do not depend on the loop: one batched oracle call
+    # per run, and no cost term is read for it while the loop runs
+    import ddcontrol.harness as harness_module
+    from ddcontrol.controller import Controller
+
+    T = small_config.horizon
+    recorder = TermsRecordingCost(hvac_cost_schedule(p=1, m=1, day_steps=T + 1))
+    oracle_times = []
+    real_oracle = harness_module.optimal_steady_state
+    real_step = Controller.step
+
+    def counting_oracle(proj, cost, t=0):
+        oracle_times.append(np.array(t))
+        return real_oracle(proj, cost, t)
+
+    def logged_step(self, *args, **kwargs):
+        u = real_step(self, *args, **kwargs)
+        recorder.log.append(("step", None))
+        return u
+
+    monkeypatch.setattr(harness_module, "optimal_steady_state", counting_oracle)
+    monkeypatch.setattr(Controller, "step", logged_step)
+    record, _ = run_experiment(small_config, cost=recorder)
+    assert len(oracle_times) == 1
+    np.testing.assert_array_equal(oracle_times[0], np.arange(T + 1))
+    kinds = [kind for kind, _ in recorder.log]
+    last_step = len(kinds) - 1 - kinds[::-1].index("step")
+    assert kinds.count("step") == T + 1
+    assert "quadratic_terms" in kinds[last_step:]
+    assert "quadratic_terms" not in kinds[:last_step]
+    np.testing.assert_array_equal(
+        record.opt_cost,
+        [recorder.inner.eval(t, record.zeta[t]) for t in range(T + 1)])
+
+
 # ---------------------------------------------------------------- cli
 
 def test_cli_validate_shipped_config():

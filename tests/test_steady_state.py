@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ddcontrol.behavioral import Trajectory
-from ddcontrol.costs import (QuadraticSoftplusCost, QuadraticTrackingCost)
+from ddcontrol.costs import (QuadraticSoftplusCost, QuadraticTrackingCost,
+                             hvac_cost_schedule)
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import collect_offline_data, random_system, simulate
-from ddcontrol.steady_state import (build_projector, optimal_steady_state,
-                                    project)
+from ddcontrol.steady_state import (SteadyStateProjector, build_projector,
+                                    optimal_steady_state, project)
 
-from helpers import model_steady_state, rank_by_svd
+from helpers import SwitchingQuadraticCost, model_steady_state, rank_by_svd
 
 # hand-computed values for the scalar reference plant (steady states y = 2u):
 # null(S) spanned by (1, 2)/sqrt(5), so P = [[0.2, 0.4], [0.4, 0.8]]
@@ -109,6 +110,11 @@ def test_nullspace_dimension_is_input_dimension(random_plants):
 
 # ------------------------------------------------- optimal steady state
 
+def softplus_cost(cls=QuadraticSoftplusCost):
+    return cls(H=np.diag([3.0, 1.0]), target=np.array([0.3, 1.2]),
+               a=np.array([0.5, -0.4]), c=2.0)
+
+
 def test_optimal_steady_state_calculus_oracle(siso_proj):
     # L(u, y) = 0.5 (y - r)^2 + 0.5 lam u^2 restricted to y = 2u:
     # d/du [0.5 (2u - r)^2 + 0.5 lam u^2] = 0  ->  u = 2 r / (4 + lam)
@@ -146,9 +152,7 @@ def test_optimal_steady_state_iterative_path(siso_proj):
     # the result against a dense scipy solve in the basis coordinates
     from scipy.optimize import minimize
 
-    cost = QuadraticSoftplusCost(H=np.diag([3.0, 1.0]),
-                                 target=np.array([0.3, 1.2]),
-                                 a=np.array([0.5, -0.4]), c=2.0)
+    cost = softplus_cost()
     zeta = optimal_steady_state(siso_proj, cost)
     assert np.linalg.norm(siso_proj.P @ cost.grad(0, zeta)) <= 1e-9
     B = siso_proj.basis
@@ -156,6 +160,66 @@ def test_optimal_steady_state_iterative_path(siso_proj):
                    x0=np.zeros(B.shape[1]), method="BFGS",
                    options={"gtol": 1e-12})
     assert_allclose(zeta, B @ res.x, atol=1e-6)
+
+
+ORACLE_COSTS = {
+    "scheduled": lambda: hvac_cost_schedule(p=1, m=1, day_steps=200),
+    "static": lambda: QuadraticTrackingCost(H=np.diag([10.0, 1.0]),
+                                            target=np.array([0.0, 1.0])),
+    "switching": lambda: SwitchingQuadraticCost(
+        np.diag([2.0, 1.0]), [[0.0, 0.0], [1.5, 3.0], [-1.0, 0.5]], [0, 50, 120]),
+    "softplus": softplus_cost,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_COSTS)
+def test_batched_oracle_equals_per_time_calls(siso_proj, name):
+    cost = ORACLE_COSTS[name]()
+    times = np.arange(200)
+    batched = optimal_steady_state(siso_proj, cost, times)
+    per_time = np.array([optimal_steady_state(siso_proj, cost, t) for t in times])
+    assert batched.shape == (200, 2)
+    assert_allclose(batched, per_time, rtol=1e-12,
+                    atol=1e-12 * np.abs(per_time).max())
+    # and each row is the constrained minimizer of its own cost
+    for t in (0, 49, 50, 119, 120, 199):
+        grad = cost.grad(t, batched[t])
+        assert np.linalg.norm(siso_proj.P @ grad) <= 1e-8 * (1 + np.linalg.norm(grad))
+
+
+class CountingSoftplusCost(QuadraticSoftplusCost):
+    grads = 0
+
+    def grad(self, t, z):
+        self.grads += 1
+        return super().grad(t, z)
+
+
+def test_static_cost_is_solved_once_over_many_times(siso_proj):
+    once = softplus_cost(CountingSoftplusCost)
+    optimal_steady_state(siso_proj, once, 0)
+    many = softplus_cost(CountingSoftplusCost)
+    optimal_steady_state(siso_proj, many, np.arange(200))
+    assert once.grads > 1
+    assert many.grads == once.grads
+
+
+def test_oracle_shapes_follow_the_time_argument(siso_proj):
+    cost = ORACLE_COSTS["scheduled"]()
+    assert optimal_steady_state(siso_proj, cost, 3).shape == (2,)
+    assert optimal_steady_state(siso_proj, cost, np.int64(3)).shape == (2,)
+    assert optimal_steady_state(siso_proj, cost, [3]).shape == (1, 2)
+    assert_allclose(optimal_steady_state(siso_proj, cost, [3, 7])[1],
+                    optimal_steady_state(siso_proj, cost, 7), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ORACLE_COSTS)
+def test_oracle_on_zero_dimensional_set_gives_zeros(name):
+    # a set holding only the origin, as when the data admit no equilibrium
+    proj = SteadyStateProjector(S=np.eye(2), P=np.zeros((2, 2)),
+                                basis=np.zeros((2, 0)), m=1, p=1, n=1)
+    zeta = optimal_steady_state(proj, ORACLE_COSTS[name](), np.arange(5))
+    np.testing.assert_array_equal(zeta, np.zeros((5, 2)))
 
 
 @settings(max_examples=25, deadline=None)
