@@ -37,7 +37,7 @@ class SwitchingCost(CostFunction):
 
     def quadratic_terms(self, t):
         x = self._target(t)
-        return self.H, -self.H @ x, 0.5 * float(x @ self.H @ x)
+        return self.H.copy(), -self.H @ x, 0.5 * float(x @ self.H @ x)
 
     def params_key(self, t):
         return sum(t >= s for s in self.times)

@@ -13,8 +13,10 @@ plus a handful of matrix-vector products.
 """
 
 import math
+import threading
 import warnings
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -110,7 +112,6 @@ class Precomputed:
     """
 
     hankels: HankelSet
-    Q: np.ndarray
     H_alpha_pinv: np.ndarray
     Q_tilde: np.ndarray
     U_plan: np.ndarray      # U^{n+1:n+mu+1}: the planned input window
@@ -172,7 +173,6 @@ def precompute(hankels: HankelSet, Q: np.ndarray) -> Precomputed:
     Q_tilde = (np.eye(cols) - linalg.pinv(Q @ kernel_proj) @ Q) @ H_beta_pinv
     return Precomputed(
         hankels=hankels,
-        Q=Q,
         H_alpha_pinv=linalg.pinv(hankels.H_alpha),
         Q_tilde=Q_tilde,
         U_plan=block_rows(hankels.U, n + 1, n + mu + 1),
@@ -182,6 +182,65 @@ def precompute(hankels: HankelSet, Q: np.ndarray) -> Precomputed:
         Y_ahead=block_rows(hankels.Y, n + mu + 1, n + mu + 1),
         Y_tail=block_rows(hankels.Y, n + mu + 1, 2 * n + mu),
     )
+
+
+#: offline factors ``(pre, projector)`` of the data records used last,
+#: least recently used first; two entries let a sweep alternate two
+#: horizons on one record (``notes/decisions.md``)
+_FACTORS: OrderedDict = OrderedDict()
+_FACTORS_KEPT = 2
+#: held for a whole lookup or build, so controllers constructed in
+#: parallel threads see a consistent cache
+_FACTORS_LOCK = threading.Lock()
+
+
+def _freeze(obj) -> None:
+    """Make every array reachable through dataclass fields read-only.
+
+    A view keeps its own writeable flag, so each view and its bases are
+    frozen one by one.
+    """
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj, np.ndarray):
+            obj.flags.writeable = False
+            obj = obj.base
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _freeze(getattr(obj, f.name))
+
+
+def _offline_factors(config: ControllerConfig, data: Trajectory) -> tuple:
+    """``(pre, projector)`` of a data record, factored once per record.
+
+    The factors depend only on the data bytes, their (N, m) and (N, p)
+    split, ``n``, ``mu`` and ``q_mode``, so controllers on an equal record
+    share them; they are read-only for that reason. A miss evicts the
+    least recently used entries before it builds, so a build never runs
+    beside a full cache of stale factors, and a build that raises caches
+    nothing. Constructions in parallel threads take turns.
+    """
+    # Looked up at call time, not imported at the top: tools that time
+    # the offline layers replace these module attributes with wrappers,
+    # and a module-level name bound at import would bypass them.
+    from .behavioral import build_hankel_set
+    from .steady_state import build_projector
+
+    key = (data.inputs.shape, data.outputs.shape, data.inputs.tobytes(),
+           data.outputs.tobytes(), config.n, config.mu, config.q_mode)
+    with _FACTORS_LOCK:
+        factors = _FACTORS.get(key)
+        if factors is not None:
+            _FACTORS.move_to_end(key)
+            return factors
+        while len(_FACTORS) >= _FACTORS_KEPT:
+            _FACTORS.popitem(last=False)
+        hankels = build_hankel_set(data, config.n, config.mu)
+        pre = precompute(hankels, build_q(hankels, config.q_mode))
+        projector = build_projector(data, config.n)
+        _freeze(pre)
+        _freeze(projector)
+        _FACTORS[key] = factors = (pre, projector)
+        return factors
 
 
 @dataclass
@@ -464,7 +523,10 @@ class Controller:
 
     One instance is a single-threaded state machine; create independent
     instances for parallel runs. Construction factors the offline data
-    (the expensive part); ``start`` installs the initialization and
+    (the expensive part). A construction on one of the two most recently
+    used data records, with the same ``n``, ``mu`` and ``q_mode``, reuses
+    its factors, which are read-only and shared (see
+    ``notes/decisions.md``); ``start`` installs the initialization and
     ``step`` advances one time instant and returns the input to apply.
     Only the latest step's record is kept, as ``last``; a caller that
     needs the history records it (``harness.run_experiment`` does).
@@ -482,17 +544,10 @@ class Controller:
     def __init__(self, config: ControllerConfig, data: Trajectory, *,
                  cost_moduli: tuple[float, float] | None = None,
                  check_identities: bool = False):
-        # Looked up at call time, not imported at the top: tools that time
-        # the offline layers replace these module attributes with wrappers,
-        # and a module-level name bound at import would bypass them.
-        from .behavioral import build_hankel_set
-        from .steady_state import build_projector
-
         self.config = config
         self.data = data
-        self.hankels = build_hankel_set(data, config.n, config.mu)
-        self.pre = precompute(self.hankels, build_q(self.hankels, config.q_mode))
-        self.projector = build_projector(data, config.n)
+        self.pre, self.projector = _offline_factors(config, data)
+        self.hankels = self.pre.hankels
         if cost_moduli is not None:
             check_step_size(config.gamma, *cost_moduli)
         self.check_identities = check_identities

@@ -22,8 +22,10 @@ class CostFunction:
     ``grad``. ``quadratic_terms(t)`` may return (H, g, c) such that
     L_t(z) = 0.5 z'Hz + g'z + c, enabling exact reduced solves;
     the default returns None. ``params_key(t)`` identifies the cost
-    parameters active at time t: ``optimal_steady_state`` solves a run of
-    consecutive times with equal keys once. The safe default treats every
+    parameters active at time t, so times with equal keys must give equal
+    values and gradients: ``optimal_steady_state`` solves a run of
+    consecutive times with equal keys once, and ``run_experiment``
+    evaluates the oracle cost once per run. The safe default treats every
     step as distinct.
     """
 
@@ -81,7 +83,9 @@ class QuadraticTrackingCost(CostFunction):
         return self.H @ (z - self.target)
 
     def quadratic_terms(self, t: int):
-        return self.H, -self.H @ self.target, 0.5 * float(self.target @ self.H @ self.target)
+        # a copy of H, so a caller that edits it cannot alter the cost
+        return (self.H.copy(), -self.H @ self.target,
+                0.5 * float(self.target @ self.H @ self.target))
 
     def params_key(self, t: int):
         return "static"

@@ -233,7 +233,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     recorder: after each step it copies the controller's ``last`` record
     into the run's arrays. The best equilibria ``zeta_t`` that regret is
     measured against do not depend on the loop: one call after it solves
-    them for all t.
+    them for all t, and each run of equal cost parameters is evaluated
+    once.
 
     Returns ``(record, summary)``.
     """
@@ -318,9 +319,14 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         y_meas_prev = y_meas
     ehat_log[T] = controller.noise_estimate(y_meas_prev)
 
-    zeta_log = optimal_steady_state(controller.projector, cost, np.arange(T + 1))
-    opt_log = np.fromiter((cost.eval(t, z) for t, z in enumerate(zeta_log)),
-                          float, T + 1)
+    # within a run of equal cost parameters the minimizer and its cost are
+    # the same, so each is computed once per run and repeated
+    starts, zeta_runs = optimal_steady_state(
+        controller.projector, cost, np.arange(T + 1))
+    lengths = np.diff(starts, append=T + 1)
+    zeta_log = np.repeat(zeta_runs, lengths, axis=0)
+    opt_log = np.repeat([cost.eval(int(t), z) for t, z in zip(starts, zeta_runs)],
+                        lengths)
 
     record = RunRecord(u=u_log, y=y_log, y_meas=ymeas_log, e_hat=ehat_log,
                        z_s=zs_log, zeta=zeta_log, cost=cost_log,

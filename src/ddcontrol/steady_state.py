@@ -101,12 +101,14 @@ def project(proj: SteadyStateProjector, z: np.ndarray) -> np.ndarray:
     return proj.P @ z
 
 
-def optimal_steady_state(proj: SteadyStateProjector, cost, t=0) -> np.ndarray:
+def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     """Minimizers of a strongly convex cost over the steady-state set.
 
     ``t`` is one time index, which gives the minimizer at that time with
-    shape (m+p,), or a 1-D sequence of them, which gives one row per index.
-    Consecutive times with equal ``cost.params_key`` share one solve.
+    shape (m+p,), or a 1-D sequence of them. Consecutive times with equal
+    ``cost.params_key`` form a run and share one solve, so a sequence gives
+    ``(starts, zeta)``: the position in ``t`` where each run starts, and
+    one minimizer row per run.
     Quadratic costs (those whose ``quadratic_terms`` returns terms) are
     reduced to the normal equations B'HB w = -B'g in the null-space basis
     B, and all of them are solved in one batched call; B'HB >= alpha_z I,
@@ -139,8 +141,7 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0) -> np.ndarray:
             quadratic[r] = True
     q = np.flatnonzero(quadratic)
     zeta[q] = np.linalg.solve(lhs[q], rhs[q])[..., 0] @ B.T
-    out = np.repeat(zeta, np.diff(starts, append=len(times)), axis=0)
-    return out if np.ndim(t) else out[0]
+    return (starts, zeta) if np.ndim(t) else zeta[0]
 
 
 def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import pytest
 
 from ddcontrol.behavioral import Trajectory
@@ -21,3 +23,13 @@ def siso_data(siso_model) -> Trajectory:
 def siso_controller(siso_data):
     cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
     return Controller(cfg, siso_data, check_identities=True)
+
+
+@pytest.fixture()
+def factor_cache(monkeypatch):
+    """An empty cache of offline factors for one test, restored after it."""
+    import ddcontrol.controller as ctrl_module
+
+    cache = OrderedDict()
+    monkeypatch.setattr(ctrl_module, "_FACTORS", cache)
+    return cache

@@ -123,7 +123,7 @@ class SwitchingQuadraticCost:
 
     def quadratic_terms(self, t):
         target = self._target(t)
-        return self.H, -self.H @ target, 0.5 * float(target @ self.H @ target)
+        return self.H.copy(), -self.H @ target, 0.5 * float(target @ self.H @ target)
 
     def params_key(self, t):
         idx = 0

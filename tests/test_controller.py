@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -312,12 +313,13 @@ def test_solve_beta_optimality_against_oracle(mimo_setup):
     rng = np.random.default_rng(3)
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     alpha, _ = solve_alpha(state, pre)
+    Q = build_q(hankels, cfg.q_mode)
     for _ in range(20):
         z_s = proj.basis @ rng.normal(size=proj.dim)
         beta, g, _ = solve_beta(alpha, z_s, pre)
-        beta_star = min_seminorm_qp(hankels.H_beta, g, pre.Q)
-        assert np.linalg.norm(pre.Q @ beta) \
-            <= np.linalg.norm(pre.Q @ beta_star) + 1e-9
+        beta_star = min_seminorm_qp(hankels.H_beta, g, Q)
+        assert np.linalg.norm(Q @ beta) \
+            <= np.linalg.norm(Q @ beta_star) + 1e-9
         assert np.linalg.norm(hankels.H_beta @ beta - g) \
             <= 1e-8 * (1.0 + np.linalg.norm(g))
 
@@ -636,3 +638,173 @@ def test_config_validation_and_step_size_warning():
     assert check_step_size(0.1, 1.0, 10.0) is True
     with pytest.warns(UserWarning, match="exceeds"):
         assert check_step_size(0.5, 1.0, 10.0) is False
+
+
+# ---------------------------------------------------------------- factor cache
+
+def _factor_arrays(ctrl):
+    """Every array reachable from the offline factors, with all its bases.
+
+    Walks ``ctrl.pre`` and ``ctrl.projector`` through dataclass fields, as
+    the benchmark's ``factor_bytes`` does.
+    """
+    out, todo = [], [ctrl.pre, ctrl.projector]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj, np.ndarray):
+                out.append(obj)
+                obj = obj.base
+        elif dataclasses.is_dataclass(obj):
+            todo.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return out
+
+
+def _random_record(rng, N, m, p):
+    return Trajectory(rng.uniform(-1.0, 1.0, (N, m)), rng.normal(size=(N, p)))
+
+
+def test_equal_record_reuses_the_factors(monkeypatch, factor_cache, siso_data):
+    import ddcontrol.controller as ctrl_module
+    import ddcontrol.linalg as linalg_module
+    import ddcontrol.steady_state as ss_module
+
+    calls = []
+    for module, name in ((linalg_module, "pinv"), (ctrl_module, "precompute"),
+                         (ss_module, "build_projector")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
+    first = Controller(cfg, siso_data)
+    assert {"pinv", "precompute", "build_projector"} <= set(calls)
+    calls.clear()
+    equal = Trajectory(siso_data.inputs.copy(), siso_data.outputs.copy())
+    second = Controller(cfg, equal)
+    assert calls == []
+    assert second.pre is first.pre and second.projector is first.projector
+    assert second.hankels is first.hankels
+
+
+def test_cached_factors_are_read_only(factor_cache, siso_data):
+    cfg = ControllerConfig(gamma=0.15, mu=2, n=1)
+    ctrl = Controller(cfg, siso_data)
+    arrays = _factor_arrays(ctrl)
+    assert len(arrays) > 10
+    assert not [a.shape for a in arrays if a.flags.writeable]
+    with pytest.raises(ValueError, match="read-only"):
+        ctrl.pre.Y_next[0, 0] = 1.0
+
+
+def test_distinct_records_never_share_factors(factor_cache):
+    rng = np.random.default_rng(5)
+    base_data = _random_record(rng, 200, 2, 2)
+    u, y = base_data.inputs, base_data.outputs
+    base_cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
+    base = Controller(base_cfg, base_data)
+    u_changed, y_changed = u.copy(), y.copy()
+    u_changed[17, 1] += 1e-3
+    y_changed[150, 0] += 1e-3
+    variants = {
+        "n": (dataclasses.replace(base_cfg, n=2), base_data),
+        "mu": (dataclasses.replace(base_cfg, mu=3), base_data),
+        "q_mode": (dataclasses.replace(base_cfg, q_mode="inputs"), base_data),
+        "input value": (base_cfg, Trajectory(u_changed, y)),
+        "output value": (base_cfg, Trajectory(u, y_changed)),
+        # the same bytes read as 400 steps of one input and one output
+        "split": (base_cfg, Trajectory(u.reshape(400, 1), y.reshape(400, 1))),
+    }
+    for name, (cfg, data) in variants.items():
+        # the base record is the most recently used entry each time
+        assert Controller(base_cfg, base_data).pre is base.pre
+        ctrl = Controller(cfg, data)
+        assert ctrl.pre is not base.pre, name
+        assert ctrl.projector is not base.projector, name
+        assert (ctrl.pre.n, ctrl.pre.mu, ctrl.pre.m, ctrl.pre.p) \
+            == (cfg.n, cfg.mu, data.m, data.p), name
+
+
+def test_factor_cache_is_bounded(monkeypatch, factor_cache):
+    # two entries at most, and a miss evicts before it builds, so no build
+    # runs beside a full cache
+    import tracemalloc
+    import ddcontrol.controller as ctrl_module
+
+    held_during_build = []
+    real_precompute = ctrl_module.precompute
+
+    def recording_precompute(*args, **kwargs):
+        held_during_build.append(len(factor_cache))
+        return real_precompute(*args, **kwargs)
+
+    monkeypatch.setattr(ctrl_module, "precompute", recording_precompute)
+    model = random_system(np.random.default_rng(91), 3, 2, 2)
+    cfg = ControllerConfig(gamma=0.1, mu=4, n=3, q_mode="identity")
+
+    def record(seed):
+        return collect_offline_data(model, 200, pe_order=3 * cfg.n + cfg.mu + 1,
+                                    seed=seed)
+
+    tracemalloc.start()
+    try:
+        for seed in range(5):
+            ctrl = Controller(cfg, record(seed))
+            assert len(factor_cache) <= 2
+            if seed == 1:
+                entry = sum({id(a): a.nbytes for a in _factor_arrays(ctrl)
+                             if a.base is None}.values())
+                del ctrl
+                held_two = tracemalloc.get_traced_memory()[0]
+        del ctrl
+        grown = tracemalloc.get_traced_memory()[0] - held_two
+    finally:
+        tracemalloc.stop()
+    assert held_during_build == [0, 1, 1, 1, 1]
+    assert grown < entry
+
+
+def test_failed_construction_caches_nothing(factor_cache, siso_data):
+    cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
+    Controller(cfg, siso_data)
+    before = list(factor_cache.items())
+    # a constant input is not persistently exciting
+    flat = Trajectory(np.ones((siso_data.N, 1)), siso_data.outputs)
+    with pytest.raises(PersistencyError):
+        Controller(cfg, flat)
+    assert list(factor_cache) == [key for key, _ in before]
+    assert all(factor_cache[key] is value for key, value in before)
+
+
+def test_parallel_constructions_share_a_consistent_cache(factor_cache):
+    import sys
+    import threading
+
+    rng = np.random.default_rng(8)
+    records = [_random_record(rng, 80, 1, 1) for _ in range(3)]
+    cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
+    errors, seen = [], []
+
+    def worker(offset):
+        try:
+            for i in range(150):
+                data = records[(i + offset) % len(records)]
+                ctrl = Controller(cfg, data)
+                seen.append(len(factor_cache))
+                assert ctrl.pre.hankels.U.entries[0, 0] == data.inputs[0, 0]
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(seen) == 600 and max(seen) <= 2

@@ -6,7 +6,7 @@ from ddcontrol.costs import (CostSegment, QuadraticScheduledCost,
                              QuadraticSoftplusCost, QuadraticTrackingCost,
                              hvac_cost_schedule, piecewise_linear_profile)
 
-from helpers import central_diff
+from helpers import SwitchingQuadraticCost, central_diff
 
 
 def scheduled_single(output_weight, input_weight, setpoint, price=1.0, m=1):
@@ -162,6 +162,21 @@ def test_schedule_quadratic_terms_survive_caller_mutation():
         np.testing.assert_array_equal(g_t, g0)
         assert c_t == c0
     np.testing.assert_array_equal(cost.quadratic_terms(40)[0], H0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadraticTrackingCost(H=np.diag([1.0, 4.0]), target=np.array([1.0, -1.0])),
+    lambda: SwitchingQuadraticCost(np.diag([1.0, 4.0]), [[1.0, -1.0], [0.0, 2.0]],
+                                   [0, 5]),
+], ids=["tracking", "switching"])
+def test_quadratic_terms_hessian_is_the_callers_copy(make):
+    # editing the returned Hessian must leave the cost as it was
+    cost = make()
+    before = cost.eval(0, np.zeros(2))
+    H, _, _ = cost.quadratic_terms(0)
+    H *= 3.0
+    assert cost.eval(0, np.zeros(2)) == before
+    np.testing.assert_array_equal(cost.quadratic_terms(0)[0], np.diag([1.0, 4.0]))
 
 
 # ---------------------------------------------------------------- daily schedule

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ddcontrol.costs import CostFunction, hvac_cost_schedule
+from ddcontrol.costs import (CostFunction, QuadraticTrackingCost,
+                             hvac_cost_schedule)
 from ddcontrol.harness import (ConfigError, ControllerSpec, CostSpec,
                                ExperimentConfig, NoiseSpec, OfflineSpec,
                                PlantSpec, cli_main, demo_siso_config,
@@ -348,6 +349,45 @@ def test_oracle_runs_once_after_the_loop(monkeypatch, small_config):
     np.testing.assert_array_equal(
         record.opt_cost,
         [recorder.inner.eval(t, record.zeta[t]) for t in range(T + 1)])
+
+
+def test_oracle_cost_evaluated_once_per_run_of_equal_parameters(small_config):
+    # a static cost is one run: T+1 realized costs in the loop, then one
+    # oracle cost repeated for every t
+    T = small_config.horizon
+    recorder = RecordingCost(QuadraticTrackingCost(
+        H=np.diag([1.0, 2.0]), target=np.array([0.5, 1.0])))
+    record, _ = run_experiment(small_config, cost=recorder)
+    evals = [t for kind, t in recorder.log if kind == "eval"]
+    assert evals == list(range(T + 1)) + [0]
+    np.testing.assert_array_equal(
+        record.opt_cost,
+        [recorder.inner.eval(t, record.zeta[t]) for t in range(T + 1)])
+
+
+def test_warm_run_matches_cold_run(monkeypatch, tmp_path, small_config,
+                                   factor_cache):
+    # a run on cached factors writes the same bytes as one that built them,
+    # also after another horizon's run used the cache in between
+    import ddcontrol.controller as ctrl_module
+
+    run_experiment(small_config, out_dir=tmp_path / "cold")
+    run_experiment(small_config, out_dir=tmp_path / "other",
+                   mu=small_config.controller.mu + 1)
+    assert len(factor_cache) == 2
+    builds = []
+    real_precompute = ctrl_module.precompute
+
+    def counting_precompute(*args, **kwargs):
+        builds.append(1)
+        return real_precompute(*args, **kwargs)
+
+    monkeypatch.setattr(ctrl_module, "precompute", counting_precompute)
+    run_experiment(small_config, out_dir=tmp_path / "warm")
+    assert builds == []
+    for name in ("trace.csv", "summary.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() \
+            == (tmp_path / "cold" / name).read_bytes()
 
 
 # ---------------------------------------------------------------- cli

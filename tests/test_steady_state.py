@@ -23,6 +23,12 @@ def siso_proj(siso_data):
     return build_projector(siso_data, n=1)
 
 
+def oracle_rows(proj, cost, times):
+    """The oracle's runs repeated to one minimizer row per time."""
+    starts, zeta = optimal_steady_state(proj, cost, times)
+    return np.repeat(zeta, np.diff(starts, append=len(times)), axis=0)
+
+
 def test_projector_matches_hand_computation(siso_proj):
     assert_allclose(siso_proj.P, P_SISO, atol=1e-8)
     direction = np.array([1.0, 2.0]) / np.sqrt(5.0)
@@ -176,7 +182,7 @@ ORACLE_COSTS = {
 def test_batched_oracle_equals_per_time_calls(siso_proj, name):
     cost = ORACLE_COSTS[name]()
     times = np.arange(200)
-    batched = optimal_steady_state(siso_proj, cost, times)
+    batched = oracle_rows(siso_proj, cost, times)
     per_time = np.array([optimal_steady_state(siso_proj, cost, t) for t in times])
     assert batched.shape == (200, 2)
     assert_allclose(batched, per_time, rtol=1e-12,
@@ -204,12 +210,23 @@ def test_static_cost_is_solved_once_over_many_times(siso_proj):
     assert many.grads == once.grads
 
 
+def test_oracle_gives_each_run_once(siso_proj):
+    cost = ORACLE_COSTS["switching"]()
+    times = np.arange(200)
+    starts, zeta = optimal_steady_state(siso_proj, cost, times)
+    np.testing.assert_array_equal(starts, [0, 50, 120])
+    assert zeta.shape == (3, 2)
+    for start, row in zip(starts, zeta):
+        np.testing.assert_array_equal(
+            row, optimal_steady_state(siso_proj, cost, int(start)))
+
+
 def test_oracle_shapes_follow_the_time_argument(siso_proj):
     cost = ORACLE_COSTS["scheduled"]()
     assert optimal_steady_state(siso_proj, cost, 3).shape == (2,)
     assert optimal_steady_state(siso_proj, cost, np.int64(3)).shape == (2,)
-    assert optimal_steady_state(siso_proj, cost, [3]).shape == (1, 2)
-    assert_allclose(optimal_steady_state(siso_proj, cost, [3, 7])[1],
+    assert oracle_rows(siso_proj, cost, [3]).shape == (1, 2)
+    assert_allclose(oracle_rows(siso_proj, cost, [3, 7])[1],
                     optimal_steady_state(siso_proj, cost, 7), rtol=1e-12)
 
 
@@ -218,7 +235,7 @@ def test_oracle_on_zero_dimensional_set_gives_zeros(name):
     # a set holding only the origin, as when the data admit no equilibrium
     proj = SteadyStateProjector(S=np.eye(2), P=np.zeros((2, 2)),
                                 basis=np.zeros((2, 0)), m=1, p=1, n=1)
-    zeta = optimal_steady_state(proj, ORACLE_COSTS[name](), np.arange(5))
+    zeta = oracle_rows(proj, ORACLE_COSTS[name](), np.arange(5))
     np.testing.assert_array_equal(zeta, np.zeros((5, 2)))
 
 
