@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PersistencyError
-from .linalg import numerical_rank
+from .linalg import lstsq, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def membership_residual(data: Trajectory, candidate: Trajectory,
     H = np.vstack([build_hankel(data.inputs, L).entries,
                    build_hankel(data.outputs, L).entries])
     rhs = np.concatenate([candidate.inputs.ravel(), candidate.outputs.ravel()])
-    coeff = np.linalg.lstsq(H, rhs, rcond=None)[0]
+    coeff = lstsq(H, rhs)
     return float(np.linalg.norm(H @ coeff - rhs))
 
 

@@ -138,34 +138,26 @@ class Precomputed:
         return self.hankels.p
 
 
-def precompute(hankels: HankelSet, Q: np.ndarray) -> Precomputed:
-    """Factor the offline data once; the loop then only multiplies.
+def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
+    """Factor an offline data record once; the loop then only multiplies.
 
-    Verifies the excitation requirement (order 3n+mu+1) and the implied
-    minimum data length before any factorization.
+    Checks the record's length and its input's excitation of order 3n+mu+1,
+    then builds the Hankel set and the ``build_q`` weight and factors them.
     """
-    n, mu, m = hankels.n, hankels.mu, hankels.m
+    # looked up at call time, so a timing wrapper on the module attribute sees it
+    from .behavioral import build_hankel_set
+
     order = 3 * n + mu + 1
-    N = hankels.U.depth + hankels.U.columns - 1
-    min_N = (m + 1) * order - 1
-    if N < min_N:
-        raise ValueError(
-            f"data too short: need N >= {min_N} for excitation order {order}, got {N}"
-        )
-    u_data = np.empty((N, m))
-    # reconstruct the raw input sequence from the first block row + last column
-    first = hankels.U.entries[:m, :]
-    u_data[:hankels.U.columns] = first.T
-    last_col = hankels.U.entries[:, -1].reshape(hankels.U.depth, m)
-    u_data[hankels.U.columns - 1:] = last_col
-    if not persistency_check(u_data, order):
+    min_N = (data.m + 1) * order - 1
+    if data.N < min_N:
+        raise ValueError(f"data too short: need N >= {min_N} for excitation "
+                         f"order {order}, got {data.N}")
+    if not persistency_check(data.inputs, order):
         raise PersistencyError(
             f"data input is not persistently exciting of order 3n+mu+1 = {order}"
         )
-    if Q.shape[1] != hankels.columns:
-        raise ValueError(
-            f"Q must have {hankels.columns} columns, got {Q.shape[1]}"
-        )
+    hankels = build_hankel_set(data, n, mu)
+    Q = build_q(hankels, q_mode)
     H_beta = hankels.H_beta
     H_beta_pinv = linalg.pinv(H_beta)
     cols = hankels.columns
@@ -212,17 +204,15 @@ def _freeze(obj) -> None:
 def _offline_factors(config: ControllerConfig, data: Trajectory) -> tuple:
     """``(pre, projector)`` of a data record, factored once per record.
 
-    The factors depend only on the data bytes, their (N, m) and (N, p)
-    split, ``n``, ``mu`` and ``q_mode``, so controllers on an equal record
-    share them; they are read-only for that reason. A miss evicts the
-    least recently used entries before it builds, so a build never runs
-    beside a full cache of stale factors, and a build that raises caches
-    nothing. Constructions in parallel threads take turns.
+    The key is what ``precompute`` and ``build_projector`` read: the data
+    bytes, their (N, m) and (N, p) split, ``n``, ``mu`` and ``q_mode``, so
+    controllers on an equal record share the factors; they are read-only
+    for that reason. A miss evicts the least recently used entries before
+    it builds, so a build never runs beside a full cache of stale factors,
+    and a build that raises caches nothing. Constructions in parallel
+    threads take turns.
     """
-    # Looked up at call time, not imported at the top: tools that time
-    # the offline layers replace these module attributes with wrappers,
-    # and a module-level name bound at import would bypass them.
-    from .behavioral import build_hankel_set
+    # looked up at call time for the reason given in ``precompute``
     from .steady_state import build_projector
 
     key = (data.inputs.shape, data.outputs.shape, data.inputs.tobytes(),
@@ -234,8 +224,7 @@ def _offline_factors(config: ControllerConfig, data: Trajectory) -> tuple:
             return factors
         while len(_FACTORS) >= _FACTORS_KEPT:
             _FACTORS.popitem(last=False)
-        hankels = build_hankel_set(data, config.n, config.mu)
-        pre = precompute(hankels, build_q(hankels, config.q_mode))
+        pre = precompute(data, config.n, config.mu, config.q_mode)
         projector = build_projector(data, config.n)
         _freeze(pre)
         _freeze(projector)
@@ -353,8 +342,8 @@ def estimate_noise(state: ControllerState, y_meas: np.ndarray,
     """
     if state.coeff_prev is None:
         raise FeasibilityError(
-            "no previous coefficients: the initialization path must supply "
-            "the first noise estimates"
+            "no previous coefficients: the first step after initialization "
+            "consumes no measurement"
         )
     y_meas = np.asarray(y_meas, dtype=float)
     return y_meas - pre.Y_next @ state.coeff_prev
@@ -523,7 +512,8 @@ class Controller:
 
     One instance is a single-threaded state machine; create independent
     instances for parallel runs. Construction factors the offline data
-    (the expensive part). A construction on one of the two most recently
+    (the expensive part), and refuses a record it cannot trust with
+    ``PersistencyError``. A construction on one of the two most recently
     used data records, with the same ``n``, ``mu`` and ``q_mode``, reuses
     its factors, which are read-only and shared (see
     ``notes/decisions.md``); ``start`` installs the initialization and
@@ -534,22 +524,16 @@ class Controller:
     Args:
         config: tuning knobs.
         data: offline record with noise-free outputs.
-        cost_moduli: optional (alpha_z, l_z) pair; triggers the step-size
-            warning when gamma is too large.
         check_identities: verify the cross-step identities and the
             trajectory validity of the stored history every step
             (diagnostic runs; roughly doubles the per-step cost).
     """
 
     def __init__(self, config: ControllerConfig, data: Trajectory, *,
-                 cost_moduli: tuple[float, float] | None = None,
                  check_identities: bool = False):
         self.config = config
         self.data = data
         self.pre, self.projector = _offline_factors(config, data)
-        self.hankels = self.pre.hankels
-        if cost_moduli is not None:
-            check_step_size(config.gamma, *cost_moduli)
         self.check_identities = check_identities
         self.state: ControllerState | None = None
         self.t = 0
@@ -571,6 +555,8 @@ class Controller:
         """
         if self.state is None:
             raise RuntimeError("call start() before estimating noise")
+        if self.t == 0:
+            raise RuntimeError("call step() before estimating noise")
         return estimate_noise(self.state, y_meas, self.pre)
 
     def step(self, y_meas: np.ndarray | None = None,
@@ -616,7 +602,7 @@ class Controller:
         if self.check_identities:
             if state.coeff_prev is not None:
                 violation = _step_identities(
-                    self.hankels, alpha, state.coeff_prev, alpha + beta, z_s)
+                    pre.hankels, alpha, state.coeff_prev, alpha + beta, z_s)
             # the window this step solved with: inputs and outputs end at t-1
             y_window = state.y_den_hist if y_den is None \
                 else np.vstack([state.y_den_hist[1:], y_den])

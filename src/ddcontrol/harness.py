@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .controller import Controller, ControllerConfig
+from .controller import Controller, ControllerConfig, check_step_size
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                     QuadraticTrackingCost, hvac_cost_schedule)
 from .metrics import RunRecord
@@ -90,22 +90,21 @@ class NoiseSpec:
         return float(which["low"]), float(which["high"])
 
 
-@dataclass
-class ControllerSpec:
-    gamma: float = 0.1
-    mu: int = 2
-    n: int = 1
-    q_mode: str = "identity+future_inputs"
-    init_mode: str = "zero"
-    lambda_init: float = 0.0
+#: older name of ``ControllerConfig``, for code that builds config sections with it
+ControllerSpec = ControllerConfig
 
-    def build(self) -> ControllerConfig:
-        try:
-            return ControllerConfig(gamma=self.gamma, mu=self.mu, n=self.n,
-                                    q_mode=self.q_mode, init_mode=self.init_mode,
-                                    lambda_init=self.lambda_init)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+
+def _controller(settings: dict, base: ControllerConfig | None = None) -> ControllerConfig:
+    """``base`` with ``settings`` applied and checked; bad values are ConfigErrors.
+
+    The default ``base`` holds what a config file may leave out.
+    """
+    if base is None:
+        base = ControllerConfig(gamma=0.1, mu=2, n=1)
+    try:
+        return replace(base, **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -153,7 +152,7 @@ class ExperimentConfig:
 
     plant: PlantSpec = field(default_factory=PlantSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    controller: ControllerSpec = field(default_factory=ControllerSpec)
+    controller: ControllerConfig = field(default_factory=lambda: _controller({}))
     cost: CostSpec = field(default_factory=CostSpec)
     offline: OfflineSpec = field(default_factory=OfflineSpec)
     horizon: int = 100
@@ -162,7 +161,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.horizon < 0:
             raise ConfigError("horizon must be at least 0")
-        self.controller.build()
+        _controller({}, self.controller)
         if self.offline.input_low > self.offline.input_high:
             raise ConfigError("offline input box is reversed")
 
@@ -175,7 +174,7 @@ class ExperimentConfig:
             return cls(
                 plant=PlantSpec(**d.get("plant", {})),
                 noise=NoiseSpec(**d.get("noise", {})),
-                controller=ControllerSpec(**d.get("controller", {})),
+                controller=_controller(d.get("controller", {})),
                 cost=CostSpec(**d.get("cost", {})),
                 offline=OfflineSpec(**d.get("offline", {})),
                 horizon=int(d.get("horizon", 100)),
@@ -245,7 +244,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         overrides["gamma"] = float(gamma)
     if mu is not None:
         overrides["mu"] = int(mu)
-    cc = replace(config.controller, **overrides).build()
+    cc = _controller(overrides, config.controller)
     model, x0 = config.plant.build()
     T = config.horizon
 
@@ -255,8 +254,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         seed=config.offline.seed)
 
     cost = cost if cost is not None else config.cost.build(model.m, model.p)
-    controller = Controller(cc, data, cost_moduli=(cost.alpha_z, cost.l_z),
-                            check_identities=check_identities)
+    check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
+    controller = Controller(cc, data, check_identities=check_identities)
 
     noise = NoiseModel(seed=run_seed,
                        measurement=config.noise.bounds(config.noise.measurement),
@@ -388,7 +387,7 @@ def demo_siso_config() -> ExperimentConfig:
         plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]],
                         D=[[0.0]], initial_state=[1.0]),
         noise=NoiseSpec(seed=7, measurement={"low": -0.05, "high": 0.05}),
-        controller=ControllerSpec(gamma=0.15, mu=2, n=1, q_mode="identity"),
+        controller=ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity"),
         cost=CostSpec(type="schedule", params={
             "segments": [
                 {"start": 0, "output_weight": [[1.0]], "input_weight": 10.0,

@@ -1,9 +1,11 @@
 """Shared numerical-rank conventions and small linear-algebra helpers.
 
-Every rank decision in the package (persistency checks, pseudoinverses,
+Every rank decision on data (persistency checks, pseudoinverses,
 null-space bases) uses the same backward-stable cutoff so that derived
 quantities stay mutually consistent: a singular value counts toward the
-rank iff it exceeds ``max(rows, cols) * sigma_max * RANK_RTOL``.
+rank iff it exceeds ``max(rows, cols) * sigma_max * RANK_RTOL``. The rank
+tests of ``plant.PlantModel`` check the ground-truth simulator, which the
+controller never sees, and use numpy's ``matrix_rank``.
 """
 
 import numpy as np

@@ -171,11 +171,11 @@ def collect_offline_data(model: PlantModel, N: int, pe_order: int,
                          seed: int = 0) -> Trajectory:
     """Record a noise-free excitation experiment of length N.
 
-    Inputs are drawn i.i.d. uniform on ``input_box`` per channel, the model
-    is simulated from rest without measurement or process noise, and the
-    recorded input is verified to be persistently exciting of order
-    ``pe_order``. Five seeds are tried before giving up (which only happens
-    for degenerate boxes, e.g. zero width).
+    Inputs are drawn i.i.d. uniform on ``input_box`` per channel from one
+    generator seeded with ``seed``, the model is simulated from rest without
+    measurement or process noise, and the recorded input is verified to be
+    persistently exciting of order ``pe_order``: a draw that is not, as any
+    draw from a zero-width box, raises ``PersistencyError``.
     """
     if N < (model.m + 1) * pe_order - 1:
         raise ValueError(
@@ -183,18 +183,14 @@ def collect_offline_data(model: PlantModel, N: int, pe_order: int,
             f"N >= {(model.m + 1) * pe_order - 1}, got {N}"
         )
     lo, hi = input_box
-    ss = np.random.SeedSequence(seed)
-    attempts = [ss] + ss.spawn(4)
-    for attempt_seed in attempts:
-        rng = np.random.default_rng(attempt_seed)
-        u = rng.uniform(lo, hi, size=(N, model.m))
-        if persistency_check(u, pe_order):
-            traj, _ = simulate(model, np.zeros(model.n), u)
-            return traj
-    raise PersistencyError(
-        f"could not draw an input of excitation order {pe_order} from box "
-        f"[{lo}, {hi}] after {len(attempts)} attempts"
-    )
+    u = np.random.default_rng(seed).uniform(lo, hi, size=(N, model.m))
+    if not persistency_check(u, pe_order):
+        raise PersistencyError(
+            f"the input drawn from box [{lo}, {hi}] is not persistently "
+            f"exciting of order {pe_order}"
+        )
+    traj, _ = simulate(model, np.zeros(model.n), u)
+    return traj
 
 
 def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray, t_s: float):

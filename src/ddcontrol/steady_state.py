@@ -51,7 +51,8 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
     Requires the data input to be persistently exciting of order 2n+1 and
     the data outputs to be noise free; under those conditions null(S) is
     exactly the set of equilibrium input-output pairs of the data-generating
-    system.
+    system. Such data keep the depth-(n+1) data Hankel matrix at rank
+    m(n+1)+n or below; a record above that raises ``PersistencyError``.
 
     Args:
         data: offline record with noise-free outputs.
@@ -70,6 +71,12 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         )
     H = np.vstack([build_hankel(data.inputs, n + 1).entries,
                    build_hankel(data.outputs, n + 1).entries])
+    rank, bound = linalg.numerical_rank(H), m * (n + 1) + n
+    if rank > bound:
+        raise PersistencyError(
+            f"data Hankel matrix of depth {n + 1} has rank {rank}, above the "
+            f"bound m(n+1)+n = {bound} of noise-free data: the outputs are "
+            f"noisy, or n={n} is below the system order")
     ones = np.ones((n + 1, 1))
     stack_m = np.kron(ones, np.eye(m))
     stack_p = np.kron(ones, np.eye(p))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ddcontrol.behavioral import Trajectory, build_hankel_set, membership_residual
+from ddcontrol.behavioral import Trajectory, membership_residual
 from ddcontrol.controller import (ControllerConfig, build_q, initialize,
                                   precompute, solve_alpha, solve_beta)
 from ddcontrol.costs import QuadraticTrackingCost
@@ -296,9 +296,9 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     model = random_system(rng, 3, 2, 2)
     n, mu = 3, 4
     data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=8)
-    hankels = build_hankel_set(data, n, mu)
+    pre = precompute(data, n, mu, "identity+future_inputs")
+    hankels = pre.hankels
     Q = build_q(hankels, "identity+future_inputs")
-    pre = precompute(hankels, Q)
     proj = build_projector(data, n)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n)
     state = initialize(cfg, pre, np.zeros((n, model.p)))

@@ -23,10 +23,9 @@ from helpers import constrained_ls_kkt, min_seminorm_qp
 @pytest.fixture(scope="module")
 def siso_setup(siso_data):
     cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
-    hankels = build_hankel_set(siso_data, cfg.n, cfg.mu)
-    pre = precompute(hankels, build_q(hankels, cfg.q_mode))
+    pre = precompute(siso_data, cfg.n, cfg.mu, cfg.q_mode)
     proj = build_projector(siso_data, cfg.n)
-    return cfg, hankels, pre, proj
+    return cfg, pre.hankels, pre, proj
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +35,9 @@ def mimo_setup():
     n, mu = 3, 4
     data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=5)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity")
-    hankels = build_hankel_set(data, n, mu)
-    pre = precompute(hankels, build_q(hankels, cfg.q_mode))
+    pre = precompute(data, n, mu, cfg.q_mode)
     proj = build_projector(data, n)
-    return model, data, cfg, hankels, pre, proj
+    return model, data, cfg, pre.hankels, pre, proj
 
 
 def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
@@ -104,19 +102,15 @@ def test_precompute_min_norm_against_qp_oracle(mimo_setup):
         assert np.linalg.norm(beta) <= np.linalg.norm(alt) + 1e-12
 
 
-def test_precompute_rejects_bad_inputs(siso_model, siso_data):
-    hankels = build_hankel_set(siso_data, 1, 2)
-    with pytest.raises(ValueError, match="columns"):
-        precompute(hankels, np.eye(3))
+def test_precompute_rejects_bad_inputs(siso_model):
     # constant input: no excitation
     flat, _ = simulate(siso_model, np.zeros(1), np.ones((30, 1)))
-    flat_h = build_hankel_set(flat, 1, 2)
     with pytest.raises(PersistencyError):
-        precompute(flat_h, np.eye(flat_h.columns))
+        precompute(flat, 1, 2, "identity")
     tiny, _ = simulate(siso_model, np.zeros(1),
                        np.random.default_rng(0).uniform(-1, 1, (9, 1)))
     with pytest.raises(ValueError, match="too short"):
-        precompute(build_hankel_set(tiny, 1, 2), np.eye(3))
+        precompute(tiny, 1, 2, "identity")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -132,8 +126,8 @@ def test_steering_map_on_poorly_observable_plant():
     n = mu = 5
     model = random_system(np.random.default_rng(889143), n, 2, 1)
     data = collect_offline_data(model, 150, pe_order=3 * n + mu + 1, seed=889143)
-    hankels = build_hankel_set(data, n, mu)
-    pre = precompute(hankels, build_q(hankels, "identity"))
+    pre = precompute(data, n, mu, "identity")
+    hankels = pre.hankels
     g = hankels.H_beta @ np.random.default_rng(0).normal(size=hankels.columns)
     back = hankels.H_beta @ (pre.Q_tilde @ g)
     assert np.linalg.norm(back - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
@@ -489,6 +483,17 @@ def test_noise_estimate_is_pure(siso_model, siso_data):
     assert ctrl.last is last
 
 
+def test_noise_estimate_needs_a_step(siso_data):
+    ctrl = Controller(ControllerConfig(gamma=0.1, mu=2, n=1), siso_data)
+    with pytest.raises(RuntimeError, match=r"call start\(\)"):
+        ctrl.noise_estimate(np.zeros(1))
+    ctrl.start(np.zeros((1, 1)))
+    with pytest.raises(RuntimeError, match=r"call step\(\)"):
+        ctrl.noise_estimate(np.zeros(1))
+    ctrl.step()
+    assert ctrl.noise_estimate(np.zeros(1)).shape == (1,)
+
+
 def test_failed_step_leaves_controller_unchanged(mimo_setup):
     # a step commits its new state only after every stage succeeded, so a
     # step that raises must leave the controller exactly as it found it
@@ -661,7 +666,10 @@ def _factor_arrays(ctrl):
 
 
 def _random_record(rng, N, m, p):
-    return Trajectory(rng.uniform(-1.0, 1.0, (N, m)), rng.normal(size=(N, p)))
+    """A random order-1 plant and its noise-free record, excited for n <= 2."""
+    model = random_system(rng, 1, m, p)
+    return model, collect_offline_data(model, N, pe_order=9,
+                                       seed=int(rng.integers(2 ** 32)))
 
 
 def test_equal_record_reuses_the_factors(monkeypatch, factor_cache, siso_data):
@@ -684,7 +692,24 @@ def test_equal_record_reuses_the_factors(monkeypatch, factor_cache, siso_data):
     second = Controller(cfg, equal)
     assert calls == []
     assert second.pre is first.pre and second.projector is first.projector
-    assert second.hankels is first.hankels
+
+
+def test_miss_builds_hankels_through_the_module_attribute(monkeypatch,
+                                                        factor_cache, siso_data):
+    # tools that time the Hankel build replace ``behavioral.build_hankel_set``;
+    # a name bound inside the controller at import would bypass them
+    import ddcontrol.behavioral as behavioral_module
+
+    calls = []
+    real_build = behavioral_module.build_hankel_set
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(behavioral_module, "build_hankel_set", counting_build)
+    Controller(ControllerConfig(gamma=0.1, mu=2, n=1), siso_data)
+    assert len(calls) == 1
 
 
 def test_cached_factors_are_read_only(factor_cache, siso_data):
@@ -698,22 +723,24 @@ def test_cached_factors_are_read_only(factor_cache, siso_data):
 
 
 def test_distinct_records_never_share_factors(factor_cache):
-    rng = np.random.default_rng(5)
-    base_data = _random_record(rng, 200, 2, 2)
+    from ddcontrol.linalg import nullspace
+
+    model, base_data = _random_record(np.random.default_rng(5), 200, 2, 2)
     u, y = base_data.inputs, base_data.outputs
     base_cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
     base = Controller(base_cfg, base_data)
-    u_changed, y_changed = u.copy(), y.copy()
-    u_changed[17, 1] += 1e-3
-    y_changed[150, 0] += 1e-3
+    # each changed record is still a trajectory of the plant: an input
+    # change along null(B) moves neither state nor output, and the same
+    # inputs from another initial state change only the outputs
+    u_changed = u.copy()
+    u_changed[17] += 1e-3 * nullspace(model.B)[:, 0]
+    y_changed = simulate(model, np.full(1, 1e-3), u)[0].outputs
     variants = {
         "n": (dataclasses.replace(base_cfg, n=2), base_data),
         "mu": (dataclasses.replace(base_cfg, mu=3), base_data),
         "q_mode": (dataclasses.replace(base_cfg, q_mode="inputs"), base_data),
         "input value": (base_cfg, Trajectory(u_changed, y)),
         "output value": (base_cfg, Trajectory(u, y_changed)),
-        # the same bytes read as 400 steps of one input and one output
-        "split": (base_cfg, Trajectory(u.reshape(400, 1), y.reshape(400, 1))),
     }
     for name, (cfg, data) in variants.items():
         # the base record is the most recently used entry each time
@@ -723,6 +750,12 @@ def test_distinct_records_never_share_factors(factor_cache):
         assert ctrl.projector is not base.projector, name
         assert (ctrl.pre.n, ctrl.pre.mu, ctrl.pre.m, ctrl.pre.p) \
             == (cfg.n, cfg.mu, data.m, data.p), name
+    # the same bytes read as 400 steps of one input and one output are no
+    # trajectory of an order-1 plant: a cache hit would have returned the
+    # base factors unchecked
+    assert Controller(base_cfg, base_data).pre is base.pre
+    with pytest.raises(PersistencyError, match="rank"):
+        Controller(base_cfg, Trajectory(u.reshape(400, 1), y.reshape(400, 1)))
 
 
 def test_factor_cache_is_bounded(monkeypatch, factor_cache):
@@ -781,7 +814,7 @@ def test_parallel_constructions_share_a_consistent_cache(factor_cache):
     import threading
 
     rng = np.random.default_rng(8)
-    records = [_random_record(rng, 80, 1, 1) for _ in range(3)]
+    records = [_random_record(rng, 80, 1, 1)[1] for _ in range(3)]
     cfg = ControllerConfig(gamma=0.1, mu=2, n=1, q_mode="identity")
     errors, seen = [], []
 

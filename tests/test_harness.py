@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from ddcontrol.behavioral import Trajectory
 from ddcontrol.costs import (CostFunction, QuadraticTrackingCost,
                              hvac_cost_schedule)
 from ddcontrol.harness import (ConfigError, ControllerSpec, CostSpec,
                                ExperimentConfig, NoiseSpec, OfflineSpec,
                                PlantSpec, cli_main, demo_siso_config,
                                run_experiment, shipped_config_path)
+from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import random_system
 
 
@@ -107,6 +109,40 @@ def test_invalid_flag_overrides_are_config_errors(small_config):
         run_experiment(small_config, mu=0)
     with pytest.raises(ConfigError, match="gamma must be positive"):
         run_experiment(small_config, gamma=-1.0)
+
+
+def test_large_step_size_warns(small_config):
+    # the cost's alpha_z + l_z is 11, so gamma = 1 is above the limit 2/11
+    with pytest.warns(UserWarning, match="exceeds"):
+        run_experiment(small_config, gamma=1.0)
+
+
+@pytest.mark.parametrize("plant", ["scalar", "thermal"])
+def test_noisy_offline_record_is_refused_or_controls(monkeypatch, plant):
+    # noisy offline outputs are no trajectory of the plant; a run must
+    # refuse them when the controller is built (the only place that raises
+    # PersistencyError) or control the plant, never run on with zero input
+    import ddcontrol.harness as harness_module
+
+    config = demo_siso_config() if plant == "scalar" \
+        else ExperimentConfig.from_json(shipped_config_path())
+    config.horizon = 30
+    real_collect = harness_module.collect_offline_data
+    refused = []
+    for sigma in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+        def noisy_collect(*args, _sigma=sigma, **kwargs):
+            data = real_collect(*args, **kwargs)
+            noise = np.random.default_rng(0).normal(size=data.outputs.shape)
+            return Trajectory(data.inputs, data.outputs + _sigma * noise)
+
+        monkeypatch.setattr(harness_module, "collect_offline_data", noisy_collect)
+        try:
+            record, _ = run_experiment(config)
+        except PersistencyError:
+            refused.append(sigma)
+            continue
+        assert np.abs(record.u).max() > 1e-3, sigma
+    assert 0.0 not in refused and 1e-2 in refused
 
 
 def test_failing_sensor_scales_window_only(small_config):

@@ -89,7 +89,7 @@ def test_collect_offline_data_excitation(siso_model):
 
 
 def test_collect_offline_data_zero_width_box(siso_model):
-    with pytest.raises(PersistencyError, match="after"):
+    with pytest.raises(PersistencyError, match="not persistently exciting"):
         collect_offline_data(siso_model, 50, pe_order=6, input_box=(0.5, 0.5))
 
 
