@@ -40,9 +40,7 @@ class ControllerConfig:
         requirement since the controllability index never exceeds the
         system order.
     n: upper bound on the system order.
-    q_mode: which seminorm the steering correction minimizes; one of
-        "identity", "inputs", "outputs", "identity+inputs",
-        "identity+future_inputs".
+    q_mode: the seminorm the steering correction minimizes, one of ``Q_MODES``.
     lambda_init: regularizer of the optional least-squares initialization.
     init_mode: "zero" (rest initialization) or "regularized".
     """
@@ -61,6 +59,8 @@ class ControllerConfig:
             raise ValueError("mu must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.q_mode not in Q_MODES:
+            raise ValueError(f"unknown q_mode {self.q_mode!r}; options: {Q_MODES}")
         if self.init_mode not in ("zero", "regularized"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.lambda_init < 0:
@@ -84,26 +84,28 @@ def check_step_size(gamma: float, alpha_z: float, l_z: float) -> bool:
     return True
 
 
+#: the steering-correction weight of each ``q_mode``, from the Hankel set
+_Q_WEIGHTS = {
+    "identity": lambda h: np.eye(h.columns),
+    "inputs": lambda h: h.U.entries,
+    "outputs": lambda h: h.Y.entries,
+    "identity+inputs": lambda h: np.vstack([np.eye(h.columns), h.U.entries]),
+    "identity+future_inputs": lambda h: np.vstack(
+        [np.eye(h.columns), block_rows(h.U, h.n + 1, 2 * h.n + h.mu + 1)]),
+}
+Q_MODES = tuple(_Q_WEIGHTS)
+
+
 def build_q(hankels: HankelSet, mode: str) -> np.ndarray:
     """Weight matrix for the steering-correction seminorm."""
-    n, mu = hankels.n, hankels.mu
-    eye = np.eye(hankels.columns)
-    choices = {
-        "identity": lambda: eye,
-        "inputs": lambda: hankels.U.entries,
-        "outputs": lambda: hankels.Y.entries,
-        "identity+inputs": lambda: np.vstack([eye, hankels.U.entries]),
-        "identity+future_inputs": lambda: np.vstack(
-            [eye, block_rows(hankels.U, n + 1, 2 * n + mu + 1)]),
-    }
-    if mode not in choices:
-        raise ValueError(f"unknown q_mode {mode!r}; options: {sorted(choices)}")
-    return choices[mode]()
+    if mode not in Q_MODES:
+        raise ValueError(f"unknown q_mode {mode!r}; options: {Q_MODES}")
+    return _Q_WEIGHTS[mode](hankels)
 
 
 @dataclass(frozen=True)
-class Precomputed:
-    """Offline matrices: everything the per-step loop multiplies by.
+class Precomputed(HankelSet):
+    """A record's Hankel set plus everything the per-step loop multiplies by.
 
     ``H_alpha_pinv`` solves the prediction-coefficient system and
     ``Q_tilde`` maps a steering target mismatch to the minimum-seminorm
@@ -111,7 +113,6 @@ class Precomputed:
     matrices are the ones the loop reads out every step.
     """
 
-    hankels: HankelSet
     H_alpha_pinv: np.ndarray
     Q_tilde: np.ndarray
     U_plan: np.ndarray      # U^{n+1:n+mu+1}: the planned input window
@@ -120,22 +121,6 @@ class Precomputed:
     Y_next: np.ndarray      # Y^{n+1}: one-step-ahead output prediction
     Y_ahead: np.ndarray     # Y^{n+mu+1}: mu-step-ahead output prediction
     Y_tail: np.ndarray      # Y^{n+mu+1:2n+mu}: terminal output window
-
-    @property
-    def n(self) -> int:
-        return self.hankels.n
-
-    @property
-    def mu(self) -> int:
-        return self.hankels.mu
-
-    @property
-    def m(self) -> int:
-        return self.hankels.m
-
-    @property
-    def p(self) -> int:
-        return self.hankels.p
 
 
 def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
@@ -164,7 +149,7 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     kernel_proj = np.eye(cols) - H_beta_pinv @ H_beta
     Q_tilde = (np.eye(cols) - linalg.pinv(Q @ kernel_proj) @ Q) @ H_beta_pinv
     return Precomputed(
-        hankels=hankels,
+        **vars(hankels),
         H_alpha_pinv=linalg.pinv(hankels.H_alpha),
         Q_tilde=Q_tilde,
         U_plan=block_rows(hankels.U, n + 1, n + mu + 1),
@@ -318,13 +303,13 @@ def regularized_init_solution(pre: Precomputed, y_meas: np.ndarray,
     Returns ``(alpha0, e_hat)`` where e_hat has shape (n, p).
     """
     n, m, p = pre.n, pre.m, pre.p
-    cols = pre.hankels.columns
+    cols = pre.columns
     rhs_u = np.concatenate([
         np.asarray(u_hist, dtype=float).ravel(),
         np.asarray(u_pred, dtype=float).ravel()[m:],
         np.tile(np.asarray(u_s, dtype=float), n + 1),
     ])
-    U_full = pre.hankels.U.entries
+    U_full = pre.U.entries
     E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
     M = np.hstack([pre.Y_past, np.eye(n * p)])
     w = linalg.constrained_ridge_lstsq(M, np.asarray(y_meas, dtype=float).ravel(),
@@ -341,10 +326,7 @@ def estimate_noise(state: ControllerState, y_meas: np.ndarray,
     stored history a valid trajectory.
     """
     if state.coeff_prev is None:
-        raise FeasibilityError(
-            "no previous coefficients: the first step after initialization "
-            "consumes no measurement"
-        )
+        raise RuntimeError("call step() before estimating noise")
     y_meas = np.asarray(y_meas, dtype=float)
     return y_meas - pre.Y_next @ state.coeff_prev
 
@@ -389,7 +371,7 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     """
     rhs = alpha_rhs(state, pre, y_latest)
     alpha = pre.H_alpha_pinv @ rhs
-    res = _norm(pre.hankels.H_alpha @ alpha - rhs)
+    res = _norm(pre.H_alpha @ alpha - rhs)
     if res > FEAS_RTOL * (1.0 + _norm(rhs)):
         raise FeasibilityError(
             f"prediction coefficients infeasible (residual {res:.3e}); "
@@ -434,7 +416,7 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     g[a:b].reshape(n + 1, m)[:] = z_s[:m] - (pre.U_tail @ alpha).reshape(n + 1, m)
     g[c:].reshape(n, p)[:] = z_s[m:] - (pre.Y_tail @ alpha).reshape(n, p)
     beta = pre.Q_tilde @ g
-    res = _norm(pre.hankels.H_beta @ beta - g)
+    res = _norm(pre.H_beta @ beta - g)
     if res > FEAS_RTOL * (1.0 + _norm(g)):
         raise FeasibilityError(
             f"steering correction infeasible (residual {res:.3e}); "
@@ -555,8 +537,6 @@ class Controller:
         """
         if self.state is None:
             raise RuntimeError("call start() before estimating noise")
-        if self.t == 0:
-            raise RuntimeError("call step() before estimating noise")
         return estimate_noise(self.state, y_meas, self.pre)
 
     def step(self, y_meas: np.ndarray | None = None,
@@ -602,7 +582,7 @@ class Controller:
         if self.check_identities:
             if state.coeff_prev is not None:
                 violation = _step_identities(
-                    pre.hankels, alpha, state.coeff_prev, alpha + beta, z_s)
+                    pre, alpha, state.coeff_prev, alpha + beta, z_s)
             # the window this step solved with: inputs and outputs end at t-1
             y_window = state.y_den_hist if y_den is None \
                 else np.vstack([state.y_den_hist[1:], y_den])

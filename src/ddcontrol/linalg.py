@@ -1,11 +1,14 @@
-"""Shared numerical-rank conventions and small linear-algebra helpers.
+"""One numerical-rank rule and the one function that applies it.
 
 Every rank decision on data (persistency checks, pseudoinverses,
 null-space bases) uses the same backward-stable cutoff so that derived
 quantities stay mutually consistent: a singular value counts toward the
-rank iff it exceeds ``max(rows, cols) * sigma_max * RANK_RTOL``. The rank
-tests of ``plant.PlantModel`` check the ground-truth simulator, which the
-controller never sees, and use numpy's ``matrix_rank``.
+rank iff it exceeds ``max(rows, cols) * RANK_RTOL * sigma_max``. ``factor``
+is the only place that turns an SVD into a rank, a pseudoinverse and a
+null basis, so a caller that needs two of them factors its matrix once;
+``numerical_rank`` applies the same cutoff to the singular values alone.
+The rank tests of ``plant.PlantModel`` check the ground-truth simulator,
+which the controller never sees, and use numpy's ``matrix_rank``.
 """
 
 import numpy as np
@@ -13,17 +16,34 @@ import numpy as np
 RANK_RTOL = 1e-12
 
 
-def rank_cutoff(shape: tuple[int, int], smax: float) -> float:
-    return max(shape) * smax * RANK_RTOL
+def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of singular values above the cutoff, formed as ``np.linalg.pinv`` does."""
+    return int(np.count_nonzero(s > max(shape) * RANK_RTOL * s.max(initial=0.0)))
 
 
 def numerical_rank(M: np.ndarray) -> int:
     """Rank of a dense matrix by SVD with the shared cutoff."""
     M = np.atleast_2d(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > rank_cutoff(M.shape, s[0])))
+    return _rank(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+def factor(M: np.ndarray, full: bool = False) -> tuple:
+    """``(rank, pinv, null_basis)`` of M from one SVD with the shared cutoff.
+
+    The pseudoinverse repeats ``np.linalg.pinv``'s arithmetic: from the
+    default economy SVD it is bit-identical to ``np.linalg.pinv(M,
+    rcond=max(M.shape) * RANK_RTOL)``. The null basis has orthonormal
+    columns; it spans the whole kernel only for a tall M or with
+    ``full=True``, because the economy SVD of a wide M omits the last
+    right singular vectors.
+    """
+    M = np.atleast_2d(M)
+    U, s, Vt = np.linalg.svd(M, full_matrices=full)
+    rank = _rank(s, M.shape)
+    s_inv = np.zeros_like(s)
+    s_inv[:rank] = 1.0 / s[:rank]
+    M_pinv = Vt[:s.size].T @ (s_inv[:, None] * U[:, :s.size].T)
+    return rank, M_pinv, Vt[rank:].T.copy()
 
 
 def pinv(M: np.ndarray) -> np.ndarray:
@@ -33,23 +53,17 @@ def pinv(M: np.ndarray) -> np.ndarray:
     projectors, where discarded directions leave singular values a few
     orders above machine epsilon; inverting those makes results explode.
     """
-    M = np.atleast_2d(M)
-    return np.linalg.pinv(M, rcond=max(M.shape) * RANK_RTOL)
+    return factor(M)[1]
 
 
 def lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution with the shared cutoff."""
-    return np.linalg.lstsq(M, b, rcond=max(M.shape) * RANK_RTOL)[0]
+    return factor(M)[1] @ b
 
 
 def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space, columns of the returned matrix."""
-    M = np.atleast_2d(M)
-    _, s, Vt = np.linalg.svd(M)
-    if s.size == 0:
-        return np.eye(M.shape[1])
-    rank = int(np.count_nonzero(s > rank_cutoff(M.shape, s[0])))
-    return Vt[rank:].T.copy()
+    return factor(M, full=True)[2]
 
 
 def constrained_ridge_lstsq(
@@ -67,13 +81,13 @@ def constrained_ridge_lstsq(
     """
     from .errors import FeasibilityError
 
-    w0 = lstsq(E, b)
+    _, E_pinv, Z = factor(E, full=True)
+    w0 = E_pinv @ b
     res = np.linalg.norm(E @ w0 - b)
     if res > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise FeasibilityError(
             f"equality constraint inconsistent (residual {res:.3e})"
         )
-    Z = nullspace(E)
     if Z.shape[1] == 0:
         return w0
     # w0 is orthogonal to null(E), so |w|^2 = |w0|^2 + |v|^2 exactly.

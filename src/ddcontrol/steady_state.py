@@ -71,7 +71,8 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         )
     H = np.vstack([build_hankel(data.inputs, n + 1).entries,
                    build_hankel(data.outputs, n + 1).entries])
-    rank, bound = linalg.numerical_rank(H), m * (n + 1) + n
+    rank, H_pinv, _ = linalg.factor(H)
+    bound = m * (n + 1) + n
     if rank > bound:
         raise PersistencyError(
             f"data Hankel matrix of depth {n + 1} has rank {rank}, above the "
@@ -84,18 +85,10 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         [stack_m, np.zeros(((n + 1) * m, p))],
         [np.zeros(((n + 1) * p, m)), stack_p],
     ])
-    S = (H @ linalg.pinv(H) - np.eye((m + p) * (n + 1))) @ repeat
-
-    # One SVD of S drives the pseudoinverse, the projector, and the basis,
-    # so all three agree on the numerical rank. S is tall, so the economy
-    # SVD still carries the complete right singular basis.
-    U, s, Vt = np.linalg.svd(S, full_matrices=False)
-    cutoff = linalg.rank_cutoff(S.shape, s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    basis = Vt[rank:].T.copy()
-    s_inv = np.zeros_like(s)
-    s_inv[:rank] = 1.0 / s[:rank]
-    S_pinv = Vt.T @ (s_inv[:, None] * U.T)
+    S = (H @ H_pinv - np.eye((m + p) * (n + 1))) @ repeat
+    # one factorization gives S^+ and the basis, so both agree on the rank;
+    # S is tall, so its economy SVD carries the complete null basis
+    _, S_pinv, basis = linalg.factor(S)
     P = np.eye(m + p) - S_pinv @ S
     return SteadyStateProjector(S=S, P=P, basis=basis, m=m, p=p, n=n)
 

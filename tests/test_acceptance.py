@@ -297,7 +297,7 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     n, mu = 3, 4
     data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=8)
     pre = precompute(data, n, mu, "identity+future_inputs")
-    hankels = pre.hankels
+    hankels = pre
     Q = build_q(hankels, "identity+future_inputs")
     proj = build_projector(data, n)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n)

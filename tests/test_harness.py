@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -279,13 +280,13 @@ def test_trace_telemetry_matches_recomputation(monkeypatch, tmp_path, small_conf
         alpha, res = real_solve_alpha(state, pre, y_latest)
         rhs = ctrl_module.alpha_rhs(state, pre, y_latest)
         fresh.append({"alpha_residual":
-                      np.linalg.norm(pre.hankels.H_alpha @ alpha - rhs)})
+                      np.linalg.norm(pre.H_alpha @ alpha - rhs)})
         return alpha, res
 
     def recording_solve_beta(alpha, z_s, pre):
         beta, g, res = real_solve_beta(alpha, z_s, pre)
         fresh[-1]["g_norm"] = np.linalg.norm(g)
-        fresh[-1]["beta_residual"] = np.linalg.norm(pre.hankels.H_beta @ beta - g)
+        fresh[-1]["beta_residual"] = np.linalg.norm(pre.H_beta @ beta - g)
         return beta, g, res
 
     monkeypatch.setattr(ctrl_module, "solve_alpha", recording_solve_alpha)
@@ -457,6 +458,17 @@ def test_cli_run_and_demo(tmp_path, small_config):
     assert cli_main(["demo-siso", "--out", str(tmp_path / "demo")]) == 0
     demo_header = (tmp_path / "demo" / "trace.csv").read_text().splitlines()[0]
     assert demo_header.startswith("t,u_1,y_1,ytilde_1,ehat_1,us_1,ys_1")
+
+
+def test_cli_rejects_unknown_q_mode(tmp_path, capsys):
+    # a bad q_mode is a config error for both commands, not a runtime failure
+    spec = json.loads(shipped_config_path().read_text())
+    spec["controller"]["q_mode"] = "bogus"
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*argv, "--config", str(path)]) == 2
+        assert "unknown q_mode 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_missing_required_flag():

@@ -1,10 +1,17 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ddcontrol.behavioral import build_hankel, build_hankel_set
+from ddcontrol.controller import build_q
 from ddcontrol.errors import FeasibilityError
-from ddcontrol.linalg import (constrained_ridge_lstsq, lstsq, nullspace,
-                              numerical_rank, pinv)
+from ddcontrol.harness import ExperimentConfig, shipped_config_path
+from ddcontrol.linalg import (RANK_RTOL, constrained_ridge_lstsq, factor,
+                              lstsq, nullspace, numerical_rank, pinv)
+from ddcontrol.plant import collect_offline_data
 
 from helpers import constrained_ls_kkt, rank_by_svd
 
@@ -76,3 +83,68 @@ def test_constrained_ridge_lstsq_inconsistent_constraint():
     b = np.array([1.0, 2.0])
     with pytest.raises(FeasibilityError, match="inconsistent"):
         constrained_ridge_lstsq(np.eye(2), np.zeros(2), E, b, 0.0)
+
+
+@pytest.fixture(scope="module")
+def offline_matrices() -> dict:
+    """The matrices the shipped thermal day factors offline, and random ones."""
+    config = ExperimentConfig.from_json(shipped_config_path())
+    cc = config.controller
+    model, _ = config.plant.build()
+    data = collect_offline_data(
+        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        input_box=(config.offline.input_low, config.offline.input_high),
+        seed=config.offline.seed)
+    hankels = build_hankel_set(data, cc.n, cc.mu)
+    H_beta = hankels.H_beta
+    kernel_proj = np.eye(hankels.columns) - pinv(H_beta) @ H_beta
+    rng = np.random.default_rng(6)
+    deficient = rng.normal(size=(9, 4)) @ rng.normal(size=(4, 12))
+    return {
+        "H_alpha": hankels.H_alpha,
+        "H_beta": H_beta,
+        "Q kernel_proj": build_q(hankels, cc.q_mode) @ kernel_proj,
+        "H": np.vstack([build_hankel(data.inputs, cc.n + 1).entries,
+                        build_hankel(data.outputs, cc.n + 1).entries]),
+        "tall": rng.normal(size=(11, 4)),
+        "wide": rng.normal(size=(4, 11)),
+        "rank-deficient": deficient,
+        "rank-deficient, transposed": deficient.T,
+        "0x5": np.zeros((0, 5)),
+        "5x0": np.zeros((5, 0)),
+    }
+
+
+def test_pinv_is_bit_identical_to_numpy(offline_matrices):
+    # the benchmark's golden check is in effect bit-exact, so the one
+    # factorization must round exactly as np.linalg.pinv does
+    for name, M in offline_matrices.items():
+        expected = np.linalg.pinv(M, rcond=max(M.shape) * RANK_RTOL)
+        assert np.array_equal(pinv(M), expected), name
+
+
+def test_factor_rank_and_null_basis_follow_the_one_rule(offline_matrices):
+    for name, M in offline_matrices.items():
+        for full in (False, True):
+            rank, _, Z = factor(M, full=full)
+            assert rank == numerical_rank(M), name
+            assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
+            scale = 1.0 + np.abs(M).max(initial=0.0)
+            assert np.abs(M @ Z).max(initial=0.0) <= 1e-10 * scale, name
+            if full or M.shape[0] >= M.shape[1]:
+                assert Z.shape == (M.shape[1], M.shape[1] - rank), name
+
+
+def test_factorizations_are_called_only_in_linalg():
+    # one rank rule: every factorization of the package goes through
+    # linalg; plant's ground-truth model checks keep numpy's matrix_rank
+    allowed = {"svd": "linalg.py", "pinv": "linalg.py", "lstsq": "linalg.py",
+               "matrix_rank": "plant.py"}
+    call = re.compile(r"\b(?:np|numpy)\.linalg\.(\w+)")
+    src = Path(__file__).resolve().parents[1] / "src" / "ddcontrol"
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"from numpy(\.linalg)? import", text), path.name
+        for name in call.findall(text):
+            assert allowed.get(name, path.name) == path.name, \
+                f"{path.name} calls np.linalg.{name}"

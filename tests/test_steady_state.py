@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ddcontrol.behavioral import Trajectory
+from ddcontrol.behavioral import Trajectory, build_hankel
 from ddcontrol.costs import (QuadraticSoftplusCost, QuadraticTrackingCost,
                              hvac_cost_schedule)
 from ddcontrol.errors import PersistencyError
@@ -112,6 +112,37 @@ def test_nullspace_dimension_is_input_dimension(random_plants):
         proj = build_projector(data, model.n)
         nullity = proj.S.shape[1] - rank_by_svd(proj.S)
         assert proj.dim == nullity == model.m
+
+
+def test_projector_factors_each_matrix_once(monkeypatch, random_plants):
+    # one SVD per offline matrix: H gives the rank check and H^+, S gives
+    # S^+ and the basis; no matrix is decomposed twice
+    import ddcontrol.linalg as linalg
+
+    factored, decomposed = [], []
+    real_factor, real_svd = linalg.factor, np.linalg.svd
+
+    def recording_factor(M, full=False):
+        factored.append(np.array(M))
+        return real_factor(M, full)
+
+    def recording_svd(M, *args, **kwargs):
+        decomposed.append(np.array(M))
+        return real_svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "factor", recording_factor)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    model, data = random_plants[0]
+    n = model.n
+    proj = build_projector(data, n)
+    H = np.vstack([build_hankel(data.inputs, n + 1).entries,
+                   build_hankel(data.outputs, n + 1).entries])
+    assert len(factored) == 2
+    assert np.array_equal(factored[0], H)
+    assert np.array_equal(factored[1], proj.S)
+    for i, M in enumerate(decomposed):
+        assert not any(M.shape == other.shape and np.array_equal(M, other)
+                       for other in decomposed[:i])
 
 
 # ------------------------------------------------- optimal steady state
