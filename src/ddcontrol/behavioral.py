@@ -5,7 +5,8 @@ matrices, spans every trajectory of that system once the input is
 persistently exciting of sufficient order. This module provides the
 containers (Trajectory, HankelMatrix, HankelSet), the excitation check,
 and a least-squares membership test certifying whether a candidate
-window could have been produced by the same system.
+window could have been produced by the same system (``WindowSpan``
+keeps its factor for repeated tests against one record).
 
 Indexing conventions: sequence time indices are 0-based everywhere;
 block rows of a Hankel matrix are 1-based (``block_rows(H, a, b)``
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PersistencyError
-from .linalg import lstsq, numerical_rank
+from .linalg import numerical_rank, pinv
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,25 @@ def persistency_check(u: np.ndarray, L: int) -> bool:
     return numerical_rank(build_hankel(u, L).entries) == m * L
 
 
+class WindowSpan:
+    """The length-L windows of a data record, stacked and factored once.
+
+    ``H`` is ``[H_L(u_d); H_L(y_d)]`` and ``H_pinv`` its pseudoinverse;
+    ``residual`` is the residual of ``membership_residual`` for a
+    candidate of length L, so a caller testing many windows against one
+    record factors it once.
+    """
+
+    def __init__(self, data: Trajectory, L: int):
+        self.H = np.vstack([build_hankel(data.inputs, L).entries,
+                            build_hankel(data.outputs, L).entries])
+        self.H_pinv = pinv(self.H)
+
+    def residual(self, candidate: Trajectory) -> float:
+        rhs = np.concatenate([candidate.inputs.ravel(), candidate.outputs.ravel()])
+        return float(np.linalg.norm(self.H @ (self.H_pinv @ rhs) - rhs))
+
+
 def membership_residual(data: Trajectory, candidate: Trajectory,
                         n: int | None = None) -> float:
     """Least-squares residual of expressing a candidate window in the data.
@@ -160,11 +180,7 @@ def membership_residual(data: Trajectory, candidate: Trajectory,
         raise PersistencyError(
             f"data input is not persistently exciting of order L+n = {L + n}"
         )
-    H = np.vstack([build_hankel(data.inputs, L).entries,
-                   build_hankel(data.outputs, L).entries])
-    rhs = np.concatenate([candidate.inputs.ravel(), candidate.outputs.ravel()])
-    coeff = lstsq(H, rhs)
-    return float(np.linalg.norm(H @ coeff - rhs))
+    return WindowSpan(data, L).residual(candidate)
 
 
 @dataclass(frozen=True)

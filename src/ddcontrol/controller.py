@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import linalg
-from .behavioral import (HankelSet, Trajectory, block_rows,
-                         membership_residual, persistency_check)
+from .behavioral import (HankelSet, Trajectory, WindowSpan, block_rows,
+                         persistency_check)
 from .costs import CostFunction
 from .errors import FeasibilityError, PersistencyError
 from .steady_state import SteadyStateProjector
@@ -508,7 +508,8 @@ class Controller:
         data: offline record with noise-free outputs.
         check_identities: verify the cross-step identities and the
             trajectory validity of the stored history every step
-            (diagnostic runs; roughly doubles the per-step cost).
+            (diagnostic runs; a checked step of the shipped thermal day
+            takes about 2.4 times as long as an unchecked one).
     """
 
     def __init__(self, config: ControllerConfig, data: Trajectory, *,
@@ -517,6 +518,8 @@ class Controller:
         self.data = data
         self.pre, self.projector = _offline_factors(config, data)
         self.check_identities = check_identities
+        # the stored history is tested against the record's depth-n windows
+        self._window = WindowSpan(data, config.n) if check_identities else None
         self.state: ControllerState | None = None
         self.t = 0
         self.last: StepDiagnostics | None = None
@@ -587,7 +590,7 @@ class Controller:
             y_window = state.y_den_hist if y_den is None \
                 else np.vstack([state.y_den_hist[1:], y_den])
             hist = Trajectory(state.u_hist, y_window)
-            membership = membership_residual(self.data, hist)
+            membership = self._window.residual(hist)
             if membership > FEAS_RTOL * (1.0 + float(np.linalg.norm(hist.stacked()))):
                 raise FeasibilityError(
                     f"stored history is no longer a valid trajectory "

@@ -11,7 +11,6 @@ import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 class CostFunction:
@@ -91,6 +90,12 @@ class QuadraticTrackingCost(CostFunction):
         return "static"
 
 
+def _logistic(x):
+    """1 / (1 + exp(-x)) in the two-branch form that cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 @dataclass
 class QuadraticSoftplusCost(CostFunction):
     """Quadratic plus a softplus term: smooth, strongly convex, not quadratic.
@@ -121,7 +126,7 @@ class QuadraticSoftplusCost(CostFunction):
         return 0.5 * float(d @ self.H @ d) + self.c * float(np.logaddexp(0.0, self.a @ z))
 
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
-        s = expit(self.a @ z)
+        s = _logistic(self.a @ z)
         return self.H @ (z - self.target) + self.c * s * self.a
 
     def params_key(self, t: int):

@@ -89,6 +89,34 @@ class NoiseSpec:
             return None
         return float(which["low"]), float(which["high"])
 
+    def validate(self) -> None:
+        """Check the bounds and the failing-sensor window.
+
+        The channel's upper limit is the plant's output count, which
+        ``run_experiment`` checks once the plant is built.
+        """
+        try:
+            for name in ("measurement", "process"):
+                bounds = self.bounds(getattr(self, name))
+                if bounds is not None and bounds[0] > bounds[1]:
+                    raise ConfigError(f"noise {name} bounds reversed: low {bounds[0]} "
+                                      f"> high {bounds[1]}")
+            fail = self.failing_sensor
+            if fail is None:
+                return
+            if set(fail) != {"channel", "start", "end", "scale"}:
+                raise ConfigError("failing_sensor needs exactly channel, start, end "
+                                  f"and scale, got {sorted(fail)}")
+            if fail["channel"] != int(fail["channel"]) or fail["channel"] < 1:
+                raise ConfigError(
+                    f"failing_sensor channel is 1-based, got {fail['channel']}")
+            if float(fail["start"]) > float(fail["end"]):
+                raise ConfigError("failing_sensor start is after its end")
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid noise spec: {exc!r}") from exc
+
 
 #: older name of ``ControllerConfig``, for code that builds config sections with it
 ControllerSpec = ControllerConfig
@@ -161,6 +189,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.horizon < 0:
             raise ConfigError("horizon must be at least 0")
+        self.noise.validate()
         _controller({}, self.controller)
         if self.offline.input_low > self.offline.input_high:
             raise ConfigError("offline input box is reversed")
@@ -246,6 +275,10 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         overrides["mu"] = int(mu)
     cc = _controller(overrides, config.controller)
     model, x0 = config.plant.build()
+    fail = config.noise.failing_sensor
+    if fail is not None and fail["channel"] > model.p:
+        raise ConfigError(f"failing_sensor channel {fail['channel']} exceeds the "
+                          f"plant's {model.p} outputs")
     T = config.horizon
 
     data = collect_offline_data(
@@ -261,7 +294,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                        measurement=config.noise.bounds(config.noise.measurement),
                        process=config.noise.bounds(config.noise.process))
     through_b = bool((config.noise.process or {}).get("through_input_matrix", False))
-    fail = config.noise.failing_sensor
 
     def draw_noise(t: int) -> tuple[np.ndarray, np.ndarray]:
         e = noise.draw_measurement(model.p)

@@ -10,7 +10,6 @@ this module leaks model matrices across that boundary.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .behavioral import Trajectory, persistency_check
 from .errors import PersistencyError
@@ -193,6 +192,42 @@ def collect_offline_data(model: PlantModel, N: int, pe_order: int,
     return traj
 
 
+#: numerator coefficients of the degree-13 Pade approximant of exp, over
+#: the constant one, so that the approximant of a zero matrix is exactly I
+_PADE13 = tuple(b / 64764752532480000. for b in (
+    64764752532480000., 32382376266240000., 7771770303897600.,
+    1187353796428800., 129060195264000., 10559470521600., 670442572800.,
+    33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.))
+#: largest 1-norm for which the degree-13 approximant is accurate to round-off
+_THETA13 = 5.371920351148152
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the degree-13 Pade approximant.
+
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005: scale M by 2^-s so
+    its 1-norm is at most theta_13, evaluate r_13 = (V - U)^-1 (V + U), and
+    square s times.
+    """
+    norm = np.abs(M).sum(axis=0).max(initial=0.0)
+    s = 0 if norm <= _THETA13 else int(np.ceil(np.log2(norm / _THETA13)))
+    A = M / 2.0 ** s
+    b = _PADE13
+    I = np.eye(len(M))
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray, t_s: float):
     """Exact zero-order-hold discretization via the block matrix exponential.
 
@@ -208,7 +243,7 @@ def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray, t_s: float):
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A_c
     M[:n, n:] = B_c
-    E = expm(M * t_s)
+    E = _expm(M * t_s)
     return E[:n, :n], E[:n, n:]
 
 

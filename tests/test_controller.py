@@ -618,6 +618,66 @@ def test_step_does_no_matrix_factorization(monkeypatch, siso_model, siso_data):
         prev = ym
 
 
+@pytest.fixture(scope="module")
+def checked_thermal_run():
+    """40 checked steps of the shipped thermal day, counting ``linalg.factor``
+    calls inside ``step``; returns the count, the recorded membership
+    residuals and the windows they were taken on."""
+    from ddcontrol import linalg
+    from ddcontrol.harness import ExperimentConfig, shipped_config_path
+
+    config = ExperimentConfig.from_json(shipped_config_path())
+    cc = config.controller
+    model, x = config.plant.build()
+    data = collect_offline_data(model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+                                seed=config.offline.seed)
+    cost = config.cost.build(model.m, model.p)
+    ctrl = Controller(cc, data, check_identities=True)
+    rng = np.random.default_rng(41)
+    meas = np.empty((cc.n, model.p))
+    for k in range(cc.n):
+        x, _, meas[k] = step(model, x, np.zeros(model.m), rng.uniform(-1, 1, model.p))
+    ctrl.start(meas)
+
+    calls = []
+    factor = linalg.factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    recorded, windows = [], []
+    prev, revealed = None, None
+    linalg.factor = counting
+    try:
+        for t in range(40):
+            u_window = ctrl.state.u_hist.copy()
+            u = ctrl.step(y_meas=prev, prev_cost=revealed)
+            # the output window the step tested is the history it committed
+            windows.append(Trajectory(u_window, ctrl.state.y_den_hist.copy()))
+            recorded.append(ctrl.last.membership)
+            x, _, prev = step(model, x, u, rng.uniform(-1, 1, model.p))
+            revealed = cost
+    finally:
+        linalg.factor = factor
+    return calls, recorded, windows, data
+
+
+def test_checked_step_does_not_factor(checked_thermal_run):
+    # the record's window matrix is factored once, at construction
+    calls, recorded, _, _ = checked_thermal_run
+    assert calls == []
+    assert len(recorded) == 40 and all(r is not None for r in recorded)
+
+
+def test_checked_step_membership_matches_a_fresh_residual(checked_thermal_run):
+    from ddcontrol.behavioral import membership_residual
+
+    _, recorded, windows, data = checked_thermal_run
+    for residual, window in zip(recorded, windows):
+        assert abs(residual - membership_residual(data, window)) <= 1e-12
+
+
 def test_controller_module_never_imports_the_simulator():
     # the controller must work from recorded data and measurements alone;
     # the simulator module is off limits by design

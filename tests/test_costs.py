@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from ddcontrol.costs import (CostSegment, QuadraticScheduledCost,
                              QuadraticSoftplusCost, QuadraticTrackingCost,
                              hvac_cost_schedule, piecewise_linear_profile)
+from ddcontrol.costs import _logistic
 
 from helpers import SwitchingQuadraticCost, central_diff
 
@@ -82,6 +83,23 @@ def test_grad_matches_central_differences(family):
         g = cost.grad(t, z)
         fd = central_diff(lambda v: cost.eval(t, v), z)
         assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_logistic_matches_scipy_expit():
+    from scipy.special import expit
+
+    x = np.linspace(-700.0, 700.0, 200_001)
+    ref = expit(x)
+    assert np.all(np.abs(_logistic(x) - ref) <= 4 * np.spacing(ref))
+
+
+def test_logistic_does_not_overflow():
+    # exp(-1000) underflows to 0, the correctly rounded value; nothing
+    # overflows, divides by zero or turns invalid
+    with np.errstate(all="raise", under="ignore"):
+        assert_allclose(_logistic(np.array([-1000.0, 1000.0])), [0.0, 1.0],
+                        rtol=0, atol=0)
+        assert float(_logistic(1000.0)) == 1.0
 
 
 # ---------------------------------------------------------------- moduli

@@ -471,6 +471,39 @@ def test_cli_rejects_unknown_q_mode(tmp_path, capsys):
         assert "unknown q_mode 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, edit, message", [
+    ("failing_sensor", {"channel": 0}, "1-based"),
+    ("failing_sensor", {"start": 900}, "start is after its end"),
+    ("failing_sensor", {"end": None}, "failing_sensor needs exactly"),
+    ("measurement", {"low": 2.0}, "measurement bounds reversed"),
+    ("process", {"high": -0.2}, "process bounds reversed"),
+])
+def test_cli_rejects_bad_noise_section(tmp_path, capsys, section, edit, message):
+    # caught before the run starts, so both commands exit 2
+    spec = json.loads(shipped_config_path().read_text())
+    noise = spec["noise"][section]
+    for key, value in edit.items():
+        if value is None:
+            del noise[key]
+        else:
+            noise[key] = value
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*argv, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_failing_sensor_beyond_the_outputs(tmp_path, capsys):
+    # the shipped day has 3 sensors; the plant is needed to know that
+    spec = json.loads(shipped_config_path().read_text())
+    spec["noise"]["failing_sensor"]["channel"] = 4
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "channel 4 exceeds the plant's 3 outputs" in capsys.readouterr().err
+
+
 def test_cli_missing_required_flag():
     assert cli_main(["run"]) == 2
 

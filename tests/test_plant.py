@@ -9,6 +9,7 @@ from ddcontrol.plant import (NoiseModel, PlantModel, ThermalZoneParams,
                              build_hvac, collect_offline_data, discretize_zoh,
                              random_system, simulate, step,
                              thermal_coupling_matrices)
+from ddcontrol.plant import _expm
 
 
 # ---------------------------------------------------------------- model checks
@@ -143,6 +144,44 @@ def test_zoh_semigroup_property():
     A1, _ = discretize_zoh(A_c, B_c, 0.6)
     A2, _ = discretize_zoh(A_c, B_c, 1.2)
     assert np.linalg.norm(A1 @ A1 - A2) <= 1e-9
+
+
+@pytest.mark.parametrize("a", [-12.0, -3.0, -0.8, -1e-3, 1e-3, 0.7, 4.0])
+@pytest.mark.parametrize("ts", [0.01, 0.5, 1.0, 3.0])
+def test_zoh_scalar_matches_closed_form_across_scales(a, ts):
+    # e^{a t} and b (e^{a t} - 1) / a, from below to far above theta_13
+    b = 2.0
+    A, B = discretize_zoh([[a]], [[b]], ts)
+    assert_allclose(A, [[np.exp(a * ts)]], rtol=1e-13, atol=0)
+    assert_allclose(B, [[b * np.expm1(a * ts) / a]], rtol=1e-13, atol=0)
+
+
+def test_expm_of_zero_is_exactly_identity():
+    for k in (1, 3, 10):
+        assert np.array_equal(_expm(np.zeros((k, k))), np.eye(k))
+
+
+def test_expm_matches_scipy_on_thermal_block():
+    from scipy.linalg import expm
+
+    params = ThermalZoneParams()
+    A_c, B_c = thermal_coupling_matrices(params)
+    M = np.block([[A_c, B_c], [np.zeros((5, 10))]]) * params.sample_time
+    ref = expm(M)
+    assert np.linalg.norm(_expm(M) - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(13)
+    for k in range(1, 11):
+        for norm in np.geomspace(1e-3, 50.0, 9):
+            M = rng.normal(size=(k, k))
+            M *= norm / np.abs(M).sum(axis=0).max()
+            ref = expm(M)
+            assert np.linalg.norm(_expm(M) - ref) <= 1e-12 * np.linalg.norm(ref), \
+                (k, norm)
 
 
 def test_zoh_rejects_nonpositive_sample_time():
