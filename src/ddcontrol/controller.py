@@ -515,7 +515,6 @@ class Controller:
     def __init__(self, config: ControllerConfig, data: Trajectory, *,
                  check_identities: bool = False):
         self.config = config
-        self.data = data
         self.pre, self.projector = _offline_factors(config, data)
         self.check_identities = check_identities
         # the stored history is tested against the record's depth-n windows

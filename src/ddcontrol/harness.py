@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -84,55 +85,48 @@ class NoiseSpec:
     process: dict | None = None             # plus "through_input_matrix": bool
     failing_sensor: dict | None = None      # {"channel", "start", "end", "scale"}
 
-    def bounds(self, which: dict | None) -> tuple[float, float] | None:
-        if which is None:
-            return None
-        return float(which["low"]), float(which["high"])
+    def build(self, model: PlantModel,
+              seed: int) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+        """The run's noise draw ``draw(t) -> (e, q)``, measurement then process.
 
-    def validate(self) -> None:
-        """Check the bounds and the failing-sensor window.
-
-        The channel's upper limit is the plant's output count, which
-        ``run_experiment`` checks once the plant is built.
+        The failing sensor's ``e`` is scaled inside its window; the warm-up
+        draws at t < 0.
         """
-        try:
-            for name in ("measurement", "process"):
-                bounds = self.bounds(getattr(self, name))
-                if bounds is not None and bounds[0] > bounds[1]:
-                    raise ConfigError(f"noise {name} bounds reversed: low {bounds[0]} "
-                                      f"> high {bounds[1]}")
-            fail = self.failing_sensor
-            if fail is None:
-                return
+        fail = self.failing_sensor
+        if fail is not None:
             if set(fail) != {"channel", "start", "end", "scale"}:
                 raise ConfigError("failing_sensor needs exactly channel, start, end "
                                   f"and scale, got {sorted(fail)}")
             if fail["channel"] != int(fail["channel"]) or fail["channel"] < 1:
                 raise ConfigError(
                     f"failing_sensor channel is 1-based, got {fail['channel']}")
+            if fail["channel"] > model.p:
+                raise ConfigError(f"failing_sensor channel {fail['channel']} exceeds the "
+                                  f"plant's {model.p} outputs")
             if float(fail["start"]) > float(fail["end"]):
                 raise ConfigError("failing_sensor start is after its end")
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid noise spec: {exc!r}") from exc
+        measurement, process = (None if b is None else (float(b["low"]), float(b["high"]))
+                                for b in (self.measurement, self.process))
+        noise = NoiseModel(seed=seed, measurement=measurement, process=process)
+        through_b = bool((self.process or {}).get("through_input_matrix", False))
+
+        def draw(t: int) -> tuple[np.ndarray, np.ndarray]:
+            e = noise.draw_measurement(model.p)
+            if fail is not None and fail["start"] <= t < fail["end"]:
+                e[int(fail["channel"]) - 1] *= float(fail["scale"])
+            q = noise.draw_process(model.m if through_b else model.n)
+            if through_b:
+                q = model.B @ q
+            return e, q
+
+        return draw
 
 
 #: older name of ``ControllerConfig``, for code that builds config sections with it
 ControllerSpec = ControllerConfig
 
-
-def _controller(settings: dict, base: ControllerConfig | None = None) -> ControllerConfig:
-    """``base`` with ``settings`` applied and checked; bad values are ConfigErrors.
-
-    The default ``base`` holds what a config file may leave out.
-    """
-    if base is None:
-        base = ControllerConfig(gamma=0.1, mu=2, n=1)
-    try:
-        return replace(base, **settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+#: the controller settings a config file may leave out
+_CONTROLLER_DEFAULTS = {"gamma": 0.1, "mu": 2, "n": 1}
 
 
 @dataclass
@@ -141,28 +135,23 @@ class CostSpec:
     params: dict = field(default_factory=dict)
 
     def build(self, m: int, p: int) -> CostFunction:
-        try:
-            if self.type == "hvac_schedule":
-                return hvac_cost_schedule(p=p, m=m, **self.params)
-            if self.type == "quadratic":
-                return QuadraticTrackingCost(
-                    H=np.asarray(self.params["H"], dtype=float),
-                    target=np.asarray(self.params["target"], dtype=float))
-            if self.type == "schedule":
-                segments = [
-                    CostSegment(start=int(s["start"]),
-                                output_weight=np.asarray(s["output_weight"], dtype=float),
-                                input_weight=float(s["input_weight"]),
-                                setpoint=np.asarray(s["setpoint"], dtype=float))
-                    for s in self.params["segments"]
-                ]
-                return QuadraticScheduledCost(
-                    m=m, segments=segments,
-                    price_series=np.asarray(self.params["price_series"], dtype=float))
-        except ConfigError:
-            raise
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid cost spec: {exc}") from exc
+        if self.type == "hvac_schedule":
+            return hvac_cost_schedule(p=p, m=m, **self.params)
+        if self.type == "quadratic":
+            return QuadraticTrackingCost(
+                H=np.asarray(self.params["H"], dtype=float),
+                target=np.asarray(self.params["target"], dtype=float))
+        if self.type == "schedule":
+            segments = [
+                CostSegment(start=int(s["start"]),
+                            output_weight=np.asarray(s["output_weight"], dtype=float),
+                            input_weight=float(s["input_weight"]),
+                            setpoint=np.asarray(s["setpoint"], dtype=float))
+                for s in self.params["segments"]
+            ]
+            return QuadraticScheduledCost(
+                m=m, segments=segments,
+                price_series=np.asarray(self.params["price_series"], dtype=float))
         raise ConfigError(f"unknown cost type {self.type!r}")
 
 
@@ -180,19 +169,51 @@ class ExperimentConfig:
 
     plant: PlantSpec = field(default_factory=PlantSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    controller: ControllerConfig = field(default_factory=lambda: _controller({}))
+    controller: ControllerConfig = field(
+        default_factory=lambda: ControllerConfig(**_CONTROLLER_DEFAULTS))
     cost: CostSpec = field(default_factory=CostSpec)
     offline: OfflineSpec = field(default_factory=OfflineSpec)
     horizon: int = 100
     output_dir: str | None = None
 
+    def build(self, *, seed: int | None = None, mu: int | None = None,
+              gamma: float | None = None) -> tuple:
+        """Make every object the config describes, with the flag overrides applied.
+
+        Returns ``(model, x0, cost, controller, draw_noise, seed)``: the
+        plant and its initial state, the cost, the ``ControllerConfig``
+        with the overrides, the noise draw ``draw(t) -> (e, q)`` and the
+        noise seed. This is the one check of a config: a problem found here
+        raises ``ConfigError``. What needs the offline record (its length,
+        its excitation and its factors) is checked when the run collects it.
+        """
+        try:
+            if self.horizon < 0:
+                raise ConfigError("horizon must be at least 0")
+            if self.offline.input_low > self.offline.input_high:
+                raise ConfigError("offline input box is reversed")
+            run_seed = self.noise.seed if seed is None else int(seed)
+            overrides = {"gamma": None if gamma is None else float(gamma),
+                         "mu": None if mu is None else int(mu)}
+            controller = replace(self.controller,
+                                 **{k: v for k, v in overrides.items() if v is not None})
+            model, x0 = self.plant.build()
+            cost = self.cost.build(model.m, model.p)
+            steps = getattr(cost, "horizon", None)
+            if steps is not None and steps < self.horizon + 1:
+                raise ConfigError(f"the cost covers {steps} steps, but a run of "
+                                  f"horizon {self.horizon} takes {self.horizon + 1}")
+            draw_noise = self.noise.build(model, run_seed)
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"invalid config: {what}") from exc
+        return model, x0, cost, controller, draw_noise, run_seed
+
     def validate(self) -> None:
-        if self.horizon < 0:
-            raise ConfigError("horizon must be at least 0")
-        self.noise.validate()
-        _controller({}, self.controller)
-        if self.offline.input_low > self.offline.input_high:
-            raise ConfigError("offline input box is reversed")
+        """Raise ``ConfigError`` on anything ``build`` finds."""
+        self.build()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -203,14 +224,15 @@ class ExperimentConfig:
             return cls(
                 plant=PlantSpec(**d.get("plant", {})),
                 noise=NoiseSpec(**d.get("noise", {})),
-                controller=_controller(d.get("controller", {})),
+                controller=ControllerConfig(
+                    **{**_CONTROLLER_DEFAULTS, **d.get("controller", {})}),
                 cost=CostSpec(**d.get("cost", {})),
                 offline=OfflineSpec(**d.get("offline", {})),
                 horizon=int(d.get("horizon", 100)),
                 output_dir=d.get("output_dir"),
             )
-        except TypeError as exc:
-            raise ConfigError(f"invalid config structure: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -266,19 +288,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
 
     Returns ``(record, summary)``.
     """
-    config.validate()
-    run_seed = config.noise.seed if seed is None else int(seed)
-    overrides = {}
-    if gamma is not None:
-        overrides["gamma"] = float(gamma)
-    if mu is not None:
-        overrides["mu"] = int(mu)
-    cc = _controller(overrides, config.controller)
-    model, x0 = config.plant.build()
-    fail = config.noise.failing_sensor
-    if fail is not None and fail["channel"] > model.p:
-        raise ConfigError(f"failing_sensor channel {fail['channel']} exceeds the "
-                          f"plant's {model.p} outputs")
+    model, x0, config_cost, cc, draw_noise, run_seed = config.build(
+        seed=seed, mu=mu, gamma=gamma)
     T = config.horizon
 
     data = collect_offline_data(
@@ -286,23 +297,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
 
-    cost = cost if cost is not None else config.cost.build(model.m, model.p)
+    cost = cost if cost is not None else config_cost
     check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
     controller = Controller(cc, data, check_identities=check_identities)
-
-    noise = NoiseModel(seed=run_seed,
-                       measurement=config.noise.bounds(config.noise.measurement),
-                       process=config.noise.bounds(config.noise.process))
-    through_b = bool((config.noise.process or {}).get("through_input_matrix", False))
-
-    def draw_noise(t: int) -> tuple[np.ndarray, np.ndarray]:
-        e = noise.draw_measurement(model.p)
-        if fail is not None and fail["start"] <= t < fail["end"]:
-            e[int(fail["channel"]) - 1] *= float(fail["scale"])
-        q = noise.draw_process(model.m if through_b else model.n)
-        if through_b:
-            q = model.B @ q
-        return e, q
 
     # warmup: the plant runs uncontrolled (zero input) for the first n
     # steps while the controller only listens

@@ -18,13 +18,11 @@ from .errors import PersistencyError
 class PlantModel:
     """Discrete-time LTI system x+ = Ax + Bu, y = Cx + Du.
 
-    Construction verifies Schur stability (override with
-    ``require_stable=False``) and full-rank controllability and
-    observability matrices (override with ``require_minimal=False``).
+    Construction verifies Schur stability and full-rank controllability
+    and observability matrices.
     """
 
-    def __init__(self, A, B, C, D=None, *, require_stable: bool = True,
-                 require_minimal: bool = True):
+    def __init__(self, A, B, C, D=None):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -40,18 +38,13 @@ class PlantModel:
         self.D = np.atleast_2d(np.asarray(D, dtype=float))
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
             raise ValueError("D must be p x m")
-        if require_stable and self.spectral_radius() >= 1.0:
-            raise ValueError(
-                f"A is not Schur stable (spectral radius {self.spectral_radius():.4f}); "
-                "pass require_stable=False to override"
-            )
-        if require_minimal:
-            if np.linalg.matrix_rank(self.controllability_matrix()) < n:
-                raise ValueError("(A, B) is not controllable; "
-                                 "pass require_minimal=False to override")
-            if np.linalg.matrix_rank(self.observability_matrix()) < n:
-                raise ValueError("(A, C) is not observable; "
-                                 "pass require_minimal=False to override")
+        if self.spectral_radius() >= 1.0:
+            raise ValueError(f"A is not Schur stable (spectral radius "
+                             f"{self.spectral_radius():.4f})")
+        if np.linalg.matrix_rank(self.controllability_matrix()) < n:
+            raise ValueError("(A, B) is not controllable")
+        if np.linalg.matrix_rank(self.observability_matrix()) < n:
+            raise ValueError("(A, C) is not observable")
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,26 @@ def test_benchmark_patch_sites_exist():
     assert sites
     for owner, attr, _ in sites:
         assert attr in vars(owner), f"{owner.__name__}.{attr} is gone"
+
+
+def test_benchmark_configs_validate():
+    # the benchmark's configs must pass the one config check, with the
+    # overrides its runs pass; the cost-horizon rule made that check
+    # stricter. No run is started
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert names
+    for name in names:
+        for k in (0, 1):
+            for run in workloads.unit(name, 0, k):
+                run.config.build(seed=run.seed, mu=run.mu)
+                if k == 0:
+                    # the warm-up run of the benchmark's measurement loop
+                    replace(run.config, horizon=50).build(seed=run.seed, mu=run.mu)
 
 
 def test_one_noise_estimate_per_measurement(monkeypatch, small_config):
@@ -502,6 +523,43 @@ def test_cli_rejects_failing_sensor_beyond_the_outputs(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "channel 4 exceeds the plant's 3 outputs" in capsys.readouterr().err
+
+
+UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
+                  "initial_state": [1.0]}
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({("cost", "type"): "bogus"}, "unknown cost type 'bogus'"),
+    ({("plant", "type"): "warp"}, "unknown plant type 'warp'"),
+    ({("plant", "hvac", "bogus"): 1.0}, "unknown hvac parameters: ['bogus']"),
+    ({("plant", "initial_state"): [2.0] * 4}, "initial_state must have 5 entries"),
+    ({("cost", "params", "bogus"): 1.0}, "unexpected keyword argument 'bogus'"),
+    # a one-output plant has no third sensor to fail
+    ({("plant",): UNSTABLE_PLANT, ("noise", "failing_sensor"): None},
+     "A is not Schur stable"),
+    ({("plant", "hvac", "capacitance"): [-2.0, 1.6, 2.4, 1.8, 2.2]},
+     "capacitances must be positive"),
+    # the shipped schedule has 1440 steps, and horizon T takes T + 1
+    ({("horizon",): 1440}, "the cost covers 1440 steps"),
+], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
+        "unstable-plant", "capacitance", "cost-horizon"])
+def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
+    # validate builds every object the run would, so both commands exit 2
+    spec = json.loads(shipped_config_path().read_text())
+    for (*keys, last), value in edits.items():
+        section = spec
+        for key in keys:
+            section = section[key]
+        if value is None:
+            del section[last]
+        else:
+            section[last] = value
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main([*argv, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_missing_required_flag():

@@ -17,13 +17,10 @@ from ddcontrol.plant import _expm
 def test_model_validation():
     with pytest.raises(ValueError, match="Schur"):
         PlantModel([[1.5]], [[1.0]], [[1.0]])
-    PlantModel([[1.5]], [[1.0]], [[1.0]], require_stable=False)
     with pytest.raises(ValueError, match="controllable"):
         PlantModel(np.diag([0.5, 0.2]), [[1.0], [0.0]], np.eye(2))
     with pytest.raises(ValueError, match="observable"):
         PlantModel(np.diag([0.5, 0.2]), np.eye(2), [[1.0, 0.0]])
-    PlantModel(np.diag([0.5, 0.2]), np.eye(2), [[1.0, 0.0]],
-               require_minimal=False)
 
 
 def test_controllability_index():
