@@ -11,9 +11,8 @@ model.
 """
 
 from .behavioral import (HankelMatrix, HankelSet, Trajectory, block_rows,
-                         build_hankel, build_hankel_set, load_trajectory_csv,
-                         membership_residual, persistency_check,
-                         save_trajectory_csv)
+                         build_hankel, build_hankel_set, membership_residual,
+                         persistency_check)
 from .controller import (Controller, ControllerConfig, ControllerState,
                          Precomputed, advance, build_q, estimate_noise,
                          initialize, precompute, predict_and_descend,

@@ -14,7 +14,6 @@ selects blocks a..b inclusive), matching the standard superscript
 notation H^{a:b}. The two conventions meet only inside ``block_rows``.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,34 +242,3 @@ def build_hankel_set(data: Trajectory, n: int, mu: int) -> HankelSet:
         block_rows(Y, n + mu + 1, 2 * n + mu),
     ])
     return HankelSet(U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu)
-
-
-def save_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV, one row per step, columns u_1..u_m,y_1..y_p."""
-    header = [f"u_{i + 1}" for i in range(traj.m)] + \
-             [f"y_{i + 1}" for i in range(traj.p)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.N):
-            row = [f"{v:.17g}" for v in traj.inputs[k]] + \
-                  [f"{v:.17g}" for v in traj.outputs[k]]
-            writer.writerow(row)
-
-
-def load_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trajectory file")
-        m = sum(1 for c in header if c.startswith("u_"))
-        p = sum(1 for c in header if c.startswith("y_"))
-        if m == 0 or p == 0 or m + p != len(header):
-            raise ValueError(f"{path}: header must be u_1..u_m,y_1..y_p, got {header}")
-        rows = [list(map(float, row)) for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    return Trajectory(arr[:, :m], arr[:, m:])

@@ -87,9 +87,6 @@ def check_step_size(gamma: float, alpha_z: float, l_z: float) -> bool:
 #: the steering-correction weight of each ``q_mode``, from the Hankel set
 _Q_WEIGHTS = {
     "identity": lambda h: np.eye(h.columns),
-    "inputs": lambda h: h.U.entries,
-    "outputs": lambda h: h.Y.entries,
-    "identity+inputs": lambda h: np.vstack([np.eye(h.columns), h.U.entries]),
     "identity+future_inputs": lambda h: np.vstack(
         [np.eye(h.columns), block_rows(h.U, h.n + 1, 2 * h.n + h.mu + 1)]),
 }

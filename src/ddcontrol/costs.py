@@ -237,11 +237,11 @@ class QuadraticScheduledCost(CostFunction):
 
 
 def piecewise_linear_profile(knots: list[tuple[float, float]], steps: int,
-                             steps_per_hour: float, normalize_mean: bool = True) -> np.ndarray:
+                             steps_per_hour: float) -> np.ndarray:
     """Sample a piecewise-linear (hour, value) profile on a step grid.
 
-    Values are linearly interpolated between knots and optionally
-    normalized so the sampled series has mean exactly 1.
+    Values are linearly interpolated between knots and normalized so the
+    sampled series has mean exactly 1.
     """
     hours = np.arange(steps) / steps_per_hour
     xs = np.array([k[0] for k in knots], dtype=float)
@@ -249,9 +249,7 @@ def piecewise_linear_profile(knots: list[tuple[float, float]], steps: int,
     if np.any(np.diff(xs) <= 0):
         raise ValueError("profile knots must have strictly increasing hours")
     vals = np.interp(hours, xs, ys)
-    if normalize_mean:
-        vals = vals / vals.mean()
-    return vals
+    return vals / vals.mean()
 
 
 #: default day-ahead price shape (hour, relative price): a morning and an

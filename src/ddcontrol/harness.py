@@ -10,7 +10,7 @@ are written as CSV with 17 significant digits so runs replay bit-exactly.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -92,6 +92,11 @@ class NoiseSpec:
         The failing sensor's ``e`` is scaled inside its window; the warm-up
         draws at t < 0.
         """
+        for name, bounds, keys in (
+                ("measurement", self.measurement, {"low", "high"}),
+                ("process", self.process, {"low", "high", "through_input_matrix"})):
+            if bounds is not None and not set(bounds) <= keys:
+                raise ConfigError(f"unknown noise {name} keys: {sorted(set(bounds) - keys)}")
         fail = self.failing_sensor
         if fail is not None:
             if set(fail) != {"channel", "start", "end", "scale"}:
@@ -220,6 +225,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of a parsed JSON object; keys starting with ``_`` are comments."""
+        unknown = sorted(k for k in d if k not in {f.name for f in fields(cls)}
+                         and not k.startswith("_"))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
         try:
             return cls(
                 plant=PlantSpec(**d.get("plant", {})),
@@ -382,8 +392,7 @@ def write_trace_csv(path, record: RunRecord) -> None:
     The columns are the step index, the applied input, the true and the
     measured output, the noise estimate, the steady-state estimate (input
     then output part), the closed-loop and oracle cost, the steering-target
-    norm and the two solve residuals. The record must carry the last three
-    series, as every record from ``run_experiment`` does.
+    norm and the two solve residuals.
     """
     m = record.u.shape[1]
     p = record.y.shape[1]
@@ -399,11 +408,12 @@ def write_trace_csv(path, record: RunRecord) -> None:
         np.arange(len(record.u)), record.u, record.y, record.y_meas,
         record.e_hat, record.z_s, record.cost, record.opt_cost,
         record.g_norm, record.alpha_residual, record.beta_residual])
-    # CSV rows as csv.writer would end them; no cell needs quoting
-    row = ",".join(["{:.17g}"] * len(header)) + "\r\n"
+    # CSV rows as csv.writer would end them, on every platform (a file that
+    # savetxt opened itself would turn each "\n" into os.linesep); no cell
+    # needs quoting
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row.format(*values) for values in table.tolist())
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="", newline="\r\n")
 
 
 # --------------------------------------------------------------------------

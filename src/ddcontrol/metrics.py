@@ -20,10 +20,9 @@ class RunRecord:
     optimal steady states, and ``cost``/``opt_cost`` the per-step cost
     evaluated at the closed loop and at the oracle point. ``z_s_init`` is
     the steady-state estimate the run started from (used as the path-length
-    base point). ``e_true`` is filled when the simulator knows the injected
-    measurement noise. ``g_norm``, ``alpha_residual`` and ``beta_residual``
-    are the controller's per-step steering-target norm and solve residuals;
-    ``run_experiment`` fills them.
+    base point). ``e_true`` is the injected measurement noise, and
+    ``g_norm``, ``alpha_residual`` and ``beta_residual`` are the
+    controller's per-step steering-target norm and solve residuals.
     """
 
     u: np.ndarray
@@ -35,18 +34,17 @@ class RunRecord:
     cost: np.ndarray
     opt_cost: np.ndarray
     z_s_init: np.ndarray
-    e_true: np.ndarray | None = None
-    g_norm: np.ndarray | None = None
-    alpha_residual: np.ndarray | None = None
-    beta_residual: np.ndarray | None = None
+    e_true: np.ndarray
+    g_norm: np.ndarray
+    alpha_residual: np.ndarray
+    beta_residual: np.ndarray
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         T1 = len(self.u)
         series = [self.y, self.y_meas, self.e_hat, self.z_s, self.zeta,
-                  self.cost, self.opt_cost]
-        series += [s for s in (self.e_true, self.g_norm, self.alpha_residual,
-                               self.beta_residual) if s is not None]
+                  self.cost, self.opt_cost, self.e_true, self.g_norm,
+                  self.alpha_residual, self.beta_residual]
         if any(len(s) != T1 for s in series):
             raise ValueError("all per-step series must share the same length")
 
@@ -103,13 +101,7 @@ def fit_decay_rate(errors: np.ndarray) -> float:
 
 
 def noise_error_series(record: RunRecord) -> tuple[np.ndarray, float]:
-    """Per-step norm of the noise-estimate error and its fitted decay rate.
-
-    Only meaningful in simulation, where the record carries the injected
-    noise as ``e_true``.
-    """
-    if record.e_true is None:
-        raise ValueError("true noise series unknown: the record has no e_true")
+    """Per-step norm of the noise-estimate error and its fitted decay rate."""
     err = np.linalg.norm(record.e_hat - record.e_true, axis=1)
     return err, fit_decay_rate(err)
 
@@ -130,17 +122,14 @@ def steps_to_converge(record: RunRecord, tol: float = 1e-2) -> int:
 def summarize(record: RunRecord, seed: int, gamma: float, mu: int) -> dict:
     """One summary row for a run, keyed like the summary CSV columns."""
     total, _ = regret(record)
-    final_noise_err = float("nan")
-    if record.e_true is not None:
-        err, _ = noise_error_series(record)
-        final_noise_err = float(err[-1])
+    noise_err = np.linalg.norm(record.e_hat - record.e_true, axis=1)
     return {
         "seed": seed,
         "gamma": gamma,
         "mu": mu,
         "regret": total,
         "path_length": path_length(record.zeta, record.z_s_init),
-        "final_noise_error": final_noise_err,
+        "final_noise_error": float(noise_err[-1]),
         "steps_to_converge": steps_to_converge(record),
     }
 

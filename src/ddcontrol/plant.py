@@ -75,16 +75,6 @@ class PlantModel:
             M = M @ self.A
         return np.vstack(blocks)
 
-    def controllability_index(self) -> int:
-        """Smallest k with rank [B, AB, ..., A^{k-1}B] = n."""
-        blocks, M = [], self.B
-        for k in range(1, self.n + 1):
-            blocks.append(M)
-            if np.linalg.matrix_rank(np.hstack(blocks)) == self.n:
-                return k
-            M = self.A @ M
-        raise ValueError("system is not controllable")
-
 
 def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
          e: np.ndarray | None = None, q: np.ndarray | None = None):

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ddcontrol.behavioral import (Trajectory, block_rows, build_hankel,
-                                  build_hankel_set, load_trajectory_csv,
-                                  membership_residual, persistency_check,
-                                  save_trajectory_csv)
+                                  build_hankel_set, membership_residual,
+                                  persistency_check)
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import simulate
 
@@ -206,21 +205,3 @@ def test_hankel_set_too_short():
     with pytest.raises(ValueError, match="too short"):
         build_hankel_set(data, 2, 3)
 
-
-# ---------------------------------------------------------------- csv i/o
-
-def test_trajectory_csv_round_trip(tmp_path, siso_data):
-    path = tmp_path / "traj.csv"
-    save_trajectory_csv(siso_data, path)
-    back = load_trajectory_csv(path)
-    assert_allclose(back.inputs, siso_data.inputs)
-    assert_allclose(back.outputs, siso_data.outputs)
-    header = path.read_text().splitlines()[0]
-    assert header == "u_1,y_1"
-
-
-def test_trajectory_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        load_trajectory_csv(path)

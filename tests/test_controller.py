@@ -137,9 +137,7 @@ def test_build_q_modes(siso_data):
     hankels = build_hankel_set(siso_data, 1, 2)
     cols = hankels.columns
     assert build_q(hankels, "identity").shape == (cols, cols)
-    assert build_q(hankels, "inputs").shape == (hankels.U.entries.shape[0], cols)
     assert build_q(hankels, "identity+future_inputs").shape == (cols + 4, cols)
-    assert build_q(hankels, "identity+inputs").shape == (cols + 5, cols)
     with pytest.raises(ValueError, match="unknown q_mode"):
         build_q(hankels, "bogus")
 
@@ -798,7 +796,8 @@ def test_distinct_records_never_share_factors(factor_cache):
     variants = {
         "n": (dataclasses.replace(base_cfg, n=2), base_data),
         "mu": (dataclasses.replace(base_cfg, mu=3), base_data),
-        "q_mode": (dataclasses.replace(base_cfg, q_mode="inputs"), base_data),
+        "q_mode": (dataclasses.replace(base_cfg, q_mode="identity+future_inputs"),
+                   base_data),
         "input value": (base_cfg, Trajectory(u_changed, y)),
         "output value": (base_cfg, Trajectory(u, y_changed)),
     }

@@ -542,8 +542,20 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
      "capacitances must be positive"),
     # the shipped schedule has 1440 steps, and horizon T takes T + 1
     ({("horizon",): 1440}, "the cost covers 1440 steps"),
+    # a misspelt key would otherwise fall back to its default
+    ({("horizn",): 1439, ("horizon",): None}, "unknown config keys: ['horizn']"),
+    ({("noise", "process", "through_input_matirx"): True,
+      ("noise", "process", "through_input_matrix"): None},
+     "unknown noise process keys: ['through_input_matirx']"),
+    ({("noise", "measurement", "through_input_matrix"): True},
+     "unknown noise measurement keys: ['through_input_matrix']"),
+    ({("controller", "q_mode"): "inputs"}, "unknown q_mode 'inputs'"),
+    ({("controller", "q_mode"): "outputs"}, "unknown q_mode 'outputs'"),
+    ({("controller", "q_mode"): "identity+inputs"}, "unknown q_mode 'identity+inputs'"),
 ], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
-        "unstable-plant", "capacitance", "cost-horizon"])
+        "unstable-plant", "capacitance", "cost-horizon", "top-level-key",
+        "process-key", "measurement-key", "q-mode-inputs", "q-mode-outputs",
+        "q-mode-identity+inputs"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
     spec = json.loads(shipped_config_path().read_text())

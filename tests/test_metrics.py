@@ -23,6 +23,10 @@ def make_record(cost_vals, opt_vals, dim_u=1, dim_y=1, **overrides):
         cost=np.asarray(cost_vals, dtype=float),
         opt_cost=np.asarray(opt_vals, dtype=float),
         z_s_init=np.zeros(dim_u + dim_y),
+        e_true=np.zeros((T1, dim_y)),
+        g_norm=np.zeros(T1),
+        alpha_residual=np.zeros(T1),
+        beta_residual=np.zeros(T1),
     )
     fields.update(overrides)
     return RunRecord(**fields)

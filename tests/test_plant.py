@@ -23,13 +23,6 @@ def test_model_validation():
         PlantModel(np.diag([0.5, 0.2]), np.eye(2), [[1.0, 0.0]])
 
 
-def test_controllability_index():
-    model = PlantModel(np.diag([0.5, 0.2]), np.eye(2), np.eye(2))
-    assert model.controllability_index() == 1
-    chain = PlantModel([[0.5, 1.0], [0.0, 0.5]], [[0.0], [1.0]], [[1.0, 0.0]])
-    assert chain.controllability_index() == 2
-
-
 # ---------------------------------------------------------------- stepping
 
 def test_step_example(siso_model):
