@@ -190,7 +190,9 @@ class HankelSet:
     to pin down an initialized prediction (past inputs, full future input
     window, past outputs); ``H_beta`` stacks the blocks constrained by the
     steering correction (past inputs and outputs pinned to zero, terminal
-    input and output windows pinned to the target equilibrium).
+    input and output windows pinned to the target equilibrium). ``m`` and
+    ``p`` are the record's input and output widths, kept as plain fields
+    because the per-step loop reads them.
     """
 
     U: HankelMatrix
@@ -199,14 +201,8 @@ class HankelSet:
     H_beta: np.ndarray
     n: int
     mu: int
-
-    @property
-    def m(self) -> int:
-        return self.U.block_size
-
-    @property
-    def p(self) -> int:
-        return self.Y.block_size
+    m: int
+    p: int
 
     @property
     def columns(self) -> int:
@@ -241,4 +237,5 @@ def build_hankel_set(data: Trajectory, n: int, mu: int) -> HankelSet:
         block_rows(Y, 1, n),
         block_rows(Y, n + mu + 1, 2 * n + mu),
     ])
-    return HankelSet(U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu)
+    return HankelSet(U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu,
+                     m=data.m, p=data.p)

@@ -107,7 +107,9 @@ class Precomputed(HankelSet):
     ``H_alpha_pinv`` solves the prediction-coefficient system and
     ``Q_tilde`` maps a steering target mismatch to the minimum-seminorm
     correction coefficients. The named row blocks of the data Hankel
-    matrices are the ones the loop reads out every step.
+    matrices are the ones the loop reads out every step. ``steady_index``
+    gathers a steady state (u_s, y_s) into the terminal window's layout:
+    u_s n+1 times, then y_s n times.
     """
 
     H_alpha_pinv: np.ndarray
@@ -118,6 +120,7 @@ class Precomputed(HankelSet):
     Y_next: np.ndarray      # Y^{n+1}: one-step-ahead output prediction
     Y_ahead: np.ndarray     # Y^{n+mu+1}: mu-step-ahead output prediction
     Y_tail: np.ndarray      # Y^{n+mu+1:2n+mu}: terminal output window
+    steady_index: np.ndarray
 
 
 def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
@@ -145,6 +148,7 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     cols = hankels.columns
     kernel_proj = np.eye(cols) - H_beta_pinv @ H_beta
     Q_tilde = (np.eye(cols) - linalg.pinv(Q @ kernel_proj) @ Q) @ H_beta_pinv
+    m, p = hankels.m, hankels.p
     return Precomputed(
         **vars(hankels),
         H_alpha_pinv=linalg.pinv(hankels.H_alpha),
@@ -155,6 +159,8 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
         Y_next=block_rows(hankels.Y, n + 1, n + 1),
         Y_ahead=block_rows(hankels.Y, n + mu + 1, n + mu + 1),
         Y_tail=block_rows(hankels.Y, n + mu + 1, 2 * n + mu),
+        steady_index=np.concatenate([np.tile(np.arange(m), n + 1),
+                                     m + np.tile(np.arange(p), n)]),
     )
 
 
@@ -341,18 +347,13 @@ def alpha_rhs(state: ControllerState, pre: Precomputed,
     rhs = np.empty(c + n * p)
     rhs[:a] = state.u_hist.ravel()
     rhs[a:b] = state.u_pred.ravel()[m:]      # shifted plan, first input dropped
-    rhs[b:c].reshape(n + 1, m)[:] = state.z_s_prev[:m]
+    rhs[b:c] = state.z_s_prev[pre.steady_index[:c - b]]
     if y_latest is None:
         rhs[c:] = state.y_den_hist.ravel()
     else:
         rhs[c:-p] = state.y_den_hist[1:].ravel()
         rhs[-p:] = y_latest
     return rhs
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real vector, as ``np.linalg.norm`` computes it."""
-    return math.sqrt(v @ v)
 
 
 def solve_alpha(state: ControllerState, pre: Precomputed,
@@ -368,8 +369,12 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     """
     rhs = alpha_rhs(state, pre, y_latest)
     alpha = pre.H_alpha_pinv @ rhs
-    res = _norm(pre.H_alpha @ alpha - rhs)
-    if res > FEAS_RTOL * (1.0 + _norm(rhs)):
+    r = pre.H_alpha @ alpha - rhs
+    # Euclidean norms, as ``np.linalg.norm`` computes them; a residual
+    # within FEAS_RTOL passes whatever the right-hand side's norm, so that
+    # norm is taken only for a residual above it
+    res = math.sqrt(r @ r)
+    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(rhs @ rhs)):
         raise FeasibilityError(
             f"prediction coefficients infeasible (residual {res:.3e}); "
             "controller state is corrupted or the data assumptions fail"
@@ -410,11 +415,13 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     n, m, p = pre.n, pre.m, pre.p
     a, b, c = n * m, (2 * n + 1) * m, (2 * n + 1) * m + n * p
     g = np.zeros(c + n * p)
-    g[a:b].reshape(n + 1, m)[:] = z_s[:m] - (pre.U_tail @ alpha).reshape(n + 1, m)
-    g[c:].reshape(n, p)[:] = z_s[m:] - (pre.Y_tail @ alpha).reshape(n, p)
+    target = z_s[pre.steady_index]
+    np.subtract(target[:b - a], pre.U_tail @ alpha, out=g[a:b])
+    np.subtract(target[b - a:], pre.Y_tail @ alpha, out=g[c:])
     beta = pre.Q_tilde @ g
-    res = _norm(pre.H_beta @ beta - g)
-    if res > FEAS_RTOL * (1.0 + _norm(g)):
+    r = pre.H_beta @ beta - g
+    res = math.sqrt(r @ r)          # the norms as in ``solve_alpha``
+    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(g @ g)):
         raise FeasibilityError(
             f"steering correction infeasible (residual {res:.3e}); "
             "the prediction horizon may be shorter than the controllability "
@@ -566,7 +573,6 @@ class Controller:
         else:
             if y_meas is None:
                 raise ValueError(f"step {self.t} requires the latest measurement")
-            y_meas = np.asarray(y_meas, dtype=float)
             e_hat = estimate_noise(state, y_meas, pre)
             y_den = y_meas - e_hat
 
@@ -595,7 +601,7 @@ class Controller:
         u_t = advance(state, alpha, beta, z_s, pre, y_den)
 
         self.last = StepDiagnostics(
-            z_s=z_s, e_hat=e_hat, g_norm=_norm(g), alpha_residual=alpha_res,
+            z_s=z_s, e_hat=e_hat, g_norm=math.sqrt(g @ g), alpha_residual=alpha_res,
             beta_residual=beta_res, identity_violation=violation,
             membership=membership)
         self.t += 1

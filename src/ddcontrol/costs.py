@@ -174,6 +174,9 @@ class QuadraticScheduledCost(CostFunction):
         self._input_diag = np.diag_indices(self.m)
         self._terms = []        # per segment: H without its input block, g, c
         lo, hi = np.inf, 0.0
+        # a positive weight keeps the prices' order, so a segment's extreme
+        # weighted prices are its weight times the extreme prices
+        price_lo, price_hi = self.price_series.min(), self.price_series.max()
         for seg in self.segments:
             if seg.output_weight.shape != (p, p) or seg.setpoint.size != p:
                 raise ValueError("segment dimensions disagree")
@@ -182,9 +185,8 @@ class QuadraticScheduledCost(CostFunction):
             w = np.linalg.eigvalsh(seg.output_weight)
             if w[0] < -1e-12:
                 raise ValueError("output weight must be positive semidefinite")
-            in_w = seg.input_weight * self.price_series
-            lo = min(lo, float(w[0]), float(in_w.min()))
-            hi = max(hi, float(w[-1]), float(in_w.max()))
+            lo = min(lo, float(w[0]), float(seg.input_weight * price_lo))
+            hi = max(hi, float(w[-1]), float(seg.input_weight * price_hi))
             H = np.zeros((self.m + p, self.m + p))
             H[self.m:, self.m:] = seg.output_weight
             g = np.concatenate([np.zeros(self.m), -seg.output_weight @ seg.setpoint])

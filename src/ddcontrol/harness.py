@@ -30,6 +30,13 @@ class ConfigError(ValueError):
     """Configuration file or override is missing, unparsable, or invalid."""
 
 
+def _refuse_unknown(what: str, given: dict, known: set) -> None:
+    """Raise ``ConfigError`` naming the keys of ``given`` outside ``known``."""
+    unknown = sorted(set(given) - known)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {unknown}")
+
+
 # --------------------------------------------------------------------------
 # configuration model
 # --------------------------------------------------------------------------
@@ -85,18 +92,22 @@ class NoiseSpec:
     process: dict | None = None             # plus "through_input_matrix": bool
     failing_sensor: dict | None = None      # {"channel", "start", "end", "scale"}
 
-    def build(self, model: PlantModel,
-              seed: int) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
-        """The run's noise draw ``draw(t) -> (e, q)``, measurement then process.
+    def build(self, model: PlantModel, seed: int, start: int,
+              stop: int) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+        """The run's noise ``draw(t) -> (e, q)`` for ``start <= t < stop``.
 
-        The failing sensor's ``e`` is scaled inside its window; the warm-up
-        draws at t < 0.
+        The noise of every step is drawn here, in one block of rows per
+        stream, and ``draw(t)`` returns row t of each block, so the warm-up
+        steps are the rows t < 0. A generator fills a block in the order
+        that one draw per step would, so the rows equal the per-step draws
+        bit for bit. The failing sensor's ``e`` is scaled inside its
+        window. Process noise through the input matrix is ``B q`` of row t.
         """
         for name, bounds, keys in (
                 ("measurement", self.measurement, {"low", "high"}),
                 ("process", self.process, {"low", "high", "through_input_matrix"})):
-            if bounds is not None and not set(bounds) <= keys:
-                raise ConfigError(f"unknown noise {name} keys: {sorted(set(bounds) - keys)}")
+            if bounds is not None:
+                _refuse_unknown(f"noise {name} keys", bounds, keys)
         fail = self.failing_sensor
         if fail is not None:
             if set(fail) != {"channel", "start", "end", "scale"}:
@@ -114,15 +125,17 @@ class NoiseSpec:
                                 for b in (self.measurement, self.process))
         noise = NoiseModel(seed=seed, measurement=measurement, process=process)
         through_b = bool((self.process or {}).get("through_input_matrix", False))
+        steps = stop - start
+        E = noise.draw_measurement((steps, model.p))
+        if fail is not None:
+            t = np.arange(start, stop)
+            window = (fail["start"] <= t) & (t < fail["end"])
+            E[window, int(fail["channel"]) - 1] *= float(fail["scale"])
+        Q = noise.draw_process((steps, model.m if through_b else model.n))
 
         def draw(t: int) -> tuple[np.ndarray, np.ndarray]:
-            e = noise.draw_measurement(model.p)
-            if fail is not None and fail["start"] <= t < fail["end"]:
-                e[int(fail["channel"]) - 1] *= float(fail["scale"])
-            q = noise.draw_process(model.m if through_b else model.n)
-            if through_b:
-                q = model.B @ q
-            return e, q
+            row = t - start
+            return E[row], (model.B @ Q[row] if through_b else Q[row])
 
         return draw
 
@@ -143,10 +156,15 @@ class CostSpec:
         if self.type == "hvac_schedule":
             return hvac_cost_schedule(p=p, m=m, **self.params)
         if self.type == "quadratic":
+            _refuse_unknown("cost parameters", self.params, {"H", "target"})
             return QuadraticTrackingCost(
                 H=np.asarray(self.params["H"], dtype=float),
                 target=np.asarray(self.params["target"], dtype=float))
         if self.type == "schedule":
+            _refuse_unknown("cost parameters", self.params, {"segments", "price_series"})
+            for s in self.params["segments"]:
+                _refuse_unknown("cost segment keys", s, {"start", "output_weight",
+                                                        "input_weight", "setpoint"})
             segments = [
                 CostSegment(start=int(s["start"]),
                             output_weight=np.asarray(s["output_weight"], dtype=float),
@@ -208,7 +226,8 @@ class ExperimentConfig:
             if steps is not None and steps < self.horizon + 1:
                 raise ConfigError(f"the cost covers {steps} steps, but a run of "
                                   f"horizon {self.horizon} takes {self.horizon + 1}")
-            draw_noise = self.noise.build(model, run_seed)
+            draw_noise = self.noise.build(model, run_seed, -controller.n,
+                                          self.horizon + 1)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -320,8 +339,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         x, _, first_meas[k] = step(model, x, np.zeros(model.m), e, q)
     controller.start(first_meas)
 
-    u_log = np.empty((T + 1, model.m))
-    y_log = np.empty((T + 1, model.p))
+    m = model.m
+    # u and y side by side: row t is the point the cost of step t is taken at
+    uy_log = np.empty((T + 1, m + model.p))
     ymeas_log = np.empty((T + 1, model.p))
     ehat_log = np.empty((T + 1, model.p))
     etrue_log = np.empty((T + 1, model.p))
@@ -345,7 +365,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         x, y_t, y_meas = step(model, x, u_t, e, q)
         # the cost at time t becomes visible only now
         revealed = cost
-        u_log[t], y_log[t] = u_t, y_t
+        uy = uy_log[t]
+        uy[:m], uy[m:] = u_t, y_t
         ymeas_log[t], etrue_log[t] = y_meas, e
         zs_log[t] = d.z_s
         gnorm_log[t], ares_log[t], bres_log[t] = (
@@ -353,9 +374,12 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         if check_identities:
             max_violation = max(max_violation, d.identity_violation or 0.0)
             max_membership = max(max_membership, d.membership)
-        cost_log[t] = cost.eval(t, np.concatenate([u_t, y_t]))
+        cost_log[t] = cost.eval(t, uy)
         y_meas_prev = y_meas
     ehat_log[T] = controller.noise_estimate(y_meas_prev)
+    # the last draws are views of the run's noise blocks; dropping them
+    # frees the blocks before the oracle and the summary allocate
+    del draw_noise, e, q
 
     # within a run of equal cost parameters the minimizer and its cost are
     # the same, so each is computed once per run and repeated
@@ -366,8 +390,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     opt_log = np.repeat([cost.eval(int(t), z) for t, z in zip(starts, zeta_runs)],
                         lengths)
 
-    record = RunRecord(u=u_log, y=y_log, y_meas=ymeas_log, e_hat=ehat_log,
-                       z_s=zs_log, zeta=zeta_log, cost=cost_log,
+    record = RunRecord(u=uy_log[:, :m], y=uy_log[:, m:], y_meas=ymeas_log,
+                       e_hat=ehat_log, z_s=zs_log, zeta=zeta_log, cost=cost_log,
                        opt_cost=opt_log, z_s_init=z_s_init, e_true=etrue_log,
                        g_norm=gnorm_log, alpha_residual=ares_log,
                        beta_residual=bres_log)

@@ -135,17 +135,19 @@ class NoiseModel:
         self._rng_e = np.random.default_rng(children[0])
         self._rng_q = np.random.default_rng(children[1])
 
-    def draw_measurement(self, p: int) -> np.ndarray:
+    def draw_measurement(self, size: int | tuple[int, int]) -> np.ndarray:
+        """The next ``size`` draws: one vector, or a block of them as rows."""
         if self.measurement is None:
-            return np.zeros(p)
+            return np.zeros(size)
         lo, hi = self.measurement
-        return self._rng_e.uniform(lo, hi, size=p)
+        return self._rng_e.uniform(lo, hi, size=size)
 
-    def draw_process(self, n: int) -> np.ndarray:
+    def draw_process(self, size: int | tuple[int, int]) -> np.ndarray:
+        """Like ``draw_measurement``, from the process stream."""
         if self.process is None:
-            return np.zeros(n)
+            return np.zeros(size)
         lo, hi = self.process
-        return self._rng_q.uniform(lo, hi, size=n)
+        return self._rng_q.uniform(lo, hi, size=size)
 
 
 def collect_offline_data(model: PlantModel, N: int, pe_order: int,

@@ -328,6 +328,46 @@ def test_solve_beta_infeasible_target(mimo_setup):
         solve_beta(alpha, z_bad, pre)
 
 
+@pytest.mark.parametrize("n, m, p", [(2, 1, 3), (3, 3, 1), (4, 2, 2), (5, 3, 3)])
+def test_gathers_match_a_tiled_assembly(monkeypatch, n, m, p):
+    # alpha_rhs and solve_beta place the steady state by one gather; the
+    # result must equal the tile-and-reshape assembly bit for bit
+    import ddcontrol.controller as ctrl_module
+
+    rng = np.random.default_rng(60 + n)
+    model = random_system(rng, n, m, p)
+    order = 3 * n + n + 1                      # excitation order at mu = n
+    data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+    ctrl = Controller(ControllerConfig(gamma=0.2, mu=n, n=n, q_mode="identity"), data)
+    cost = QuadraticTrackingCost(H=np.eye(m + p), target=rng.normal(size=m + p))
+    real_alpha_rhs, real_solve_beta = ctrl_module.alpha_rhs, ctrl_module.solve_beta
+    checked = []
+
+    def checked_alpha_rhs(state, pre, y_latest=None):
+        rhs = real_alpha_rhs(state, pre, y_latest)
+        y_hist = state.y_den_hist if y_latest is None \
+            else np.vstack([state.y_den_hist[1:], y_latest])
+        want = np.concatenate([state.u_hist.reshape(-1), state.u_pred.reshape(-1)[m:],
+                               np.tile(state.z_s_prev[:m], n + 1), y_hist.reshape(-1)])
+        assert np.array_equal(rhs, want)
+        checked.append(y_latest is None)
+        return rhs
+
+    def checked_solve_beta(alpha, z_s, pre):
+        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        want = np.concatenate([np.zeros(n * m), np.tile(z_s[:m], n + 1) - pre.U_tail @ alpha,
+                               np.zeros(n * p), np.tile(z_s[m:], n) - pre.Y_tail @ alpha])
+        assert np.array_equal(g, want)
+        return beta, g, res
+
+    monkeypatch.setattr(ctrl_module, "alpha_rhs", checked_alpha_rhs)
+    monkeypatch.setattr(ctrl_module, "solve_beta", checked_solve_beta)
+    e_seq = rng.uniform(-0.1, 0.1, size=(n + 13, p))
+    *_, steps = run_closed_loop(model, ctrl, cost, 12, rng.normal(size=n), e_seq)
+    assert checked == [True] + [False] * 12
+    assert np.abs(steps[-1].z_s).min() > 0     # every entry of the target placed
+
+
 # ---------------------------------------------------------------- closed loop
 
 def test_per_step_identities_hold_in_closed_loop(siso_model, siso_data):

@@ -18,7 +18,7 @@ from ddcontrol.harness import (ConfigError, ControllerSpec, CostSpec,
                                PlantSpec, cli_main, demo_siso_config,
                                run_experiment, shipped_config_path)
 from ddcontrol.errors import PersistencyError
-from ddcontrol.plant import random_system
+from ddcontrol.plant import NoiseModel, random_system
 
 
 @pytest.fixture()
@@ -158,6 +158,35 @@ def test_failing_sensor_scales_window_only(small_config):
     assert e[20:].max() <= 0.1 + 1e-12
 
 
+@pytest.mark.parametrize("measurement, process", [
+    ({"low": -0.3, "high": 0.2}, {"low": -0.1, "high": 0.05}),
+    ({"low": -0.3, "high": 0.2},
+     {"low": -0.1, "high": 0.05, "through_input_matrix": True}),
+    (None, None),
+], ids=["process-on-state", "process-through-input", "noise-free"])
+def test_noise_block_rows_equal_per_step_draws(measurement, process):
+    # a generator fills a block in the order of the per-step draws it
+    # replaces, so every row, warm-up rows included, must equal them
+    model = random_system(np.random.default_rng(8), 4, 2, 3)
+    fail = {"channel": 2, "start": 5, "end": 12, "scale": 7.5}
+    start, stop = -4, 30
+    draw = NoiseSpec(measurement=measurement, process=process,
+                     failing_sensor=fail).build(model, 11, start, stop)
+    through_b = bool((process or {}).get("through_input_matrix"))
+    noise = NoiseModel(seed=11,
+                       measurement=None if measurement is None else (-0.3, 0.2),
+                       process=None if process is None else (-0.1, 0.05))
+    for t in range(start, stop):
+        e = noise.draw_measurement(model.p)
+        if fail["start"] <= t < fail["end"]:
+            e[fail["channel"] - 1] *= fail["scale"]
+        q = noise.draw_process(model.m if through_b else model.n)
+        if through_b:
+            q = model.B @ q
+        e_row, q_row = draw(t)
+        assert np.array_equal(e_row, e) and np.array_equal(q_row, q), t
+
+
 def test_identity_stats_exposed(small_config):
     record, _ = run_experiment(small_config, check_identities=True)
     assert record.extras["max_identity_violation"] <= 1e-8
@@ -237,14 +266,19 @@ def test_regularized_first_step_solves_like_every_step(monkeypatch, small_config
     assert calls[0] is None
 
 
+def _load_perfbench(name: str):
+    """A module of the benchmark, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_patch_sites_exist():
     # the benchmark times layers by replacing these attributes; a renamed
     # or moved function would silently drop out of its per-layer metrics
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    sites = spans._sites()
+    sites = _load_perfbench("spans")._sites()
     assert sites
     for owner, attr, _ in sites:
         assert attr in vars(owner), f"{owner.__name__}.{attr} is gone"
@@ -255,10 +289,7 @@ def test_benchmark_configs_validate():
     # overrides its runs pass; the cost-horizon rule made that check
     # stricter. No run is started
     root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load_perfbench("workloads")
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     assert names
     for name in names:
@@ -268,6 +299,18 @@ def test_benchmark_configs_validate():
                 if k == 0:
                     # the warm-up run of the benchmark's measurement loop
                     replace(run.config, horizon=50).build(seed=run.seed, mu=run.mu)
+
+
+@pytest.mark.parametrize("workload", ["thermal_day", "scalar_long"])
+def test_benchmark_golden_outputs(workload):
+    # the benchmark's correctness gate, run here so that a change to the
+    # loop's rounding fails the suite: scalar_long's final_noise_error is
+    # round-off, compared at 1e-9 relative
+    workloads = _load_perfbench("workloads")
+    for i, run in enumerate(workloads.unit(workload, workloads.GOLDEN_SEED, 0)):
+        record, summary = run_experiment(run.config, seed=run.seed, mu=run.mu)
+        assert workloads.check(workload, record, summary) == []
+        assert workloads.check_golden(workload, i, summary) == []
 
 
 def test_one_noise_estimate_per_measurement(monkeypatch, small_config):
@@ -558,7 +601,27 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
         "q-mode-identity+inputs"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
-    spec = json.loads(shipped_config_path().read_text())
+    spec = _edited(json.loads(shipped_config_path().read_text()), edits)
+    _assert_both_commands_exit_2(tmp_path, capsys, spec, message)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({("cost",): {"type": "quadratic", "params": {
+        "H": [[1.0, 0.0], [0.0, 1.0]], "target": [0.5, 1.0], "setpoint": [5.0]}}},
+     "unknown cost parameters: ['setpoint']"),
+    ({("cost", "params", "segments", 1, "setpiont"): [2.0]},
+     "unknown cost segment keys: ['setpiont']"),
+    ({("cost", "params", "prices"): [1.0] * 301},
+     "unknown cost parameters: ['prices']"),
+], ids=["quadratic-parameter", "segment-key", "schedule-parameter"])
+def test_cli_rejects_unknown_cost_parameters(tmp_path, capsys, edits, message):
+    # no cost reads these keys, so a misspelt one would be ignored
+    spec = _edited(demo_siso_config().to_dict(), edits)
+    _assert_both_commands_exit_2(tmp_path, capsys, spec, message)
+
+
+def _edited(spec: dict, edits: dict) -> dict:
+    """``spec`` with each key path set to its value, or deleted for None."""
     for (*keys, last), value in edits.items():
         section = spec
         for key in keys:
@@ -567,6 +630,10 @@ def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, messag
             del section[last]
         else:
             section[last] = value
+    return spec
+
+
+def _assert_both_commands_exit_2(tmp_path, capsys, spec: dict, message: str):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(spec))
     for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
