@@ -8,7 +8,7 @@ regret decays toward zero; more switches buy proportionally more regret.
 
 import numpy as np
 
-from ddcontrol import (ControllerSpec, CostSpec, ExperimentConfig, NoiseSpec,
+from ddcontrol import (ControllerConfig, CostSpec, ExperimentConfig, NoiseSpec,
                        OfflineSpec, PlantSpec, path_length, regret,
                        run_experiment)
 from ddcontrol.costs import CostFunction
@@ -46,7 +46,7 @@ class SwitchingCost(CostFunction):
 base = dict(
     plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]]),
     noise=NoiseSpec(seed=1, measurement={"low": -0.1, "high": 0.1}),
-    controller=ControllerSpec(gamma=2.0 / 3.0, mu=2, n=1, q_mode="identity"),
+    controller=ControllerConfig(gamma=2.0 / 3.0, mu=2, n=1, q_mode="identity"),
     cost=CostSpec(type="quadratic",
                   params={"H": [[2.0, 0.0], [0.0, 1.0]], "target": [0.0, 0.0]}),
     offline=OfflineSpec(N=60, seed=3),

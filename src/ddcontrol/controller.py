@@ -106,14 +106,21 @@ class Precomputed(HankelSet):
 
     ``H_alpha_pinv`` solves the prediction-coefficient system and
     ``Q_tilde`` maps a steering target mismatch to the minimum-seminorm
-    correction coefficients. The named row blocks of the data Hankel
-    matrices are the ones the loop reads out every step. ``steady_index``
-    gathers a steady state (u_s, y_s) into the terminal window's layout:
-    u_s n+1 times, then y_s n times.
+    correction coefficients. ``E_alpha = H_alpha H_alpha_pinv - I`` and
+    ``E_beta = H_beta Q_tilde - I`` map a right-hand side to the residual
+    of its solve, so the per-step feasibility checks multiply by these
+    small square maps instead of by ``H_alpha`` and ``H_beta``. ``E_beta``
+    carries the error of ``Q_tilde`` itself, so a ``Q_tilde`` that misses
+    its targets still fails the check. The named row blocks of the data
+    Hankel matrices are the ones the loop reads out every step.
+    ``steady_index`` gathers a steady state (u_s, y_s) into the terminal
+    window's layout: u_s n+1 times, then y_s n times.
     """
 
     H_alpha_pinv: np.ndarray
     Q_tilde: np.ndarray
+    E_alpha: np.ndarray
+    E_beta: np.ndarray
     U_plan: np.ndarray      # U^{n+1:n+mu+1}: the planned input window
     U_tail: np.ndarray      # U^{n+mu+1:2n+mu+1}: terminal input window
     Y_past: np.ndarray      # Y^{1:n}
@@ -148,11 +155,15 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     cols = hankels.columns
     kernel_proj = np.eye(cols) - H_beta_pinv @ H_beta
     Q_tilde = (np.eye(cols) - linalg.pinv(Q @ kernel_proj) @ Q) @ H_beta_pinv
+    H_alpha = hankels.H_alpha
+    H_alpha_pinv = linalg.pinv(H_alpha)
     m, p = hankels.m, hankels.p
     return Precomputed(
         **vars(hankels),
-        H_alpha_pinv=linalg.pinv(hankels.H_alpha),
+        H_alpha_pinv=H_alpha_pinv,
         Q_tilde=Q_tilde,
+        E_alpha=H_alpha @ H_alpha_pinv - np.eye(H_alpha.shape[0]),
+        E_beta=H_beta @ Q_tilde - np.eye(H_beta.shape[0]),
         U_plan=block_rows(hankels.U, n + 1, n + mu + 1),
         U_tail=block_rows(hankels.U, n + mu + 1, 2 * n + mu + 1),
         Y_past=block_rows(hankels.Y, 1, n),
@@ -365,11 +376,12 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     residual above tolerance means the state no longer encodes a valid
     trajectory (corrupted state or violated excitation assumptions).
     ``y_latest`` is the newest denoised output, not yet in the state (see
-    ``alpha_rhs``). Returns ``(alpha, residual)``.
+    ``alpha_rhs``). Returns ``(alpha, residual)``, where the residual
+    ``|(H_alpha H_alpha^+ - I) rhs|`` comes from the offline map ``E_alpha``.
     """
     rhs = alpha_rhs(state, pre, y_latest)
     alpha = pre.H_alpha_pinv @ rhs
-    r = pre.H_alpha @ alpha - rhs
+    r = pre.E_alpha @ rhs
     # Euclidean norms, as ``np.linalg.norm`` computes them; a residual
     # within FEAS_RTOL passes whatever the right-hand side's norm, so that
     # norm is taken only for a residual above it
@@ -410,7 +422,8 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     the terminal input window to the new steady-state input held for n+1
     steps, and pins the last n predicted outputs to the new steady-state
     output. Returns ``(beta, g, residual)`` where g is the assembled target
-    mismatch.
+    mismatch and the residual ``|(H_beta Q_tilde - I) g|`` comes from the
+    offline map ``E_beta``.
     """
     n, m, p = pre.n, pre.m, pre.p
     a, b, c = n * m, (2 * n + 1) * m, (2 * n + 1) * m + n * p
@@ -419,7 +432,7 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     np.subtract(target[:b - a], pre.U_tail @ alpha, out=g[a:b])
     np.subtract(target[b - a:], pre.Y_tail @ alpha, out=g[c:])
     beta = pre.Q_tilde @ g
-    r = pre.H_beta @ beta - g
+    r = pre.E_beta @ g
     res = math.sqrt(r @ r)          # the norms as in ``solve_alpha``
     if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(g @ g)):
         raise FeasibilityError(

@@ -25,7 +25,10 @@ class CostFunction:
     values and gradients: ``optimal_steady_state`` solves a run of
     consecutive times with equal keys once, and ``run_experiment``
     evaluates the oracle cost once per run. The safe default treats every
-    step as distinct.
+    step as distinct. ``run_starts`` and ``stacked_quadratic_terms`` are
+    the same two facts over a 1-D array of times, which the oracle reads;
+    here they loop the scalar forms, and the shipped quadratic costs
+    compute them with array operations.
     """
 
     alpha_z: float
@@ -42,6 +45,28 @@ class CostFunction:
 
     def params_key(self, t: int):
         return t
+
+    def run_starts(self, times: np.ndarray) -> np.ndarray:
+        """Positions in 1-D ``times`` where a run of equal ``params_key`` starts."""
+        starts, last_key = [], object()
+        for i, t in enumerate(map(int, times)):
+            key = self.params_key(t)
+            if key != last_key:
+                starts.append(i)
+                last_key = key
+        return np.array(starts, dtype=np.intp)
+
+    def stacked_quadratic_terms(self, times: np.ndarray):
+        """``quadratic_terms`` at each of 1-D ``times``, stacked.
+
+        Returns ``(H, g, c)`` with shapes (k, d, d), (k, d) and (k,), or
+        None when the cost has no quadratic terms at some of the times.
+        """
+        terms = [self.quadratic_terms(t) for t in map(int, times)]
+        if not terms or any(term is None for term in terms):
+            return None
+        H, g, c = zip(*terms)
+        return np.array(H), np.array(g), np.array(c, dtype=float)
 
     def _check_moduli(self):
         if not (0.0 < self.alpha_z <= self.l_z):
@@ -88,6 +113,15 @@ class QuadraticTrackingCost(CostFunction):
 
     def params_key(self, t: int):
         return "static"
+
+    def run_starts(self, times: np.ndarray) -> np.ndarray:
+        return np.arange(min(len(times), 1), dtype=np.intp)
+
+    def stacked_quadratic_terms(self, times: np.ndarray):
+        H, g, c = self.quadratic_terms(0)
+        k = len(times)
+        return (np.repeat(H[None], k, axis=0), np.repeat(g[None], k, axis=0),
+                np.full(k, c))
 
 
 def _logistic(x):
@@ -171,8 +205,7 @@ class QuadraticScheduledCost(CostFunction):
         self._starts = starts
         p = self.segments[0].setpoint.size
         self.p = p
-        self._input_diag = np.diag_indices(self.m)
-        self._terms = []        # per segment: H without its input block, g, c
+        H_seg, g_seg, c_seg = [], [], []    # H without its input block, g, c
         lo, hi = np.inf, 0.0
         # a positive weight keeps the prices' order, so a segment's extreme
         # weighted prices are its weight times the extreme prices
@@ -189,10 +222,14 @@ class QuadraticScheduledCost(CostFunction):
             hi = max(hi, float(w[-1]), float(seg.input_weight * price_hi))
             H = np.zeros((self.m + p, self.m + p))
             H[self.m:, self.m:] = seg.output_weight
-            g = np.concatenate([np.zeros(self.m), -seg.output_weight @ seg.setpoint])
-            g.setflags(write=False)
-            self._terms.append(
-                (H, g, 0.5 * float(seg.setpoint @ seg.output_weight @ seg.setpoint)))
+            H_seg.append(H)
+            g_seg.append(np.concatenate([np.zeros(self.m),
+                                         -seg.output_weight @ seg.setpoint]))
+            c_seg.append(0.5 * float(seg.setpoint @ seg.output_weight @ seg.setpoint))
+        # per segment, stacked, so that fancy indexing hands out copies
+        self._H, self._g, self._c = np.array(H_seg), np.array(g_seg), np.array(c_seg)
+        self._input_weights = np.array([seg.input_weight for seg in self.segments],
+                                       dtype=float)
         self.alpha_z = lo
         self.l_z = hi
         self._check_moduli()
@@ -206,6 +243,14 @@ class QuadraticScheduledCost(CostFunction):
         if t < 0 or t >= self.horizon:
             raise IndexError(f"time index {t} beyond configured horizon {self.horizon}")
         return bisect.bisect_right(self._starts, t) - 1
+
+    def _indices(self, times: np.ndarray) -> np.ndarray:
+        """Index of the segment active at each of 1-D ``times``."""
+        outside = (times < 0) | (times >= self.horizon)
+        if outside.any():
+            raise IndexError(f"time index {times[outside][0]} beyond configured "
+                             f"horizon {self.horizon}")
+        return np.searchsorted(self._starts, times, side="right") - 1
 
     def params_at(self, t: int) -> tuple[np.ndarray, float, np.ndarray]:
         """(output weight, effective input weight, setpoint) active at t."""
@@ -224,18 +269,30 @@ class QuadraticScheduledCost(CostFunction):
         return np.concatenate([iw * u, W @ (y - sp)])
 
     def quadratic_terms(self, t: int):
-        # only the price-scaled input diagonal changes within a segment;
-        # H is a fresh copy and g is read-only, so callers cannot alter
-        # the stored terms
-        k = self._index(t)
-        H_seg, g, c = self._terms[k]
-        H = H_seg.copy()
-        H[self._input_diag] = self.segments[k].input_weight * float(self.price_series[t])
-        return H, g, c
+        H, g, c = self.stacked_quadratic_terms(np.array([t]))
+        return H[0], g[0], float(c[0])
 
     def params_key(self, t: int):
         seg = self.segments[self._index(t)]
         return (seg.start, float(self.price_series[t]))
+
+    def run_starts(self, times: np.ndarray) -> np.ndarray:
+        # a run ends where the segment or the price changes, as the key does
+        times = np.asarray(times)
+        k, price = self._indices(times), self.price_series[times]
+        new = np.ones(len(times), dtype=bool)
+        new[1:] = (k[1:] != k[:-1]) | (price[1:] != price[:-1])
+        return np.flatnonzero(new)
+
+    def stacked_quadratic_terms(self, times: np.ndarray):
+        # only the price-scaled input diagonal changes within a segment;
+        # indexing the stored terms copies them, so callers cannot alter them
+        times = np.asarray(times)
+        k = self._indices(times)
+        H = self._H[k]
+        diag = np.arange(self.m)
+        H[:, diag, diag] = (self._input_weights[k] * self.price_series[times])[:, None]
+        return H, self._g[k], self._c[k]
 
 
 def piecewise_linear_profile(knots: list[tuple[float, float]], steps: int,

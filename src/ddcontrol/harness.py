@@ -140,7 +140,8 @@ class NoiseSpec:
         return draw
 
 
-#: older name of ``ControllerConfig``, for code that builds config sections with it
+#: older name of ``ControllerConfig``; the benchmark's workloads
+#: (``perfbench/workloads.py``) still build config sections with it
 ControllerSpec = ControllerConfig
 
 #: the controller settings a config file may leave out

@@ -108,39 +108,30 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     shape (m+p,), or a 1-D sequence of them. Consecutive times with equal
     ``cost.params_key`` form a run and share one solve, so a sequence gives
     ``(starts, zeta)``: the position in ``t`` where each run starts, and
-    one minimizer row per run.
-    Quadratic costs (those whose ``quadratic_terms`` returns terms) are
-    reduced to the normal equations B'HB w = -B'g in the null-space basis
-    B, and all of them are solved in one batched call; B'HB >= alpha_z I,
-    so every system is nonsingular. General smooth costs fall back to
-    projected gradient iteration driven to a projected-gradient norm of
-    1e-10.
+    one minimizer row per run. One time is the length-one case of the same
+    computation. The runs and the quadratic terms come from the cost's
+    array forms, ``run_starts`` and ``stacked_quadratic_terms``.
+    Quadratic costs are reduced to the normal equations B'HB w = -B'g in
+    the null-space basis B, all formed by stacked products and solved in
+    one batched call; B'HB >= alpha_z I, so every system is nonsingular.
+    General smooth costs fall back to projected gradient iteration driven
+    to a projected-gradient norm of 1e-10, once per run.
     """
     times = np.atleast_1d(t)
+    starts = cost.run_starts(times)
+    run_times = times[starts]
+    terms = cost.stacked_quadratic_terms(run_times)
     B = proj.basis
-    # the first index of every run of times with equal parameter keys
-    starts = np.empty(len(times), dtype=np.intp)
-    runs, last_key = 0, object()
-    for i, ti in enumerate(map(int, times)):
-        key = cost.params_key(ti)
-        if key != last_key:
-            starts[runs], runs, last_key = i, runs + 1, key
-    starts = starts[:runs]
-    zeta = np.empty((runs, proj.m + proj.p))
-    lhs = np.empty((runs, B.shape[1], B.shape[1]))
-    rhs = np.empty((runs, B.shape[1], 1))
-    quadratic = np.zeros(runs, dtype=bool)
-    for r, ti in enumerate(map(int, times[starts])):
-        terms = getattr(cost, "quadratic_terms", lambda _t: None)(ti)
-        if terms is None:
+    if terms is None:
+        zeta = np.empty((len(starts), proj.m + proj.p))
+        for r, ti in enumerate(map(int, run_times)):
             zeta[r] = _projected_gradient(proj, cost, ti)
-        else:
-            H, g, _ = terms
-            lhs[r] = B.T @ H @ B
-            rhs[r, :, 0] = -B.T @ g
-            quadratic[r] = True
-    q = np.flatnonzero(quadratic)
-    zeta[q] = np.linalg.solve(lhs[q], rhs[q])[..., 0] @ B.T
+    else:
+        # every product is one per run, so a run's row does not depend
+        # on how many others share the call
+        H, g, _ = terms
+        w = np.linalg.solve(B.T @ H @ B, -(B.T @ g[..., None]))
+        zeta = (B @ w)[..., 0]
     return (starts, zeta) if np.ndim(t) else zeta[0]
 
 

@@ -8,6 +8,8 @@ gradients, and model-based steady-state maps instead of data-driven ones.
 
 import numpy as np
 
+from ddcontrol.costs import CostFunction
+
 
 def hankel_by_index(z, L):
     """Hankel matrix straight from the definition, one entry at a time."""
@@ -90,12 +92,13 @@ def fit_geometric_rate(err, start, stop):
     return float(np.exp(slope))
 
 
-class SwitchingQuadraticCost:
+class SwitchingQuadraticCost(CostFunction):
     """Test scenario cost: quadratic in z with piecewise-constant targets.
 
     ``switches`` maps step indices to target points; the target active at
     time t is the one with the largest switch index <= t. The Hessian is
-    shared across segments.
+    shared across segments. Only the scalar forms are written here, so the
+    oracle reads the runs and terms through ``CostFunction``'s loops.
     """
 
     def __init__(self, H, targets, switch_times):

@@ -17,7 +17,7 @@ from ddcontrol.controller import (ControllerConfig, build_q, initialize,
                                   precompute, solve_alpha, solve_beta)
 from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.harness import (ExperimentConfig, NoiseSpec, OfflineSpec,
-                               PlantSpec, ControllerSpec, CostSpec,
+                               PlantSpec, CostSpec,
                                run_experiment, shipped_config_path)
 from ddcontrol.metrics import noise_error_series, regret
 from ddcontrol.plant import collect_offline_data, random_system, simulate
@@ -106,7 +106,7 @@ def test_criterion_3_per_step_identities():
         plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]],
                         D=[[0.0]], initial_state=[0.8]),
         noise=NoiseSpec(seed=0),            # noise free
-        controller=ControllerSpec(gamma=0.2, mu=2, n=1, q_mode="identity"),
+        controller=ControllerConfig(gamma=0.2, mu=2, n=1, q_mode="identity"),
         cost=CostSpec(type="schedule", params={
             "segments": [
                 {"start": 0, "output_weight": [[2.0]], "input_weight": 1.0,
@@ -139,7 +139,7 @@ def test_criterion_4_noise_estimate_convergence():
                         D=[[0.0]], initial_state=[1.0]),
         # constant sensor offset: a zero-width uniform distribution
         noise=NoiseSpec(seed=0, measurement={"low": 0.3, "high": 0.3}),
-        controller=ControllerSpec(gamma=0.15, mu=2, n=1, q_mode="identity"),
+        controller=ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity"),
         cost=CostSpec(type="quadratic",
                       params={"H": [[10.0, 0.0], [0.0, 1.0]],
                               "target": [0.0, 1.0]}),
@@ -175,7 +175,7 @@ def test_criterion_5_constant_cost_convergence():
             config = matrices_config(
                 model,
                 noise=NoiseSpec(seed=0),
-                controller=ControllerSpec(gamma=gamma, mu=max(mu, 1), n=n,
+                controller=ControllerConfig(gamma=gamma, mu=max(mu, 1), n=n,
                                           q_mode="identity"),
                 cost=CostSpec(type="quadratic",
                               params={"H": np.eye(dim).tolist(),
@@ -213,7 +213,7 @@ def test_criterion_6_sublinear_regret_behavior():
             plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]],
                             D=[[0.0]]),
             noise=NoiseSpec(seed=seed, measurement={"low": -0.1, "high": 0.1}),
-            controller=ControllerSpec(gamma=gamma, mu=2, n=1,
+            controller=ControllerConfig(gamma=gamma, mu=2, n=1,
                                       q_mode="identity"),
             cost=CostSpec(type="quadratic",
                           params={"H": [[2.0, 0.0], [0.0, 1.0]],

@@ -133,6 +133,61 @@ def test_steering_map_on_poorly_observable_plant():
     assert np.linalg.norm(back - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
 
 
+def test_residual_map_keeps_a_broken_steering_map_loud():
+    # the step's beta residual comes from E_beta = H_beta Q_tilde - I, which
+    # carries Q_tilde's own error: on the plant above the check still
+    # refuses the first step that has a target to steer to
+    n = mu = 5
+    model = random_system(np.random.default_rng(889143), n, 2, 1)
+    data = collect_offline_data(model, 150, pe_order=3 * n + mu + 1, seed=889143)
+    ctrl = Controller(ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity"), data)
+    cost = QuadraticTrackingCost(H=np.eye(3), target=np.array([1.0, -1.0, 0.5]))
+    ctrl.start(np.zeros((n, 1)))
+    ctrl.step()
+    with pytest.raises(FeasibilityError, match="steering correction infeasible"):
+        ctrl.step(y_meas=np.zeros(1), prev_cost=cost)
+    assert ctrl.t == 1
+
+
+@pytest.mark.parametrize("n, m, p", [(2, 1, 2), (3, 2, 2), (4, 1, 3), (5, 2, 2)])
+def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
+    # each logged residual, taken through an offline map, equals the norm of
+    # the solve's own H x - rhs. The stored outputs are nudged by 1e-9 each
+    # step, which lifts the alpha residual above round-off; every plant has
+    # more than one output, since n outputs of one channel fit some state
+    import ddcontrol.controller as ctrl_module
+
+    rng = np.random.default_rng(70 + n)
+    model = random_system(rng, n, m, p)
+    order = 3 * n + n + 1                      # excitation order at mu = n
+    data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+    ctrl = Controller(ControllerConfig(gamma=0.2, mu=n, n=n, q_mode="identity"), data)
+    cost = QuadraticTrackingCost(H=np.eye(m + p), target=rng.normal(size=m + p))
+    real_solve_alpha, real_solve_beta = ctrl_module.solve_alpha, ctrl_module.solve_beta
+    fresh = []
+
+    def nudged_solve_alpha(state, pre, y_latest=None):
+        state.y_den_hist += 1e-9 * rng.normal(size=state.y_den_hist.shape)
+        alpha, res = real_solve_alpha(state, pre, y_latest)
+        rhs = ctrl_module.alpha_rhs(state, pre, y_latest)
+        fresh.append([res, np.linalg.norm(pre.H_alpha @ alpha - rhs),
+                      np.linalg.norm(rhs)])
+        return alpha, res
+
+    def recording_solve_beta(alpha, z_s, pre):
+        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        fresh.append([res, np.linalg.norm(pre.H_beta @ beta - g), np.linalg.norm(g)])
+        return beta, g, res
+
+    monkeypatch.setattr(ctrl_module, "solve_alpha", nudged_solve_alpha)
+    monkeypatch.setattr(ctrl_module, "solve_beta", recording_solve_beta)
+    run_closed_loop(model, ctrl, cost, 20, rng.normal(size=n))
+    logged, want, scale = np.array(fresh).T
+    assert len(logged) == 2 * 21
+    assert logged[0::2].max() > 1e-11
+    assert np.all(np.abs(logged - want) <= 1e-12 * (1.0 + scale))
+
+
 def test_build_q_modes(siso_data):
     hankels = build_hankel_set(siso_data, 1, 2)
     cols = hankels.columns

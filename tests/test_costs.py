@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddcontrol.costs import (CostSegment, QuadraticScheduledCost,
+from ddcontrol.costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                              QuadraticSoftplusCost, QuadraticTrackingCost,
                              hvac_cost_schedule, piecewise_linear_profile)
 from ddcontrol.costs import _logistic
+from ddcontrol.harness import ExperimentConfig, shipped_config_path
 
 from helpers import SwitchingQuadraticCost, central_diff
 
@@ -195,6 +196,63 @@ def test_quadratic_terms_hessian_is_the_callers_copy(make):
     H *= 3.0
     assert cost.eval(0, np.zeros(2)) == before
     np.testing.assert_array_equal(cost.quadratic_terms(0)[0], np.diag([1.0, 4.0]))
+
+
+# ---------------------------------------------------------------- array forms
+
+def scalar_run_starts(cost, times):
+    """Where ``params_key`` changes along ``times``, one scalar call per time."""
+    keys = [cost.params_key(int(t)) for t in times]
+    return [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+
+
+def assert_array_forms_match_scalar_forms(cost, times):
+    np.testing.assert_array_equal(cost.run_starts(times), scalar_run_starts(cost, times))
+    stacked = cost.stacked_quadratic_terms(times)
+    if cost.quadratic_terms(int(times[0])) is None:
+        assert stacked is None
+        return
+    for t, *terms in zip(times, *stacked):
+        for got, want in zip(terms, cost.quadratic_terms(int(t))):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("times", [np.arange(1440), np.arange(359, 541),
+                                   np.array([360]), np.array([540, 541])],
+                         ids=["day", "segment-starts", "360", "540"])
+def test_shipped_day_array_forms_equal_scalar_forms(times):
+    # the oracle reads the runs and the terms of every t in one call each;
+    # they are the scalar params_key partition and quadratic_terms, bit for bit
+    cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
+    assert [seg.start for seg in cost.segments] == [0, 360, 540]
+    assert cost.horizon == 1440
+    assert_array_forms_match_scalar_forms(cost, times)
+
+
+def test_array_forms_refuse_times_beyond_the_horizon():
+    cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
+    for times in (np.array([0, 1440]), np.array([-1, 0])):
+        with pytest.raises(IndexError, match="beyond configured horizon"):
+            cost.run_starts(times)
+        with pytest.raises(IndexError, match="beyond configured horizon"):
+            cost.stacked_quadratic_terms(times)
+
+
+@pytest.mark.parametrize("make, own_forms", [
+    (lambda: QuadraticTrackingCost(H=np.diag([1.0, 4.0]), target=np.array([1.0, -1.0])),
+     True),
+    (lambda: SwitchingQuadraticCost(np.diag([2.0, 1.0]), [[0.0, 0.0], [1.5, 3.0]],
+                                    [0, 50]), False),
+    (lambda: QuadraticSoftplusCost(H=np.eye(2), target=np.zeros(2),
+                                   a=np.array([1.0, -1.0])), False),
+], ids=["tracking", "switching", "softplus"])
+def test_other_costs_array_forms_equal_scalar_forms(make, own_forms):
+    # a cost that writes only the scalar forms gets CostFunction's loops
+    cost = make()
+    for name in ("run_starts", "stacked_quadratic_terms"):
+        inherited = getattr(type(cost), name) is getattr(CostFunction, name)
+        assert inherited != own_forms
+    assert_array_forms_match_scalar_forms(cost, np.arange(120))
 
 
 # ---------------------------------------------------------------- daily schedule

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ddcontrol.behavioral import Trajectory
+from ddcontrol.controller import ControllerConfig
 from ddcontrol.costs import (CostFunction, QuadraticTrackingCost,
                              hvac_cost_schedule)
-from ddcontrol.harness import (ConfigError, ControllerSpec, CostSpec,
-                               ExperimentConfig, NoiseSpec, OfflineSpec,
-                               PlantSpec, cli_main, demo_siso_config,
-                               run_experiment, shipped_config_path)
+from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
+                               NoiseSpec, OfflineSpec, PlantSpec, cli_main,
+                               demo_siso_config, run_experiment,
+                               shipped_config_path)
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import NoiseModel, random_system
 
@@ -201,7 +202,7 @@ def random_plant_config(rng, n, m, p, seed):
                         C=model.C.tolist(), D=model.D.tolist(),
                         initial_state=rng.normal(size=n).tolist()),
         noise=NoiseSpec(seed=seed, measurement={"low": -0.05, "high": 0.05}),
-        controller=ControllerSpec(gamma=0.3, mu=n, n=n, q_mode="identity"),
+        controller=ControllerConfig(gamma=0.3, mu=n, n=n, q_mode="identity"),
         cost=CostSpec(type="quadratic", params={
             "H": np.eye(m + p).tolist(), "target": rng.normal(size=m + p).tolist()}),
         offline=OfflineSpec(N=150, seed=seed),
@@ -333,14 +334,21 @@ def test_one_noise_estimate_per_measurement(monkeypatch, small_config):
 
 def test_trace_telemetry_matches_recomputation(monkeypatch, tmp_path, small_config):
     # the trace's last three columns are the steering-target norm and the
-    # two solve residuals of each step, as a fresh norm computes them
+    # two solve residuals of each step, as a fresh norm computes them.
+    # Nudging the stored outputs off the trajectory set by 1e-9 before each
+    # alpha solve lifts that residual well above round-off, so a column
+    # that is swapped or a step late cannot pass. The order bound is 2 on
+    # this first-order plant: with n = 1 every output window is a trajectory
     import ddcontrol.controller as ctrl_module
 
+    small_config.controller = replace(small_config.controller, n=2)
     fresh = []
+    rng = np.random.default_rng(5)
     real_solve_alpha = ctrl_module.solve_alpha
     real_solve_beta = ctrl_module.solve_beta
 
     def recording_solve_alpha(state, pre, y_latest=None):
+        state.y_den_hist += 1e-9 * rng.normal(size=state.y_den_hist.shape)
         alpha, res = real_solve_alpha(state, pre, y_latest)
         rhs = ctrl_module.alpha_rhs(state, pre, y_latest)
         fresh.append({"alpha_residual":
@@ -359,9 +367,10 @@ def test_trace_telemetry_matches_recomputation(monkeypatch, tmp_path, small_conf
     with open(tmp_path / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(fresh) == small_config.horizon + 1
+    assert min(f["alpha_residual"] for f in fresh) > 1e-12
     for key in ("g_norm", "alpha_residual", "beta_residual"):
         assert_allclose([float(row[key]) for row in rows],
-                        [f[key] for f in fresh], rtol=1e-12, atol=0)
+                        [f[key] for f in fresh], rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------- information pattern

@@ -196,7 +196,7 @@ def test_regret_grows_affinely_with_path_length():
     # more target switches mean more path length and proportionally more
     # regret; the relation across scenarios stays essentially linear
     from ddcontrol.harness import (ExperimentConfig, NoiseSpec, OfflineSpec,
-                                   PlantSpec, ControllerSpec, CostSpec,
+                                   PlantSpec, CostSpec,
                                    run_experiment)
     from ddcontrol.metrics import path_length
     from helpers import SwitchingQuadraticCost
@@ -212,7 +212,7 @@ def test_regret_grows_affinely_with_path_length():
             plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]]),
             noise=NoiseSpec(seed=int(rng.integers(10 ** 6)),
                             measurement={"low": -0.05, "high": 0.05}),
-            controller=ControllerSpec(gamma=2.0 / (cost.alpha_z + cost.l_z),
+            controller=ControllerConfig(gamma=2.0 / (cost.alpha_z + cost.l_z),
                                       mu=2, n=1, q_mode="identity"),
             cost=CostSpec(type="quadratic",
                           params={"H": [[2.0, 0.0], [0.0, 1.0]],

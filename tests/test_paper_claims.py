@@ -4,17 +4,21 @@ Criterion 6 of the acceptance suite checks only that the running-average
 regret decays; these tests check sharper properties the controller has:
 after a zero-mode start its inputs do not depend on the measurements, once
 the cost stops switching the regret stops growing, the regret is
-proportional to the path length of the optimum, and measurement noise adds
-a constant to the regret.
+proportional to the path length of the optimum, measurement noise adds
+a constant to the regret, and the noise estimate misses by exactly the
+plant's response to what the controller does not see.
 """
 
 import numpy as np
+from numpy.testing import assert_allclose
 
 from ddcontrol.controller import Controller, ControllerConfig
 from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.harness import (CostSpec, ExperimentConfig, NoiseSpec,
-                               OfflineSpec, PlantSpec, run_experiment)
+                               OfflineSpec, PlantSpec, run_experiment,
+                               shipped_config_path)
 from ddcontrol.metrics import path_length, regret
+from ddcontrol.plant import simulate
 
 from helpers import SwitchingQuadraticCost
 
@@ -126,3 +130,34 @@ def test_measurement_noise_adds_a_constant_to_the_regret():
     excess_short, excess_long = short[1:] - short[0], long[1:] - long[0]
     assert np.all(excess_long > 1e-3)
     assert np.all(np.abs(excess_short - excess_long) <= 1e-9 * excess_long)
+
+
+def _unseen_response(config):
+    """A run's ``e_hat - e_true`` and the plant's ``y - y_rest``.
+
+    ``y_rest`` is the output of the plant started at rest and driven by the
+    run's inputs without process noise; the plant model enters here only,
+    as the reference.
+    """
+    record, _ = run_experiment(config)
+    model = config.build()[0]
+    y_rest = simulate(model, np.zeros(model.n), record.u)[0].outputs
+    return record.e_hat - record.e_true, record.y - y_rest
+
+
+def test_noise_estimate_misses_by_the_unseen_response_on_the_shipped_day():
+    # the denoised output is the from-rest response to the applied inputs,
+    # so the estimate's error is the plant's response to its initial state
+    # and its process noise, neither of which the controller sees
+    miss, unseen = _unseen_response(ExperimentConfig.from_json(shipped_config_path()))
+    assert np.abs(unseen).max() > 0.1
+    assert np.abs(miss - unseen).max() <= 1e-10
+
+
+def test_noise_estimate_misses_by_the_free_response_on_the_quick_start():
+    # from x0 = 1 without process noise the miss is the free response alone,
+    # 0.5^(t+1) after the one warm-up step, up to the round-off of y - y_rest
+    noise = NoiseSpec(seed=0, measurement={"low": -0.1, "high": 0.1})
+    miss, unseen = _unseen_response(_scalar_config(200, noise, [1.0]))
+    assert_allclose(unseen[:, 0], 0.5 ** np.arange(1, 202), rtol=1e-12, atol=1e-14)
+    assert np.abs(miss - unseen).max() <= 1e-10
