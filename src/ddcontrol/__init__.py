@@ -14,9 +14,9 @@ from .behavioral import (HankelMatrix, HankelSet, Trajectory, block_rows,
                          build_hankel, build_hankel_set, membership_residual,
                          persistency_check)
 from .controller import (Controller, ControllerConfig, ControllerState,
-                         Precomputed, advance, build_q, estimate_noise,
-                         initialize, precompute, predict_and_descend,
-                         solve_alpha, solve_beta)
+                         Precomputed, advance, estimate_noise, initialize,
+                         precompute, predict_and_descend, solve_alpha,
+                         solve_beta)
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                     QuadraticSoftplusCost, QuadraticTrackingCost,
                     hvac_cost_schedule)

@@ -40,7 +40,8 @@ class ControllerConfig:
         requirement since the controllability index never exceeds the
         system order.
     n: upper bound on the system order.
-    q_mode: the seminorm the steering correction minimizes, one of ``Q_MODES``.
+    q_mode: the seminorm the steering correction minimizes, one of
+        ``Q_MODES``: |beta|^2, or that plus |U_f beta|^2 (its future inputs).
     lambda_init: regularizer of the optional least-squares initialization.
     init_mode: "zero" (rest initialization) or "regularized".
     """
@@ -84,20 +85,7 @@ def check_step_size(gamma: float, alpha_z: float, l_z: float) -> bool:
     return True
 
 
-#: the steering-correction weight of each ``q_mode``, from the Hankel set
-_Q_WEIGHTS = {
-    "identity": lambda h: np.eye(h.columns),
-    "identity+future_inputs": lambda h: np.vstack(
-        [np.eye(h.columns), block_rows(h.U, h.n + 1, 2 * h.n + h.mu + 1)]),
-}
-Q_MODES = tuple(_Q_WEIGHTS)
-
-
-def build_q(hankels: HankelSet, mode: str) -> np.ndarray:
-    """Weight matrix for the steering-correction seminorm."""
-    if mode not in Q_MODES:
-        raise ValueError(f"unknown q_mode {mode!r}; options: {Q_MODES}")
-    return _Q_WEIGHTS[mode](hankels)
+Q_MODES = ("identity", "identity+future_inputs")
 
 
 @dataclass(frozen=True)
@@ -105,8 +93,9 @@ class Precomputed(HankelSet):
     """A record's Hankel set plus everything the per-step loop multiplies by.
 
     ``H_alpha_pinv`` solves the prediction-coefficient system and
-    ``Q_tilde`` maps a steering target mismatch to the minimum-seminorm
-    correction coefficients. ``E_alpha = H_alpha H_alpha_pinv - I`` and
+    ``Q_tilde`` maps a steering target mismatch g to the solution of
+    ``H_beta beta = g`` of least ``q_mode`` seminorm, in closed form from
+    one SVD of ``H_beta``. ``E_alpha = H_alpha H_alpha_pinv - I`` and
     ``E_beta = H_beta Q_tilde - I`` map a right-hand side to the residual
     of its solve, so the per-step feasibility checks multiply by these
     small square maps instead of by ``H_alpha`` and ``H_beta``. ``E_beta``
@@ -134,11 +123,15 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     """Factor an offline data record once; the loop then only multiplies.
 
     Checks the record's length and its input's excitation of order 3n+mu+1,
-    then builds the Hankel set and the ``build_q`` weight and factors them.
+    then builds the Hankel set and factors it: ``H_alpha`` by its
+    pseudoinverse, ``H_beta`` by one SVD that gives ``Q_tilde`` in closed
+    form (``notes/decisions.md``, "Q̃ in closed form").
     """
     # looked up at call time, so a timing wrapper on the module attribute sees it
     from .behavioral import build_hankel_set
 
+    if q_mode not in Q_MODES:
+        raise ValueError(f"unknown q_mode {q_mode!r}; options: {Q_MODES}")
     order = 3 * n + mu + 1
     min_N = (data.m + 1) * order - 1
     if data.N < min_N:
@@ -149,12 +142,18 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
             f"data input is not persistently exciting of order 3n+mu+1 = {order}"
         )
     hankels = build_hankel_set(data, n, mu)
-    Q = build_q(hankels, q_mode)
     H_beta = hankels.H_beta
-    H_beta_pinv = linalg.pinv(H_beta)
-    cols = hankels.columns
-    kernel_proj = np.eye(cols) - H_beta_pinv @ H_beta
-    Q_tilde = (np.eye(cols) - linalg.pinv(Q @ kernel_proj) @ Q) @ H_beta_pinv
+    # "identity" mode takes H_beta^+ alone; future inputs also need the kernel
+    _, Q_tilde, kernel = linalg.factor(H_beta, full=q_mode != "identity")
+    if q_mode == "identity+future_inputs":
+        # beta = H_beta^+ g + kernel z minimizing |beta|^2 + |U_f beta|^2 has
+        # z = -(I + M'M)^-1 M'U_f H_beta^+ g for M = U_f kernel (kernel' H_beta^+
+        # is 0), and Woodbury turns the inverse into one solve of U_f's rows
+        U_f = block_rows(hankels.U, n + 1, 2 * n + mu + 1)
+        M = U_f @ kernel
+        R = M.T @ (U_f @ Q_tilde)
+        X = R - M.T @ np.linalg.solve(np.eye(M.shape[0]) + M @ M.T, M @ R)
+        Q_tilde = Q_tilde - kernel @ X
     H_alpha = hankels.H_alpha
     H_alpha_pinv = linalg.pinv(H_alpha)
     m, p = hankels.m, hankels.p

@@ -200,8 +200,8 @@ class QuadraticScheduledCost(CostFunction):
         self.price_series = np.asarray(self.price_series, dtype=float)
         if self.price_series.ndim != 1 or self.price_series.size == 0:
             raise ValueError("price series must be a nonempty vector")
-        if np.any(self.price_series <= 0):
-            raise ValueError("prices must be positive")
+        if not np.all(np.isfinite(self.price_series) & (self.price_series > 0)):
+            raise ValueError("prices must be positive and finite")
         self._starts = starts
         p = self.segments[0].setpoint.size
         self.p = p

@@ -33,6 +33,22 @@ def rank_by_svd(M, rtol=1e-12):
     return int(np.sum(s > max(M.shape) * s[0] * rtol))
 
 
+def q_weight(hankels, mode):
+    """The weight Q whose seminorm |Q beta| the steering correction minimizes.
+
+    The identity, stacked on the future-input rows U^{n+1:2n+mu+1} of the
+    data Hankel matrix in "identity+future_inputs" mode. The package never
+    forms it; its ``Q_tilde`` minimizes the same seminorm in closed form.
+    """
+    n, mu, m = hankels.n, hankels.mu, hankels.m
+    Q = np.eye(hankels.columns)
+    if mode == "identity":
+        return Q
+    assert mode == "identity+future_inputs", mode
+    U_f = hankels.U.entries[n * m:(2 * n + mu + 1) * m]
+    return np.vstack([Q, U_f])
+
+
 def min_seminorm_qp(H, g, Q):
     """Minimize |Q b|^2 subject to H b = g, via the KKT block system.
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from ddcontrol.behavioral import Trajectory, membership_residual
-from ddcontrol.controller import (ControllerConfig, build_q, initialize,
-                                  precompute, solve_alpha, solve_beta)
+from ddcontrol.controller import (ControllerConfig, initialize, precompute,
+                                  solve_alpha, solve_beta)
 from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.harness import (ExperimentConfig, NoiseSpec, OfflineSpec,
                                PlantSpec, CostSpec,
@@ -23,7 +23,8 @@ from ddcontrol.metrics import noise_error_series, regret
 from ddcontrol.plant import collect_offline_data, random_system, simulate
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import SwitchingQuadraticCost, min_seminorm_qp, model_steady_state
+from helpers import (SwitchingQuadraticCost, min_seminorm_qp, model_steady_state,
+                     q_weight)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -298,7 +299,7 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=8)
     pre = precompute(data, n, mu, "identity+future_inputs")
     hankels = pre
-    Q = build_q(hankels, "identity+future_inputs")
+    Q = q_weight(hankels, "identity+future_inputs")
     proj = build_projector(data, n)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n)
     state = initialize(cfg, pre, np.zeros((n, model.p)))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddcontrol.behavioral import Trajectory, build_hankel_set
-from ddcontrol.controller import (Controller, ControllerConfig,
-                                  build_q, check_step_size, estimate_noise,
+from ddcontrol.behavioral import Trajectory
+from ddcontrol.controller import (Q_MODES, Controller, ControllerConfig,
+                                  check_step_size, estimate_noise,
                                   initialize, precompute,
                                   predict_and_descend,
                                   regularized_init_solution, solve_alpha,
@@ -17,7 +17,7 @@ from ddcontrol.errors import FeasibilityError, PersistencyError
 from ddcontrol.plant import collect_offline_data, random_system, simulate, step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import constrained_ls_kkt, min_seminorm_qp
+from helpers import constrained_ls_kkt, min_seminorm_qp, q_weight, rank_by_svd
 
 
 @pytest.fixture(scope="module")
@@ -113,40 +113,131 @@ def test_precompute_rejects_bad_inputs(siso_model):
         precompute(tiny, 1, 2, "identity")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "Q_tilde is built from the kernel projector I - H_beta^+ H_beta, whose "
-    "round-off grows with cond(H_beta) (~1e7 on this poorly observable "
-    "plant), and the pseudoinverse of that projector inverts the round-off; "
-    "a stable kernel basis changes the loop's rounding, which the "
-    "benchmark's golden check does not allow yet"))
+def _record(n, m, p, seed):
+    """150 samples of a ``random_system`` plant, exciting enough for mu = n."""
+    model = random_system(np.random.default_rng(seed), n, m, p)
+    return collect_offline_data(model, 150, pe_order=3 * n + n + 1, seed=seed)
+
+
+#: Schur-stable n=5 plants with poles below 0.33 seen through one output;
+#: cond(H_beta) is about 1e7 and 1.6e6, although H_beta has full row rank
+POORLY_OBSERVABLE = [(5, 2, 1, 889143), (5, 2, 1, 969146)]
+
+
 def test_steering_map_on_poorly_observable_plant():
-    # a Schur-stable n=5 plant with poles below 0.33 observed through one
-    # output; run_experiment on it raises "steering correction infeasible"
-    # at step 1 although H_beta has full row rank
+    # a Q_tilde built from the round-off of the kernel projector
+    # I - H_beta^+ H_beta missed here by 7.5e7 relative; the closed form
+    # takes the kernel from the SVD of H_beta
     n = mu = 5
-    model = random_system(np.random.default_rng(889143), n, 2, 1)
-    data = collect_offline_data(model, 150, pe_order=3 * n + mu + 1, seed=889143)
-    pre = precompute(data, n, mu, "identity")
+    pre = precompute(_record(*POORLY_OBSERVABLE[0]), n, mu, "identity")
     hankels = pre
     g = hankels.H_beta @ np.random.default_rng(0).normal(size=hankels.columns)
     back = hankels.H_beta @ (pre.Q_tilde @ g)
     assert np.linalg.norm(back - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
 
 
+def _projector_q_tilde(pre, mode):
+    """The steering map as formerly built, through the kernel projector.
+
+    ``(I - pinv(Q (I - H_beta^+ H_beta)) Q) H_beta^+`` pseudo-inverts the
+    projector's round-off, so on a poorly conditioned H_beta it misses its
+    targets; kept here as the broken reference.
+    """
+    from ddcontrol.linalg import pinv
+
+    H_beta_pinv = pinv(pre.H_beta)
+    I = np.eye(pre.columns)
+    Q = q_weight(pre, mode)
+    return (I - pinv(Q @ (I - H_beta_pinv @ pre.H_beta)) @ Q) @ H_beta_pinv
+
+
 def test_residual_map_keeps_a_broken_steering_map_loud():
     # the step's beta residual comes from E_beta = H_beta Q_tilde - I, which
-    # carries Q_tilde's own error: on the plant above the check still
-    # refuses the first step that has a target to steer to
+    # carries Q_tilde's own error: the plant above now steers, and with the
+    # projector-form Q_tilde put back the check refuses the first step that
+    # has a target to steer to. (This record's steady-state set comes out
+    # of dimension 0, so the target is the round-off of a zero projector.)
     n = mu = 5
-    model = random_system(np.random.default_rng(889143), n, 2, 1)
-    data = collect_offline_data(model, 150, pe_order=3 * n + mu + 1, seed=889143)
-    ctrl = Controller(ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity"), data)
+    data = _record(*POORLY_OBSERVABLE[0])
+    cfg = ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity")
     cost = QuadraticTrackingCost(H=np.eye(3), target=np.array([1.0, -1.0, 0.5]))
-    ctrl.start(np.zeros((n, 1)))
-    ctrl.step()
+
+    def two_steps(ctrl):
+        ctrl.start(np.zeros((n, 1)))
+        ctrl.step()
+        return ctrl.step(y_meas=np.zeros(1), prev_cost=cost)
+
+    ctrl = Controller(cfg, data)
+    two_steps(ctrl)
+    assert ctrl.last.g_norm > 0
+    assert ctrl.last.beta_residual <= 1e-8
+
+    broken = Controller(cfg, data)
+    Q_tilde = _projector_q_tilde(broken.pre, cfg.q_mode)
+    broken.pre = dataclasses.replace(
+        broken.pre, Q_tilde=Q_tilde,
+        E_beta=broken.pre.H_beta @ Q_tilde - np.eye(broken.pre.H_beta.shape[0]))
     with pytest.raises(FeasibilityError, match="steering correction infeasible"):
-        ctrl.step(y_meas=np.zeros(1), prev_cost=cost)
-    assert ctrl.t == 1
+        two_steps(broken)
+    assert broken.t == 1
+
+
+@pytest.mark.parametrize("mode", Q_MODES)
+@pytest.mark.parametrize("n, m, p, seed", [
+    (2, 1, 3, 82), (2, 3, 2, 83), (3, 3, 1, 84), (4, 2, 2, 85), (5, 1, 1, 86),
+    (5, 3, 3, 87), *POORLY_OBSERVABLE])
+def test_q_tilde_is_the_least_seminorm_solution(mode, n, m, p, seed):
+    # beta = Q_tilde g solves H_beta beta = g, and moving along the kernel of
+    # H_beta cannot lower |Q beta|^2: the gradient W beta, W = Q'Q, is
+    # orthogonal to the kernel (the optimality condition of the null-space
+    # method), with the kernel taken from numpy's SVD. Both hold to 1e-10
+    # relative plus 100 eps cond(H_beta), the forward-error floor of any
+    # backward-stable solve, which only the poorly observable records reach:
+    # there the kernel condition reads 9.2e-11 (identity) and 2.3e-9 (future
+    # inputs) of |W beta| at cond 1e7
+    pre = precompute(_record(n, m, p, seed), n, n, mode)
+    Q = q_weight(pre, mode)
+    W = Q.T @ Q
+    Hb = pre.H_beta
+    _, s, Vt = np.linalg.svd(Hb)
+    rank = rank_by_svd(Hb)
+    kernel = Vt[rank:].T
+    assert kernel.shape[1] > 0
+    floor = 100 * np.finfo(float).eps * s[0] / s[rank - 1]
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        g = Hb @ rng.normal(size=pre.columns)
+        beta = pre.Q_tilde @ g
+        assert np.linalg.norm(Hb @ beta - g) <= (1e-10 + floor) * (1.0 + np.linalg.norm(g))
+        Wb = W @ beta
+        assert np.linalg.norm(kernel.T @ Wb) \
+            <= 1e-10 * np.linalg.norm(Wb) + floor * np.linalg.norm(W, 2) * np.linalg.norm(beta)
+
+
+def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
+    # a thermal cache miss takes one economy SVD of H_alpha and one full SVD
+    # of H_beta, and factors nothing larger, so no weight or projector of
+    # 380 columns and more rows than H_alpha comes back unnoticed
+    import ddcontrol.linalg as linalg_module
+    from ddcontrol.harness import ExperimentConfig, shipped_config_path
+
+    config = ExperimentConfig.from_json(shipped_config_path())
+    cc = config.controller
+    model, _ = config.plant.build()
+    data = collect_offline_data(
+        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        input_box=(config.offline.input_low, config.offline.input_high),
+        seed=config.offline.seed)
+    real_factor, calls = linalg_module.factor, []
+
+    def counted_factor(M, full=False):
+        calls.append((np.shape(M), full))
+        return real_factor(M, full)
+
+    monkeypatch.setattr(linalg_module, "factor", counted_factor)
+    pre = precompute(data, cc.n, cc.mu, cc.q_mode)
+    assert sorted(calls) == sorted([(pre.H_alpha.shape, False), (pre.H_beta.shape, True)])
+    assert max(shape[0] for shape, _ in calls) == pre.H_alpha.shape[0] == 120
 
 
 @pytest.mark.parametrize("n, m, p", [(2, 1, 2), (3, 2, 2), (4, 1, 3), (5, 2, 2)])
@@ -188,13 +279,10 @@ def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
     assert np.all(np.abs(logged - want) <= 1e-12 * (1.0 + scale))
 
 
-def test_build_q_modes(siso_data):
-    hankels = build_hankel_set(siso_data, 1, 2)
-    cols = hankels.columns
-    assert build_q(hankels, "identity").shape == (cols, cols)
-    assert build_q(hankels, "identity+future_inputs").shape == (cols + 4, cols)
-    with pytest.raises(ValueError, match="unknown q_mode"):
-        build_q(hankels, "bogus")
+def test_precompute_refuses_unknown_q_mode(siso_data):
+    assert Q_MODES == ("identity", "identity+future_inputs")
+    with pytest.raises(ValueError, match="unknown q_mode 'bogus'"):
+        precompute(siso_data, 1, 2, "bogus")
 
 
 # ---------------------------------------------------------------- noise estimate
@@ -360,7 +448,7 @@ def test_solve_beta_optimality_against_oracle(mimo_setup):
     rng = np.random.default_rng(3)
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     alpha, _ = solve_alpha(state, pre)
-    Q = build_q(hankels, cfg.q_mode)
+    Q = q_weight(hankels, cfg.q_mode)
     for _ in range(20):
         z_s = proj.basis @ rng.normal(size=proj.dim)
         beta, g, _ = solve_beta(alpha, z_s, pre)

@@ -144,6 +144,15 @@ def test_schedule_rejects_nonpositive_price():
             price_series=np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schedule_rejects_non_finite_price(bad):
+    # NaN fails no comparison, so a positivity test alone lets it through
+    with pytest.raises(ValueError, match="positive and finite"):
+        QuadraticScheduledCost(
+            m=1, segments=[CostSegment(0, np.eye(1), 1.0, np.zeros(1))],
+            price_series=np.array([1.0, bad, 1.0]))
+
+
 def test_schedule_hessians_within_moduli():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
     for t in (0, 30, 50, 95):

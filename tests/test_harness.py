@@ -629,6 +629,15 @@ def test_cli_rejects_unknown_cost_parameters(tmp_path, capsys, edits, message):
     _assert_both_commands_exit_2(tmp_path, capsys, spec, message)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_cli_rejects_non_finite_prices(tmp_path, capsys, bad):
+    # Python's json reads a bare NaN or Infinity; such a price once ran to
+    # accumulated_cost: nan with exit 0
+    spec = demo_siso_config().to_dict()
+    spec["cost"]["params"]["price_series"][5] = bad
+    _assert_both_commands_exit_2(tmp_path, capsys, spec, "prices must be positive and finite")
+
+
 def _edited(spec: dict, edits: dict) -> dict:
     """``spec`` with each key path set to its value, or deleted for None."""
     for (*keys, last), value in edits.items():

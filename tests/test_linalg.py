@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddcontrol.behavioral import build_hankel, build_hankel_set
-from ddcontrol.controller import build_q
 from ddcontrol.errors import FeasibilityError
 from ddcontrol.harness import ExperimentConfig, shipped_config_path
 from ddcontrol.linalg import (RANK_RTOL, constrained_ridge_lstsq, factor,
@@ -96,14 +95,11 @@ def offline_matrices() -> dict:
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
     hankels = build_hankel_set(data, cc.n, cc.mu)
-    H_beta = hankels.H_beta
-    kernel_proj = np.eye(hankels.columns) - pinv(H_beta) @ H_beta
     rng = np.random.default_rng(6)
     deficient = rng.normal(size=(9, 4)) @ rng.normal(size=(4, 12))
     return {
         "H_alpha": hankels.H_alpha,
-        "H_beta": H_beta,
-        "Q kernel_proj": build_q(hankels, cc.q_mode) @ kernel_proj,
+        "H_beta": hankels.H_beta,
         "H": np.vstack([build_hankel(data.inputs, cc.n + 1).entries,
                         build_hankel(data.outputs, cc.n + 1).entries]),
         "tall": rng.normal(size=(11, 4)),

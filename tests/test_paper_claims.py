@@ -9,6 +9,8 @@ a constant to the regret, and the noise estimate misses by exactly the
 plant's response to what the controller does not see.
 """
 
+import dataclasses
+
 import numpy as np
 from numpy.testing import assert_allclose
 
@@ -161,3 +163,22 @@ def test_noise_estimate_misses_by_the_free_response_on_the_quick_start():
     miss, unseen = _unseen_response(_scalar_config(200, noise, [1.0]))
     assert_allclose(unseen[:, 0], 0.5 ** np.arange(1, 202), rtol=1e-12, atol=1e-14)
     assert np.abs(miss - unseen).max() <= 1e-10
+
+
+def test_noise_estimate_misses_by_the_free_response_on_a_quiet_day():
+    # the shipped day with process noise off: the initial state is all the
+    # controller does not see, so the miss at row t is the free response
+    # C A^(t+n) x0 (n warm-up steps), and it decays at the slowest pole
+    config = ExperimentConfig.from_json(shipped_config_path())
+    config = dataclasses.replace(config, noise=dataclasses.replace(config.noise, process=None))
+    miss, _ = _unseen_response(config)
+    model, x0 = config.build()[:2]
+    n, steps = config.controller.n, miss.shape[0]
+    free = simulate(model, x0, np.zeros((steps + n, model.m)))[0].outputs[n:]
+    assert np.abs(free).max() > 1.0
+    assert np.abs(miss - free).max() <= 1e-10
+
+    rho = np.abs(np.linalg.eigvals(model.A)).max()
+    assert abs(rho - 0.98712) <= 5e-6
+    err = np.linalg.norm(miss, axis=1)
+    assert abs(err[1000] / err[500] / rho ** 500 - 1.0) <= 0.05
