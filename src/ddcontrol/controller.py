@@ -143,17 +143,17 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
         )
     hankels = build_hankel_set(data, n, mu)
     H_beta = hankels.H_beta
-    # "identity" mode takes H_beta^+ alone; future inputs also need the kernel
-    _, Q_tilde, kernel = linalg.factor(H_beta, full=q_mode != "identity")
+    # "identity" mode takes H_beta^+ alone; future inputs also need the
+    # kernel, but only through its projector I - V_r V_r'
+    _, Q_tilde, _, V_r = linalg.factor(H_beta)
     if q_mode == "identity+future_inputs":
-        # beta = H_beta^+ g + kernel z minimizing |beta|^2 + |U_f beta|^2 has
-        # z = -(I + M'M)^-1 M'U_f H_beta^+ g for M = U_f kernel (kernel' H_beta^+
-        # is 0), and Woodbury turns the inverse into one solve of U_f's rows
+        # beta = H_beta^+ g + N z minimizing |beta|^2 + |U_f beta|^2, for a
+        # kernel basis N, is H_beta^+ g - K (I + U_f K)^-1 U_f H_beta^+ g with
+        # K = N N' U_f': Woodbury and push-through give one solve of U_f's rows
         U_f = block_rows(hankels.U, n + 1, 2 * n + mu + 1)
-        M = U_f @ kernel
-        R = M.T @ (U_f @ Q_tilde)
-        X = R - M.T @ np.linalg.solve(np.eye(M.shape[0]) + M @ M.T, M @ R)
-        Q_tilde = Q_tilde - kernel @ X
+        K = U_f.T - V_r @ (V_r.T @ U_f.T)
+        Q_tilde = Q_tilde - K @ np.linalg.solve(np.eye(U_f.shape[0]) + U_f @ K,
+                                                U_f @ Q_tilde)
     H_alpha = hankels.H_alpha
     H_alpha_pinv = linalg.pinv(H_alpha)
     m, p = hankels.m, hankels.p

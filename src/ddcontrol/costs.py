@@ -25,10 +25,10 @@ class CostFunction:
     values and gradients: ``optimal_steady_state`` solves a run of
     consecutive times with equal keys once, and ``run_experiment``
     evaluates the oracle cost once per run. The safe default treats every
-    step as distinct. ``run_starts`` and ``stacked_quadratic_terms`` are
-    the same two facts over a 1-D array of times, which the oracle reads;
-    here they loop the scalar forms, and the shipped quadratic costs
-    compute them with array operations.
+    step as distinct. ``run_starts``, ``stacked_quadratic_terms`` and
+    ``stacked_eval`` are the same facts over a 1-D array of times, which
+    the oracle reads; here they loop the scalar forms, and
+    ``QuadraticScheduledCost`` computes all three with array operations.
     """
 
     alpha_z: float
@@ -67,6 +67,11 @@ class CostFunction:
             return None
         H, g, c = zip(*terms)
         return np.array(H), np.array(g), np.array(c, dtype=float)
+
+    def stacked_eval(self, times: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """``eval`` at each of 1-D ``times`` and the matching row of ``points``."""
+        return np.array([self.eval(t, z) for t, z in zip(map(int, times), points)],
+                        dtype=float)
 
     def _check_moduli(self):
         if not (0.0 < self.alpha_z <= self.l_z):
@@ -213,6 +218,11 @@ class QuadraticScheduledCost(CostFunction):
         for seg in self.segments:
             if seg.output_weight.shape != (p, p) or seg.setpoint.size != p:
                 raise ValueError("segment dimensions disagree")
+            # NaN fails no comparison, so the checks below would let it through
+            if not (np.isfinite(seg.input_weight)
+                    and np.all(np.isfinite(seg.output_weight))
+                    and np.all(np.isfinite(seg.setpoint))):
+                raise ValueError("segment weights and setpoint must be finite")
             if seg.input_weight <= 0:
                 raise ValueError("input weight must be positive")
             w = np.linalg.eigvalsh(seg.output_weight)
@@ -230,6 +240,7 @@ class QuadraticScheduledCost(CostFunction):
         self._H, self._g, self._c = np.array(H_seg), np.array(g_seg), np.array(c_seg)
         self._input_weights = np.array([seg.input_weight for seg in self.segments],
                                        dtype=float)
+        self._setpoints = np.array([seg.setpoint for seg in self.segments], dtype=float)
         self.alpha_z = lo
         self.l_z = hi
         self._check_moduli()
@@ -283,6 +294,16 @@ class QuadraticScheduledCost(CostFunction):
         new = np.ones(len(times), dtype=bool)
         new[1:] = (k[1:] != k[:-1]) | (price[1:] != price[:-1])
         return np.flatnonzero(new)
+
+    def stacked_eval(self, times: np.ndarray, points: np.ndarray) -> np.ndarray:
+        # eval's products in eval's order, one row per time, so a one-input,
+        # one-output cost gives eval's values bit for bit
+        times = np.asarray(times)
+        k = self._indices(times)
+        u, d = points[:, :self.m], points[:, self.m:] - self._setpoints[k]
+        dW = np.matmul(d[:, None, :], self._H[k, self.m:, self.m:])[:, 0]
+        iw = self._input_weights[k] * self.price_series[times]
+        return 0.5 * (dW * d).sum(axis=1) + 0.5 * iw * (u * u).sum(axis=1)
 
     def stacked_quadratic_terms(self, times: np.ndarray):
         # only the price-scaled input diagonal changes within a segment;

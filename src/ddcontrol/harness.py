@@ -388,8 +388,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         controller.projector, cost, np.arange(T + 1))
     lengths = np.diff(starts, append=T + 1)
     zeta_log = np.repeat(zeta_runs, lengths, axis=0)
-    opt_log = np.repeat([cost.eval(int(t), z) for t, z in zip(starts, zeta_runs)],
-                        lengths)
+    # the times are 0..T, so each run's start is also its time
+    opt_log = np.repeat(cost.stacked_eval(starts, zeta_runs), lengths)
 
     record = RunRecord(u=uy_log[:, :m], y=uy_log[:, m:], y_meas=ymeas_log,
                        e_hat=ehat_log, z_s=zs_log, zeta=zeta_log, cost=cost_log,

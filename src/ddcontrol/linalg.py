@@ -4,8 +4,9 @@ Every rank decision on data (persistency checks, pseudoinverses,
 null-space bases) uses the same backward-stable cutoff so that derived
 quantities stay mutually consistent: a singular value counts toward the
 rank iff it exceeds ``max(rows, cols) * RANK_RTOL * sigma_max``. ``factor``
-is the only place that turns an SVD into a rank, a pseudoinverse and a
-null basis, so a caller that needs two of them factors its matrix once;
+is the only place that turns an SVD into a rank, a pseudoinverse, a null
+basis and a row basis, so a caller that needs two of them factors its
+matrix once;
 ``numerical_rank`` applies the same cutoff to the singular values alone.
 The rank tests of ``plant.PlantModel`` check the ground-truth simulator,
 which the controller never sees, and use numpy's ``matrix_rank``.
@@ -28,14 +29,18 @@ def numerical_rank(M: np.ndarray) -> int:
 
 
 def factor(M: np.ndarray, full: bool = False) -> tuple:
-    """``(rank, pinv, null_basis)`` of M from one SVD with the shared cutoff.
+    """``(rank, pinv, null_basis, row_basis)`` of M from one SVD.
 
-    The pseudoinverse repeats ``np.linalg.pinv``'s arithmetic: from the
-    default economy SVD it is bit-identical to ``np.linalg.pinv(M,
-    rcond=max(M.shape) * RANK_RTOL)``. The null basis has orthonormal
-    columns; it spans the whole kernel only for a tall M or with
-    ``full=True``, because the economy SVD of a wide M omits the last
-    right singular vectors.
+    The rank uses the shared cutoff. The pseudoinverse repeats
+    ``np.linalg.pinv``'s arithmetic: from the default economy SVD it is
+    bit-identical to ``np.linalg.pinv(M, rcond=max(M.shape) *
+    RANK_RTOL)``. Both bases have orthonormal
+    columns. The row basis ``V_r`` (the first ``rank`` right singular
+    vectors) spans the row space of M from the economy SVD too, so a
+    caller that needs the kernel only through its projector
+    ``I - V_r V_r'`` never needs ``full=True``. The null basis spans the
+    whole kernel only for a tall M or with ``full=True``, because the
+    economy SVD of a wide M omits the last right singular vectors.
     """
     M = np.atleast_2d(M)
     U, s, Vt = np.linalg.svd(M, full_matrices=full)
@@ -43,7 +48,7 @@ def factor(M: np.ndarray, full: bool = False) -> tuple:
     s_inv = np.zeros_like(s)
     s_inv[:rank] = 1.0 / s[:rank]
     M_pinv = Vt[:s.size].T @ (s_inv[:, None] * U[:, :s.size].T)
-    return rank, M_pinv, Vt[rank:].T.copy()
+    return rank, M_pinv, Vt[rank:].T.copy(), Vt[:rank].T
 
 
 def pinv(M: np.ndarray) -> np.ndarray:
@@ -81,7 +86,7 @@ def constrained_ridge_lstsq(
     """
     from .errors import FeasibilityError
 
-    _, E_pinv, Z = factor(E, full=True)
+    _, E_pinv, Z, _ = factor(E, full=True)
     w0 = E_pinv @ b
     res = np.linalg.norm(E @ w0 - b)
     if res > 1e-8 * (1.0 + np.linalg.norm(b)):

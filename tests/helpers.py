@@ -49,6 +49,26 @@ def q_weight(hankels, mode):
     return np.vstack([Q, U_f])
 
 
+def kernel_basis_q_tilde(hankels):
+    """``Q_tilde`` of "identity+future_inputs" mode through a kernel basis.
+
+    The form before the push-through identity: N from numpy's full SVD of
+    H_beta, M = U_f N, R = M'U_f H_beta^+, and
+    H_beta^+ - N (R - M'(I + MM')^-1 M R). It materializes the kernel
+    basis the package no longer forms, and serves as the reference.
+    """
+    n, mu, m = hankels.n, hankels.mu, hankels.m
+    Hb = hankels.H_beta
+    U_f = hankels.U.entries[n * m:(2 * n + mu + 1) * m]
+    _, _, Vt = np.linalg.svd(Hb)
+    N = Vt[rank_by_svd(Hb):].T
+    Hb_pinv = np.linalg.pinv(Hb, rcond=max(Hb.shape) * 1e-12)
+    M = U_f @ N
+    R = M.T @ (U_f @ Hb_pinv)
+    X = R - M.T @ np.linalg.solve(np.eye(M.shape[0]) + M @ M.T, M @ R)
+    return Hb_pinv - N @ X
+
+
 def min_seminorm_qp(H, g, Q):
     """Minimize |Q b|^2 subject to H b = g, via the KKT block system.
 

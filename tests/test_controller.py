@@ -17,7 +17,8 @@ from ddcontrol.errors import FeasibilityError, PersistencyError
 from ddcontrol.plant import collect_offline_data, random_system, simulate, step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import constrained_ls_kkt, min_seminorm_qp, q_weight, rank_by_svd
+from helpers import (constrained_ls_kkt, kernel_basis_q_tilde, min_seminorm_qp,
+                     q_weight, rank_by_svd)
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +215,30 @@ def test_q_tilde_is_the_least_seminorm_solution(mode, n, m, p, seed):
             <= 1e-10 * np.linalg.norm(Wb) + floor * np.linalg.norm(W, 2) * np.linalg.norm(beta)
 
 
+@pytest.mark.parametrize("n, m, p, seed", [
+    (2, 1, 3, 82), (2, 3, 2, 83), (3, 3, 1, 84), (4, 2, 2, 85), (5, 1, 1, 86),
+    (5, 3, 3, 87)])
+def test_q_tilde_agrees_with_the_kernel_basis_form(n, m, p, seed):
+    # with future inputs the closed form takes the kernel of H_beta through
+    # its projector I - V_r V_r' and matches the kernel-basis form on the
+    # well-conditioned records above (cond(H_beta) at most 3.4e3); identity
+    # mode is H_beta^+ as numpy rounds it
+    from ddcontrol.linalg import RANK_RTOL
+
+    data = _record(n, m, p, seed)
+    pre = precompute(data, n, n, "identity+future_inputs")
+    ref = kernel_basis_q_tilde(pre)
+    assert np.linalg.norm(pre.Q_tilde - ref) <= 1e-11 * np.linalg.norm(ref)
+    Hb = pre.H_beta
+    assert np.array_equal(precompute(data, n, n, "identity").Q_tilde,
+                          np.linalg.pinv(Hb, rcond=max(Hb.shape) * RANK_RTOL))
+
+
 def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
-    # a thermal cache miss takes one economy SVD of H_alpha and one full SVD
-    # of H_beta, and factors nothing larger, so no weight or projector of
-    # 380 columns and more rows than H_alpha comes back unnoticed
+    # a thermal cache miss takes one economy SVD of H_alpha and one of
+    # H_beta, and no full SVD: the kernel of H_beta enters only through
+    # its projector I - V_r V_r', so no 380x380 factor, kernel basis, weight
+    # or projector comes back unnoticed
     import ddcontrol.linalg as linalg_module
     from ddcontrol.harness import ExperimentConfig, shipped_config_path
 
@@ -236,8 +257,8 @@ def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(linalg_module, "factor", counted_factor)
     pre = precompute(data, cc.n, cc.mu, cc.q_mode)
-    assert sorted(calls) == sorted([(pre.H_alpha.shape, False), (pre.H_beta.shape, True)])
-    assert max(shape[0] for shape, _ in calls) == pre.H_alpha.shape[0] == 120
+    assert sorted(calls) == [((85, 380), False), ((120, 380), False)]
+    assert [pre.H_beta.shape, pre.H_alpha.shape] == [(85, 380), (120, 380)]
 
 
 @pytest.mark.parametrize("n, m, p", [(2, 1, 2), (3, 2, 2), (4, 1, 3), (5, 2, 2)])

@@ -153,6 +153,20 @@ def test_schedule_rejects_non_finite_price(bad):
             price_series=np.array([1.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize("field", ["input_weight", "output_weight", "setpoint"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schedule_rejects_non_finite_segment(field, bad):
+    # a NaN input weight passes `<= 0`, and a NaN output weight or setpoint
+    # was not checked at all; each once ran to regret = nan
+    params = {"input_weight": 1.0, "output_weight": np.eye(1), "setpoint": np.zeros(1)}
+    params[field] = bad * np.ones_like(params[field])
+    with pytest.raises(ValueError, match="must be finite"):
+        QuadraticScheduledCost(
+            m=1, segments=[CostSegment(0, params["output_weight"],
+                                       params["input_weight"], params["setpoint"])],
+            price_series=np.ones(3))
+
+
 def test_schedule_hessians_within_moduli():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
     for t in (0, 30, 50, 95):
@@ -247,6 +261,32 @@ def test_array_forms_refuse_times_beyond_the_horizon():
             cost.stacked_quadratic_terms(times)
 
 
+def test_shipped_day_stacked_eval_matches_eval():
+    # the oracle's opt_cost: one array call over a run start per step, at
+    # round-off from eval on the 8-dimensional thermal point
+    cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
+    times = np.arange(cost.horizon)
+    points = np.random.default_rng(4).normal(size=(times.size, 8))
+    want = [cost.eval(int(t), z) for t, z in zip(times, points)]
+    assert_allclose(cost.stacked_eval(times, points), want, rtol=1e-13)
+
+
+def test_scalar_schedule_stacked_eval_is_eval_bit_for_bit():
+    # one input and one output leave no sum to reorder, so the scalar
+    # benchmark's opt_cost keeps eval's bits
+    cost = QuadraticScheduledCost(
+        m=1, segments=[CostSegment(0, np.array([[1.0]]), 2.0, np.array([0.7])),
+                       CostSegment(40, np.array([[3.0]]), 0.5, np.array([-1.3]))],
+        price_series=np.random.default_rng(5).uniform(0.5, 2.0, 100))
+    times = np.arange(100)
+    points = np.random.default_rng(6).normal(size=(100, 2))
+    np.testing.assert_array_equal(
+        cost.stacked_eval(times, points),
+        [cost.eval(int(t), z) for t, z in zip(times, points)])
+    with pytest.raises(IndexError, match="beyond configured horizon"):
+        cost.stacked_eval(np.array([100]), points[:1])
+
+
 @pytest.mark.parametrize("make, own_forms", [
     (lambda: QuadraticTrackingCost(H=np.diag([1.0, 4.0]), target=np.array([1.0, -1.0])),
      True),
@@ -262,6 +302,11 @@ def test_other_costs_array_forms_equal_scalar_forms(make, own_forms):
         inherited = getattr(type(cost), name) is getattr(CostFunction, name)
         assert inherited != own_forms
     assert_array_forms_match_scalar_forms(cost, np.arange(120))
+    assert type(cost).stacked_eval is CostFunction.stacked_eval
+    points = np.random.default_rng(7).normal(size=(120, 2))
+    np.testing.assert_array_equal(
+        cost.stacked_eval(np.arange(120), points),
+        [cost.eval(t, z) for t, z in enumerate(points)])
 
 
 # ---------------------------------------------------------------- daily schedule

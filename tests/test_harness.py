@@ -638,6 +638,18 @@ def test_cli_rejects_non_finite_prices(tmp_path, capsys, bad):
     _assert_both_commands_exit_2(tmp_path, capsys, spec, "prices must be positive and finite")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("input_weight", float("nan")), ("output_weight", [[float("nan")]]),
+    ("setpoint", [float("nan")])])
+def test_cli_rejects_non_finite_cost_segment(tmp_path, capsys, field, value):
+    # a NaN input weight passes a positivity test, and neither the output
+    # weight nor the setpoint was checked; each once gave regret = nan
+    spec = demo_siso_config().to_dict()
+    spec["cost"]["params"]["segments"][0][field] = value
+    _assert_both_commands_exit_2(tmp_path, capsys, spec,
+                                 "segment weights and setpoint must be finite")
+
+
 def _edited(spec: dict, edits: dict) -> dict:
     """``spec`` with each key path set to its value, or deleted for None."""
     for (*keys, last), value in edits.items():

@@ -122,13 +122,19 @@ def test_pinv_is_bit_identical_to_numpy(offline_matrices):
 def test_factor_rank_and_null_basis_follow_the_one_rule(offline_matrices):
     for name, M in offline_matrices.items():
         for full in (False, True):
-            rank, _, Z = factor(M, full=full)
+            rank, _, Z, V_r = factor(M, full=full)
             assert rank == numerical_rank(M), name
             assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
             scale = 1.0 + np.abs(M).max(initial=0.0)
             assert np.abs(M @ Z).max(initial=0.0) <= 1e-10 * scale, name
+            # the row basis is complete from either SVD and orthogonal to Z
+            assert V_r.shape == (M.shape[1], rank), name
+            assert_allclose(V_r.T @ V_r, np.eye(rank), atol=1e-12)
+            assert np.abs(V_r.T @ Z).max(initial=0.0) <= 1e-12, name
             if full or M.shape[0] >= M.shape[1]:
                 assert Z.shape == (M.shape[1], M.shape[1] - rank), name
+                assert_allclose(V_r @ V_r.T + Z @ Z.T, np.eye(M.shape[1]),
+                                atol=1e-12)
 
 
 def test_factorizations_are_called_only_in_linalg():
