@@ -341,7 +341,7 @@ def estimate_noise(state: ControllerState, y_meas: np.ndarray,
     if state.coeff_prev is None:
         raise RuntimeError("call step() before estimating noise")
     y_meas = np.asarray(y_meas, dtype=float)
-    return y_meas - pre.Y_next @ state.coeff_prev
+    return y_meas - pre.Y_next.dot(state.coeff_prev)
 
 
 def alpha_rhs(state: ControllerState, pre: Precomputed,
@@ -352,18 +352,15 @@ def alpha_rhs(state: ControllerState, pre: Precomputed,
     step with ``y_latest`` appended: the window a step solves with before
     it commits the new output to the state.
     """
-    n, mu, m, p = pre.n, pre.mu, pre.m, pre.p
-    a, b, c = n * m, (n + mu) * m, (2 * n + mu + 1) * m
-    rhs = np.empty(c + n * p)
-    rhs[:a] = state.u_hist.ravel()
-    rhs[a:b] = state.u_pred.ravel()[m:]      # shifted plan, first input dropped
-    rhs[b:c] = state.z_s_prev[pre.steady_index[:c - b]]
+    n, m = pre.n, pre.m
+    parts = [state.u_hist.ravel(),
+             state.u_pred.ravel()[m:],       # shifted plan, first input dropped
+             state.z_s_prev[pre.steady_index[:(n + 1) * m]]]
     if y_latest is None:
-        rhs[c:] = state.y_den_hist.ravel()
+        parts.append(state.y_den_hist.ravel())
     else:
-        rhs[c:-p] = state.y_den_hist[1:].ravel()
-        rhs[-p:] = y_latest
-    return rhs
+        parts += [state.y_den_hist[1:].ravel(), y_latest]
+    return np.concatenate(parts)
 
 
 def solve_alpha(state: ControllerState, pre: Precomputed,
@@ -379,13 +376,13 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     ``|(H_alpha H_alpha^+ - I) rhs|`` comes from the offline map ``E_alpha``.
     """
     rhs = alpha_rhs(state, pre, y_latest)
-    alpha = pre.H_alpha_pinv @ rhs
-    r = pre.E_alpha @ rhs
+    alpha = pre.H_alpha_pinv.dot(rhs)
+    r = pre.E_alpha.dot(rhs)
     # Euclidean norms, as ``np.linalg.norm`` computes them; a residual
     # within FEAS_RTOL passes whatever the right-hand side's norm, so that
     # norm is taken only for a residual above it
-    res = math.sqrt(r @ r)
-    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(rhs @ rhs)):
+    res = math.sqrt(r.dot(r))
+    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(rhs.dot(rhs))):
         raise FeasibilityError(
             f"prediction coefficients infeasible (residual {res:.3e}); "
             "controller state is corrupted or the data assumptions fail"
@@ -405,12 +402,12 @@ def predict_and_descend(state: ControllerState, alpha: np.ndarray,
     prediction onto the steady-state set.
     """
     m = proj.m
-    z_hat = np.concatenate([state.z_s_prev[:m], pre.Y_ahead @ alpha])
+    z_hat = np.concatenate([state.z_s_prev[:m], pre.Y_ahead.dot(alpha)])
     if prev_cost is None:
         grad = np.zeros_like(z_hat)
     else:
         grad = prev_cost.grad(t_prev, z_hat)
-    z_s = proj.P @ (z_hat - gamma * grad)
+    z_s = proj.P.dot(z_hat - gamma * grad)
     return z_hat, z_s
 
 
@@ -428,12 +425,12 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     a, b, c = n * m, (2 * n + 1) * m, (2 * n + 1) * m + n * p
     g = np.zeros(c + n * p)
     target = z_s[pre.steady_index]
-    np.subtract(target[:b - a], pre.U_tail @ alpha, out=g[a:b])
-    np.subtract(target[b - a:], pre.Y_tail @ alpha, out=g[c:])
-    beta = pre.Q_tilde @ g
-    r = pre.E_beta @ g
-    res = math.sqrt(r @ r)          # the norms as in ``solve_alpha``
-    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(g @ g)):
+    np.subtract(target[:b - a], pre.U_tail.dot(alpha), out=g[a:b])
+    np.subtract(target[b - a:], pre.Y_tail.dot(alpha), out=g[c:])
+    beta = pre.Q_tilde.dot(g)
+    r = pre.E_beta.dot(g)
+    res = math.sqrt(r.dot(r))  # the norms as in ``solve_alpha``
+    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(g.dot(g))):
         raise FeasibilityError(
             f"steering correction infeasible (residual {res:.3e}); "
             "the prediction horizon may be shorter than the controllability "
@@ -452,7 +449,7 @@ def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
     """
     m, mu = pre.m, pre.mu
     coeff = alpha + beta
-    u_plan = (pre.U_plan @ coeff).reshape(mu + 1, m)
+    u_plan = pre.U_plan.dot(coeff).reshape(mu + 1, m)
     if y_latest is not None:
         state.y_den_hist[:-1] = state.y_den_hist[1:]
         state.y_den_hist[-1] = y_latest
@@ -525,7 +522,7 @@ class Controller:
         check_identities: verify the cross-step identities and the
             trajectory validity of the stored history every step
             (diagnostic runs; a checked step of the shipped thermal day
-            takes about 2.4 times as long as an unchecked one).
+            takes about 3 times as long as an unchecked one).
     """
 
     def __init__(self, config: ControllerConfig, data: Trajectory, *,
@@ -613,7 +610,7 @@ class Controller:
         u_t = advance(state, alpha, beta, z_s, pre, y_den)
 
         self.last = StepDiagnostics(
-            z_s=z_s, e_hat=e_hat, g_norm=math.sqrt(g @ g), alpha_residual=alpha_res,
+            z_s=z_s, e_hat=e_hat, g_norm=math.sqrt(g.dot(g)), alpha_residual=alpha_res,
             beta_residual=beta_res, identity_violation=violation,
             membership=membership)
         self.t += 1

@@ -106,10 +106,10 @@ class QuadraticTrackingCost(CostFunction):
 
     def eval(self, t: int, z: np.ndarray) -> float:
         d = z - self.target
-        return 0.5 * float(d @ self.H @ d)
+        return 0.5 * float(d.dot(self.H).dot(d))
 
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
-        return self.H @ (z - self.target)
+        return self.H.dot(z - self.target)
 
     def quadratic_terms(self, t: int):
         # a copy of H, so a caller that edits it cannot alter the cost
@@ -162,11 +162,12 @@ class QuadraticSoftplusCost(CostFunction):
 
     def eval(self, t: int, z: np.ndarray) -> float:
         d = z - self.target
-        return 0.5 * float(d @ self.H @ d) + self.c * float(np.logaddexp(0.0, self.a @ z))
+        return (0.5 * float(d.dot(self.H).dot(d))
+                + self.c * float(np.logaddexp(0.0, self.a.dot(z))))
 
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
-        s = _logistic(self.a @ z)
-        return self.H @ (z - self.target) + self.c * s * self.a
+        s = _logistic(self.a.dot(z))
+        return self.H.dot(z - self.target) + self.c * s * self.a
 
     def params_key(self, t: int):
         return "static"
@@ -272,12 +273,12 @@ class QuadraticScheduledCost(CostFunction):
         W, iw, sp = self.params_at(t)
         u, y = z[:self.m], z[self.m:]
         d = y - sp
-        return 0.5 * float(d @ W @ d) + 0.5 * iw * float(u @ u)
+        return 0.5 * float(d.dot(W).dot(d)) + 0.5 * iw * float(u.dot(u))
 
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
         W, iw, sp = self.params_at(t)
         u, y = z[:self.m], z[self.m:]
-        return np.concatenate([iw * u, W @ (y - sp)])
+        return np.concatenate([iw * u, W.dot(y - sp)])
 
     def quadratic_terms(self, t: int):
         H, g, c = self.stacked_quadratic_terms(np.array([t]))

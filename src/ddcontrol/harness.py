@@ -135,7 +135,7 @@ class NoiseSpec:
 
         def draw(t: int) -> tuple[np.ndarray, np.ndarray]:
             row = t - start
-            return E[row], (model.B @ Q[row] if through_b else Q[row])
+            return E[row], (model.B.dot(Q[row]) if through_b else Q[row])
 
         return draw
 

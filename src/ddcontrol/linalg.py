@@ -66,11 +66,6 @@ def lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return factor(M)[1] @ b
 
 
-def nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space, columns of the returned matrix."""
-    return factor(M, full=True)[2]
-
-
 def constrained_ridge_lstsq(
     M: np.ndarray,
     c: np.ndarray,

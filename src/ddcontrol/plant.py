@@ -89,9 +89,9 @@ def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
         raise ValueError(f"state must have shape ({model.n},), got {x.shape}")
     if u.shape != (model.m,):
         raise ValueError(f"input must have shape ({model.m},), got {u.shape}")
-    y = model.C @ x + model.D @ u
+    y = model.C.dot(x) + model.D.dot(u)
     y_meas = y if e is None else y + np.asarray(e, dtype=float)
-    x_next = model.A @ x + model.B @ u
+    x_next = model.A.dot(x) + model.B.dot(u)
     if q is not None:
         x_next = x_next + np.asarray(q, dtype=float)
     return x_next, y, y_meas

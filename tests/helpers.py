@@ -4,11 +4,17 @@ Everything here is implemented by a different route than the package code
 it checks: index loops instead of vectorized stacking, KKT systems instead
 of pseudoinverse formulas, finite differences instead of analytic
 gradients, and model-based steady-state maps instead of data-driven ones.
+The reference step at the end is the exception: it is the package's own
+per-step algebra with every product written as ``@``, so that a change to
+how the loop calls its products can be checked bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from ddcontrol.costs import CostFunction
+from ddcontrol.costs import (CostFunction, QuadraticScheduledCost,
+                             QuadraticSoftplusCost, _logistic)
 
 
 def hankel_by_index(z, L):
@@ -170,3 +176,70 @@ class SwitchingQuadraticCost(CostFunction):
             if t >= start:
                 idx = k
         return idx
+
+
+def reference_cost(cost, t, z):
+    """``(eval, grad)`` of a shipped cost, with its products written as ``@``."""
+    if isinstance(cost, QuadraticScheduledCost):
+        W, iw, sp = cost.params_at(t)
+        u, y = z[:cost.m], z[cost.m:]
+        d = y - sp
+        return (0.5 * float(d @ W @ d) + 0.5 * iw * float(u @ u),
+                np.concatenate([iw * u, W @ (y - sp)]))
+    d = z - cost.target
+    value, grad = 0.5 * float(d @ cost.H @ d), cost.H @ (z - cost.target)
+    if isinstance(cost, QuadraticSoftplusCost):
+        value += cost.c * float(np.logaddexp(0.0, cost.a @ z))
+        grad = grad + cost.c * _logistic(cost.a @ z) * cost.a
+    return value, grad
+
+
+def reference_plant_step(model, x, u, e, q):
+    """``plant.step`` with its products written as ``@``."""
+    y = model.C @ x + model.D @ u
+    return model.A @ x + model.B @ u + q, y, y + e
+
+
+def reference_step(state, pre, proj, gamma, t, y_meas, prev_cost):
+    """One ``Controller.step`` in the five stages' algebra, products as ``@``.
+
+    The same operands in the same order as the package's stages: the noise
+    estimate, the coefficient solve, the prediction and gradient step, the
+    steering solve and the commit. No feasibility check is made. Updates
+    ``state`` (a ``ControllerState``) in place and returns
+    ``(u, e_hat, z_s, g_norm, alpha_residual, beta_residual)``; ``e_hat``
+    is None at the first step.
+    """
+    n, mu, m, p = pre.n, pre.mu, pre.m, pre.p
+    e_hat = None
+    y_window = state.y_den_hist.ravel()
+    if y_meas is not None:
+        e_hat = y_meas - pre.Y_next @ state.coeff_prev
+        y_den = y_meas - e_hat
+        y_window = np.concatenate([state.y_den_hist[1:].ravel(), y_den])
+    rhs = np.concatenate([state.u_hist.ravel(), state.u_pred.ravel()[m:],
+                          np.tile(state.z_s_prev[:m], n + 1), y_window])
+    alpha = pre.H_alpha_pinv @ rhs
+    r = pre.E_alpha @ rhs
+    alpha_res = math.sqrt(r @ r)
+
+    z_hat = np.concatenate([state.z_s_prev[:m], pre.Y_ahead @ alpha])
+    grad = np.zeros_like(z_hat) if prev_cost is None \
+        else reference_cost(prev_cost, t - 1, z_hat)[1]
+    z_s = proj.P @ (z_hat - gamma * grad)
+
+    a, b, c = n * m, (2 * n + 1) * m, (2 * n + 1) * m + n * p
+    g = np.zeros(c + n * p)
+    g[a:b] = np.tile(z_s[:m], n + 1) - pre.U_tail @ alpha
+    g[c:] = np.tile(z_s[m:], n) - pre.Y_tail @ alpha
+    beta = pre.Q_tilde @ g
+    r = pre.E_beta @ g
+    beta_res = math.sqrt(r @ r)
+
+    coeff = alpha + beta
+    u_plan = (pre.U_plan @ coeff).reshape(mu + 1, m)
+    if y_meas is not None:
+        state.y_den_hist = np.vstack([state.y_den_hist[1:], y_den])
+    state.u_hist = np.vstack([state.u_hist[1:], u_plan[:1]])
+    state.u_pred, state.z_s_prev, state.coeff_prev = u_plan, z_s, coeff
+    return u_plan[0].copy(), e_hat, z_s, math.sqrt(g @ g), alpha_res, beta_res

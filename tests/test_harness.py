@@ -1,3 +1,5 @@
+import ast
+import copy
 import csv
 import importlib.util
 import json
@@ -11,15 +13,17 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ddcontrol.behavioral import Trajectory
-from ddcontrol.controller import ControllerConfig
-from ddcontrol.costs import (CostFunction, QuadraticTrackingCost,
-                             hvac_cost_schedule)
+from ddcontrol.controller import Controller, ControllerConfig
+from ddcontrol.costs import (CostFunction, QuadraticSoftplusCost,
+                             QuadraticTrackingCost, hvac_cost_schedule)
 from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
                                NoiseSpec, OfflineSpec, PlantSpec, cli_main,
                                demo_siso_config, run_experiment,
                                shipped_config_path)
 from ddcontrol.errors import PersistencyError
-from ddcontrol.plant import NoiseModel, random_system
+from ddcontrol.plant import NoiseModel, collect_offline_data, random_system, step
+
+from helpers import reference_cost, reference_plant_step, reference_step
 
 
 @pytest.fixture()
@@ -265,6 +269,139 @@ def test_regularized_first_step_solves_like_every_step(monkeypatch, small_config
     run_experiment(small_config)
     assert len(calls) == small_config.horizon + 1
     assert calls[0] is None
+
+
+def _side_by_side(config, steps, cost=None):
+    """Per-step values of a package closed loop and of the reference one.
+
+    Both loops start from the controller's own initialization and take the
+    same noise; the package side runs ``Controller.step``, ``plant.step``
+    and ``cost.eval``, the reference side their ``@`` forms from
+    ``helpers``, each on its own plant state.
+    """
+    model, x0, config_cost, cc, draw, _ = config.build()
+    cost = config_cost if cost is None else cost
+    data = collect_offline_data(
+        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        input_box=(config.offline.input_low, config.offline.input_high),
+        seed=config.offline.seed)
+    ctrl = Controller(cc, data)
+    x = x0.copy()
+    first = np.empty((cc.n, model.p))
+    for k in range(cc.n):
+        e, q = draw(k - cc.n)
+        x, _, first[k] = step(model, x, np.zeros(model.m), e, q)
+    ctrl.start(first)
+    ref, x_ref = copy.deepcopy(ctrl.state), x.copy()
+    package, reference = [], []
+    y_meas = y_meas_ref = revealed = None
+    for t in range(steps):
+        u = ctrl.step(y_meas=y_meas, prev_cost=revealed)
+        d = ctrl.last
+        u_ref, *diag = reference_step(ref, ctrl.pre, ctrl.projector, cc.gamma, t,
+                                      y_meas_ref, revealed)
+        e, q = draw(t)
+        x, y, y_meas = step(model, x, u, e, q)
+        x_ref, y_ref, y_meas_ref = reference_plant_step(model, x_ref, u_ref, e, q)
+        package.append((u, d.e_hat, d.z_s, d.g_norm, d.alpha_residual,
+                        d.beta_residual, y, cost.eval(t, np.concatenate([u, y]))))
+        reference.append((u_ref, *diag, y_ref,
+                          reference_cost(cost, t, np.concatenate([u_ref, y_ref]))[0]))
+        revealed = cost
+    return package, reference
+
+
+def _quick_start_config():
+    # the README quick start, with measurement noise so the estimate moves
+    return ExperimentConfig(
+        plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]]),
+        noise=NoiseSpec(seed=4, measurement={"low": -0.05, "high": 0.05}),
+        controller=ControllerConfig(gamma=0.3, mu=2, n=1),
+        cost=CostSpec(type="quadratic", params={"H": [[2.0, 0.0], [0.0, 1.0]],
+                                                "target": [0.0, 1.0]}),
+        offline=OfflineSpec(N=60, seed=3),
+        horizon=300,
+    )
+
+
+def _regularized_siso_config():
+    config = demo_siso_config()
+    config.controller = replace(config.controller, init_mode="regularized",
+                                lambda_init=0.1)
+    config.noise.process = {"low": -0.05, "high": 0.05, "through_input_matrix": True}
+    return config
+
+
+def _random_softplus_setup():
+    rng = np.random.default_rng(23)
+    config = random_plant_config(rng, 3, 2, 2, seed=23)
+    config.horizon = 300
+    config.controller = replace(config.controller, gamma=0.2)
+    cost = QuadraticSoftplusCost(H=np.eye(4), target=rng.normal(size=4),
+                                 a=rng.normal(size=4), c=0.5)
+    return config, cost
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: (_quick_start_config(), None),
+    lambda: (ExperimentConfig.from_json(shipped_config_path()), None),
+    lambda: (_regularized_siso_config(), None),
+    _random_softplus_setup,
+], ids=["quick_start", "thermal_day", "regularized_siso", "random_n3_softplus"])
+def test_step_matches_the_reference_algebra_bit_for_bit(setup):
+    # the loop's products may change call form, never rounding: every value
+    # a step reports equals the five stages' algebra with ``@`` exactly
+    config, cost = setup()
+    package, reference = _side_by_side(config, 300, cost)
+    names = ("u", "e_hat", "z_s", "g_norm", "alpha_residual", "beta_residual",
+             "y", "cost")
+    for i, name in enumerate(names):
+        first = 1 if name == "e_hat" else 0     # no estimate at the first step
+        ours = np.array([row[i] for row in package[first:]])
+        theirs = np.array([row[i] for row in reference[first:]])
+        assert ours.shape == theirs.shape, name
+        differ = np.flatnonzero([not np.array_equal(a, b) for a, b in zip(ours, theirs)])
+        assert differ.size == 0, f"{name} first differs at step {first + differ[0]}"
+    assert np.ptp([row[0] for row in package]) > 0.1     # the loop did move
+
+
+#: the functions that run on every closed-loop step, by module
+_PER_STEP_FUNCTIONS = {
+    "controller.py": ("estimate_noise", "alpha_rhs", "solve_alpha",
+                      "predict_and_descend", "solve_beta", "advance",
+                      "Controller.step"),
+    "costs.py": tuple(f"{cls}.{method}"
+                      for cls in ("QuadraticTrackingCost", "QuadraticSoftplusCost",
+                                  "QuadraticScheduledCost")
+                      for method in ("eval", "grad")),
+    "plant.py": ("step",),
+    "harness.py": ("NoiseSpec.build.draw",),
+}
+
+
+def test_per_step_products_call_ndarray_dot():
+    # ``A.dot(x)`` reaches the same BLAS call as ``A @ x`` without the
+    # matmul gufunc's dispatch, which is most of a small product's cost;
+    # only the benchmark would notice an ``@`` creeping back in
+    src = Path(__file__).resolve().parents[1] / "src" / "ddcontrol"
+    for module, names in _PER_STEP_FUNCTIONS.items():
+        defs = {}
+
+        def collect(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    defs[prefix + child.name] = child
+                    collect(child, prefix + child.name + ".")
+                else:
+                    collect(child, prefix)
+
+        collect(ast.parse((src / module).read_text()), "")
+        for name in names:
+            assert name in defs, f"{module}: {name} is gone"
+            matmul = [node.lineno for node in ast.walk(defs[name])
+                      if isinstance(getattr(node, "op", None), ast.MatMult)
+                      or (isinstance(node, ast.Attribute) and node.attr == "matmul")]
+            assert not matmul, f"{module}: {name} multiplies with @ on lines {matmul}"
 
 
 def _load_perfbench(name: str):

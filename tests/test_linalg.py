@@ -9,7 +9,7 @@ from ddcontrol.behavioral import build_hankel, build_hankel_set
 from ddcontrol.errors import FeasibilityError
 from ddcontrol.harness import ExperimentConfig, shipped_config_path
 from ddcontrol.linalg import (RANK_RTOL, constrained_ridge_lstsq, factor,
-                              lstsq, nullspace, numerical_rank, pinv)
+                              lstsq, numerical_rank, pinv)
 from ddcontrol.plant import collect_offline_data
 
 from helpers import constrained_ls_kkt, rank_by_svd
@@ -48,7 +48,7 @@ def test_pinv_discards_projector_noise():
 def test_nullspace_is_orthonormal_kernel():
     rng = np.random.default_rng(3)
     M = rng.normal(size=(4, 7))
-    Z = nullspace(M)
+    Z = factor(M, full=True)[2]
     assert Z.shape == (7, 3)
     assert_allclose(Z.T @ Z, np.eye(3), atol=1e-12)
     assert np.linalg.norm(M @ Z) <= 1e-12
@@ -60,7 +60,7 @@ def test_lstsq_minimum_norm():
     b = rng.normal(size=3)
     x = lstsq(M, b)
     assert_allclose(M @ x, b, atol=1e-10)
-    Z = nullspace(M)
+    Z = factor(M, full=True)[2]
     assert np.linalg.norm(Z.T @ x) <= 1e-10    # no kernel component
 
 
