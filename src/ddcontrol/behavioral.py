@@ -5,8 +5,7 @@ matrices, spans every trajectory of that system once the input is
 persistently exciting of sufficient order. This module provides the
 containers (Trajectory, HankelMatrix, HankelSet), the excitation check,
 and a least-squares membership test certifying whether a candidate
-window could have been produced by the same system (``WindowSpan``
-keeps its factor for repeated tests against one record).
+window could have been produced by the same system.
 
 Indexing conventions: sequence time indices are 0-based everywhere;
 block rows of a Hankel matrix are 1-based (``block_rows(H, a, b)``
@@ -140,25 +139,6 @@ def persistency_check(u: np.ndarray, L: int) -> bool:
     return numerical_rank(build_hankel(u, L).entries) == m * L
 
 
-class WindowSpan:
-    """The length-L windows of a data record, stacked and factored once.
-
-    ``H`` is ``[H_L(u_d); H_L(y_d)]`` and ``H_pinv`` its pseudoinverse;
-    ``residual`` is the residual of ``membership_residual`` for a
-    candidate of length L, so a caller testing many windows against one
-    record factors it once.
-    """
-
-    def __init__(self, data: Trajectory, L: int):
-        self.H = np.vstack([build_hankel(data.inputs, L).entries,
-                            build_hankel(data.outputs, L).entries])
-        self.H_pinv = pinv(self.H)
-
-    def residual(self, candidate: Trajectory) -> float:
-        rhs = np.concatenate([candidate.inputs.ravel(), candidate.outputs.ravel()])
-        return float(np.linalg.norm(self.H @ (self.H_pinv @ rhs) - rhs))
-
-
 def membership_residual(data: Trajectory, candidate: Trajectory,
                         n: int | None = None) -> float:
     """Least-squares residual of expressing a candidate window in the data.
@@ -179,7 +159,10 @@ def membership_residual(data: Trajectory, candidate: Trajectory,
         raise PersistencyError(
             f"data input is not persistently exciting of order L+n = {L + n}"
         )
-    return WindowSpan(data, L).residual(candidate)
+    H = np.vstack([build_hankel(data.inputs, L).entries,
+                   build_hankel(data.outputs, L).entries])
+    rhs = np.concatenate([candidate.inputs.ravel(), candidate.outputs.ravel()])
+    return float(np.linalg.norm(H @ (pinv(H) @ rhs) - rhs))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import linalg
-from .behavioral import (HankelSet, Trajectory, WindowSpan, block_rows,
-                         persistency_check)
+from .behavioral import HankelSet, Trajectory, block_rows, persistency_check
 from .costs import CostFunction
 from .errors import FeasibilityError, PersistencyError
 from .steady_state import SteadyStateProjector
@@ -370,7 +369,9 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     Any feasible coefficient vector yields the same predicted outputs, so
     the pseudoinverse solution is chosen for numerical stability. A
     residual above tolerance means the state no longer encodes a valid
-    trajectory (corrupted state or violated excitation assumptions).
+    trajectory (corrupted state or violated excitation assumptions); the
+    stored window is part of the right-hand side, so its distance from the
+    record's windows is at most this residual.
     ``y_latest`` is the newest denoised output, not yet in the state (see
     ``alpha_rhs``). Returns ``(alpha, residual)``, where the residual
     ``|(H_alpha H_alpha^+ - I) rhs|`` comes from the offline map ``E_alpha``.
@@ -470,36 +471,6 @@ class StepDiagnostics:
     g_norm: float
     alpha_residual: float
     beta_residual: float
-    identity_violation: float | None = None
-    membership: float | None = None
-
-
-def _step_identities(hankels: HankelSet, alpha: np.ndarray,
-                     coeff_prev: np.ndarray, coeff_new: np.ndarray,
-                     z_s: np.ndarray) -> float:
-    """Max violation of the four cross-step consistency identities.
-
-    Consecutive coefficient vectors must agree on the shifted
-    initialization window, on the shifted input plan, on the overlapping
-    output predictions, and the committed coefficients must hold the
-    terminal window at the new equilibrium. All four are exact identities
-    of the algorithm's own linear algebra.
-    """
-    U, Y, n, mu = hankels.U, hankels.Y, hankels.n, hankels.mu
-    m = hankels.m
-    same_init = max(
-        np.abs(block_rows(U, 1, n) @ alpha
-               - block_rows(U, 2, n + 1) @ coeff_prev).max(initial=0.0),
-        np.abs(block_rows(Y, 1, n) @ alpha
-               - block_rows(Y, 2, n + 1) @ coeff_prev).max(initial=0.0),
-    )
-    same_input = np.abs(block_rows(U, n + 1, 2 * n + mu) @ alpha
-                        - block_rows(U, n + 2, 2 * n + mu + 1) @ coeff_prev).max()
-    pred_rec = np.abs(block_rows(Y, n + 1, 2 * n + mu) @ alpha
-                      - block_rows(Y, n + 2, 2 * n + mu + 1) @ coeff_prev).max()
-    terminal = np.abs(block_rows(Y, n + mu + 1, 2 * n + mu + 1) @ coeff_new
-                      - np.tile(z_s[m:], n + 1)).max()
-    return float(max(same_init, same_input, pred_rec, terminal))
 
 
 class Controller:
@@ -519,19 +490,11 @@ class Controller:
     Args:
         config: tuning knobs.
         data: offline record with noise-free outputs.
-        check_identities: verify the cross-step identities and the
-            trajectory validity of the stored history every step
-            (diagnostic runs; a checked step of the shipped thermal day
-            takes about 3 times as long as an unchecked one).
     """
 
-    def __init__(self, config: ControllerConfig, data: Trajectory, *,
-                 check_identities: bool = False):
+    def __init__(self, config: ControllerConfig, data: Trajectory):
         self.config = config
         self.pre, self.projector = _offline_factors(config, data)
-        self.check_identities = check_identities
-        # the stored history is tested against the record's depth-n windows
-        self._window = WindowSpan(data, config.n) if check_identities else None
         self.state: ControllerState | None = None
         self.t = 0
         self.last: StepDiagnostics | None = None
@@ -592,26 +555,9 @@ class Controller:
             state, alpha, pre, prev_cost, self.t - 1,
             self.projector, self.config.gamma)
         beta, g, beta_res = solve_beta(alpha, z_s, pre)
-        violation = membership = None
-        if self.check_identities:
-            if state.coeff_prev is not None:
-                violation = _step_identities(
-                    pre, alpha, state.coeff_prev, alpha + beta, z_s)
-            # the window this step solved with: inputs and outputs end at t-1
-            y_window = state.y_den_hist if y_den is None \
-                else np.vstack([state.y_den_hist[1:], y_den])
-            hist = Trajectory(state.u_hist, y_window)
-            membership = self._window.residual(hist)
-            if membership > FEAS_RTOL * (1.0 + float(np.linalg.norm(hist.stacked()))):
-                raise FeasibilityError(
-                    f"stored history is no longer a valid trajectory "
-                    f"(residual {membership:.3e}) at step {self.t}"
-                )
         u_t = advance(state, alpha, beta, z_s, pre, y_den)
 
-        self.last = StepDiagnostics(
-            z_s=z_s, e_hat=e_hat, g_norm=math.sqrt(g.dot(g)), alpha_residual=alpha_res,
-            beta_residual=beta_res, identity_violation=violation,
-            membership=membership)
+        self.last = StepDiagnostics(z_s=z_s, e_hat=e_hat, g_norm=math.sqrt(g.dot(g)),
+                                    alpha_residual=alpha_res, beta_residual=beta_res)
         self.t += 1
         return u_t

@@ -212,6 +212,10 @@ class ExperimentConfig:
         its excitation and its factors) is checked when the run collects it.
         """
         try:
+            for name, count in (("horizon", self.horizon), ("offline.N", self.offline.N),
+                                ("offline.seed", self.offline.seed)):
+                if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                    raise ConfigError(f"{name} must be an integer, got {count!r}")
             if self.horizon < 0:
                 raise ConfigError("horizon must be at least 0")
             if self.offline.input_low > self.offline.input_high:
@@ -258,7 +262,7 @@ class ExperimentConfig:
                     **{**_CONTROLLER_DEFAULTS, **d.get("controller", {})}),
                 cost=CostSpec(**d.get("cost", {})),
                 offline=OfflineSpec(**d.get("offline", {})),
-                horizon=int(d.get("horizon", 100)),
+                horizon=d.get("horizon", 100),
                 output_dir=d.get("output_dir"),
             )
         except (TypeError, ValueError) as exc:
@@ -298,8 +302,7 @@ def shipped_config_path(name: str = "hvac_day") -> Path:
 def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                    out_dir=None, mu: int | None = None,
                    gamma: float | None = None,
-                   cost: CostFunction | None = None,
-                   check_identities: bool = False):
+                   cost: CostFunction | None = None):
     """Execute one closed-loop experiment.
 
     Per step the runner (1) asks the controller for an input without
@@ -329,7 +332,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
 
     cost = cost if cost is not None else config_cost
     check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
-    controller = Controller(cc, data, check_identities=check_identities)
+    controller = Controller(cc, data)
 
     # warmup: the plant runs uncontrolled (zero input) for the first n
     # steps while the controller only listens
@@ -351,7 +354,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     gnorm_log = np.empty(T + 1)
     ares_log = np.empty(T + 1)
     bres_log = np.empty(T + 1)
-    max_violation = max_membership = 0.0
     z_s_init = np.zeros(model.m + model.p)
 
     y_meas_prev = None
@@ -372,9 +374,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         zs_log[t] = d.z_s
         gnorm_log[t], ares_log[t], bres_log[t] = (
             d.g_norm, d.alpha_residual, d.beta_residual)
-        if check_identities:
-            max_violation = max(max_violation, d.identity_violation or 0.0)
-            max_membership = max(max_membership, d.membership)
         cost_log[t] = cost.eval(t, uy)
         y_meas_prev = y_meas
     ehat_log[T] = controller.noise_estimate(y_meas_prev)
@@ -396,9 +395,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                        opt_cost=opt_log, z_s_init=z_s_init, e_true=etrue_log,
                        g_norm=gnorm_log, alpha_residual=ares_log,
                        beta_residual=bres_log)
-    if check_identities:
-        record.extras["max_identity_violation"] = max_violation
-        record.extras["max_membership_residual"] = max_membership
     summary = metrics.summarize(record, seed=run_seed, gamma=cc.gamma, mu=cc.mu)
     summary["accumulated_cost"] = float(cost_log.sum())
 

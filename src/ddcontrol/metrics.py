@@ -5,7 +5,7 @@ they never touch the controller or the plant.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class RunRecord:
     g_norm: np.ndarray
     alpha_residual: np.ndarray
     beta_residual: np.ndarray
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         T1 = len(self.u)

@@ -3,7 +3,6 @@ from collections import OrderedDict
 import pytest
 
 from ddcontrol.behavioral import Trajectory
-from ddcontrol.controller import Controller, ControllerConfig
 from ddcontrol.plant import PlantModel, collect_offline_data
 
 
@@ -17,12 +16,6 @@ def siso_model():
 def siso_data(siso_model) -> Trajectory:
     # excitation order covers n = 1 with horizons up to mu = 2
     return collect_offline_data(siso_model, 60, pe_order=6, seed=3)
-
-
-@pytest.fixture()
-def siso_controller(siso_data):
-    cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
-    return Controller(cfg, siso_data, check_identities=True)
 
 
 @pytest.fixture()

@@ -6,15 +6,22 @@ of pseudoinverse formulas, finite differences instead of analytic
 gradients, and model-based steady-state maps instead of data-driven ones.
 The reference step at the end is the exception: it is the package's own
 per-step algebra with every product written as ``@``, so that a change to
-how the loop calls its products can be checked bit for bit.
+how the loop calls its products can be checked bit for bit. The
+cross-step identities of that algebra, and the membership of each window
+a step solves with, are checked on a closed loop by ``checked_run``.
 """
 
+import copy
 import math
+from collections import namedtuple
 
 import numpy as np
 
+from ddcontrol.behavioral import Trajectory, block_rows, membership_residual
+from ddcontrol.controller import Controller
 from ddcontrol.costs import (CostFunction, QuadraticScheduledCost,
                              QuadraticSoftplusCost, _logistic)
+from ddcontrol.plant import collect_offline_data, step
 
 
 def hankel_by_index(z, L):
@@ -200,18 +207,14 @@ def reference_plant_step(model, x, u, e, q):
     return model.A @ x + model.B @ u + q, y, y + e
 
 
-def reference_step(state, pre, proj, gamma, t, y_meas, prev_cost):
-    """One ``Controller.step`` in the five stages' algebra, products as ``@``.
+def reference_solves(state, pre, proj, gamma, t, y_meas, prev_cost):
+    """The reference step up to its commit; ``state`` is only read.
 
-    The same operands in the same order as the package's stages: the noise
-    estimate, the coefficient solve, the prediction and gradient step, the
-    steering solve and the commit. No feasibility check is made. Updates
-    ``state`` (a ``ControllerState``) in place and returns
-    ``(u, e_hat, z_s, g_norm, alpha_residual, beta_residual)``; ``e_hat``
-    is None at the first step.
+    Returns ``(e_hat, y_den, alpha, alpha_residual, z_s, g, beta,
+    beta_residual)``; ``e_hat`` and ``y_den`` are None at the first step.
     """
-    n, mu, m, p = pre.n, pre.mu, pre.m, pre.p
-    e_hat = None
+    n, m, p = pre.n, pre.m, pre.p
+    e_hat = y_den = None
     y_window = state.y_den_hist.ravel()
     if y_meas is not None:
         e_hat = y_meas - pre.Y_next @ state.coeff_prev
@@ -234,12 +237,117 @@ def reference_step(state, pre, proj, gamma, t, y_meas, prev_cost):
     g[c:] = np.tile(z_s[m:], n) - pre.Y_tail @ alpha
     beta = pre.Q_tilde @ g
     r = pre.E_beta @ g
-    beta_res = math.sqrt(r @ r)
+    return e_hat, y_den, alpha, alpha_res, z_s, g, beta, math.sqrt(r @ r)
 
-    coeff = alpha + beta
-    u_plan = (pre.U_plan @ coeff).reshape(mu + 1, m)
-    if y_meas is not None:
+
+def reference_commit(state, pre, y_den, coeff, z_s):
+    """The reference step's commit: shift ``state`` in place, return the input."""
+    u_plan = (pre.U_plan @ coeff).reshape(pre.mu + 1, pre.m)
+    if y_den is not None:
         state.y_den_hist = np.vstack([state.y_den_hist[1:], y_den])
     state.u_hist = np.vstack([state.u_hist[1:], u_plan[:1]])
     state.u_pred, state.z_s_prev, state.coeff_prev = u_plan, z_s, coeff
-    return u_plan[0].copy(), e_hat, z_s, math.sqrt(g @ g), alpha_res, beta_res
+    return u_plan[0].copy()
+
+
+def reference_step(state, pre, proj, gamma, t, y_meas, prev_cost):
+    """One ``Controller.step`` in the five stages' algebra, products as ``@``.
+
+    The same operands in the same order as the package's stages: the noise
+    estimate, the coefficient solve, the prediction and gradient step, the
+    steering solve and the commit. No feasibility check is made. Updates
+    ``state`` (a ``ControllerState``) in place and returns
+    ``(u, e_hat, z_s, g_norm, alpha_residual, beta_residual)``; ``e_hat``
+    is None at the first step.
+    """
+    e_hat, y_den, alpha, alpha_res, z_s, g, beta, beta_res = reference_solves(
+        state, pre, proj, gamma, t, y_meas, prev_cost)
+    u = reference_commit(state, pre, y_den, alpha + beta, z_s)
+    return u, e_hat, z_s, math.sqrt(g @ g), alpha_res, beta_res
+
+
+def step_identities(pre, alpha, coeff_prev, coeff_new, z_s):
+    """Largest violation of the four cross-step identities of the step's algebra.
+
+    Consecutive coefficient vectors agree on the shifted initialization
+    window, on the shifted input plan and on the overlapping output
+    predictions, and the committed coefficients hold the terminal window
+    at the new equilibrium.
+    """
+    U, Y, n, mu, m = pre.U, pre.Y, pre.n, pre.mu, pre.m
+
+    def shifted(H, a, b):
+        # blocks a..b of alpha against blocks a+1..b+1 of the last coefficients
+        return np.abs(block_rows(H, a, b) @ alpha
+                      - block_rows(H, a + 1, b + 1) @ coeff_prev).max()
+
+    terminal = np.abs(block_rows(Y, n + mu + 1, 2 * n + mu + 1) @ coeff_new
+                      - np.tile(z_s[m:], n + 1)).max()
+    return float(max(shifted(U, 1, n), shifted(Y, 1, n),
+                     shifted(U, n + 1, 2 * n + mu), shifted(Y, n + 1, 2 * n + mu),
+                     terminal))
+
+
+def identity_bound(pre):
+    """Round-off bound on ``step_identities``: 1000 eps cond_r.
+
+    The identities hold exactly in exact arithmetic. In floating point each
+    is a solve residual, which a backward-stable solve keeps within a few
+    eps cond_r of the right-hand side's size; cond_r = sigma_1/sigma_r is
+    taken of H_alpha or H_beta, whichever is the larger.
+    """
+    return 1000 * np.finfo(float).eps * max(_cond_r(pre.H_alpha), _cond_r(pre.H_beta))
+
+
+def _cond_r(M):
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[0] / s[rank_by_svd(M) - 1]
+
+
+CheckedRun = namedtuple("CheckedRun", "violation membership bound")
+
+
+def checked_run(config):
+    """The closed loop of ``config`` with the per-step identities checked.
+
+    Drives ``Controller.step`` and the reference algebra side by side from
+    the controller's own initialization, on one plant, and requires the
+    two to commit the same coefficients bit for bit at every step. Returns
+    the largest ``step_identities`` violation, taken on the reference's
+    alpha, beta and coefficients; the largest ``membership_residual`` of
+    the window each of the controller's steps solved with; and
+    ``identity_bound`` of the record.
+    """
+    model, x, cost, cc, draw, _ = config.build()
+    data = collect_offline_data(
+        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        input_box=(config.offline.input_low, config.offline.input_high),
+        seed=config.offline.seed)
+    ctrl = Controller(cc, data)
+    first = np.empty((cc.n, model.p))
+    for k in range(cc.n):
+        e, q = draw(k - cc.n)
+        x, _, first[k] = step(model, x, np.zeros(model.m), e, q)
+    ctrl.start(first)
+    ref = copy.deepcopy(ctrl.state)
+    violation = membership = 0.0
+    y_meas = revealed = None
+    for t in range(config.horizon + 1):
+        u_window = ctrl.state.u_hist.copy()
+        u = ctrl.step(y_meas=y_meas, prev_cost=revealed)
+        # the step solved with the inputs before it and the outputs it committed
+        membership = max(membership, membership_residual(
+            data, Trajectory(u_window, ctrl.state.y_den_hist)))
+        coeff_prev = ref.coeff_prev
+        _, y_den, alpha, _, z_s, _, beta, _ = reference_solves(
+            ref, ctrl.pre, ctrl.projector, cc.gamma, t, y_meas, revealed)
+        if coeff_prev is not None:
+            violation = max(violation, step_identities(
+                ctrl.pre, alpha, coeff_prev, alpha + beta, z_s))
+        reference_commit(ref, ctrl.pre, y_den, alpha + beta, z_s)
+        assert np.array_equal(ref.coeff_prev, ctrl.state.coeff_prev), \
+            f"step {t} left the reference algebra"
+        e, q = draw(t)
+        x, _, y_meas = step(model, x, u, e, q)
+        revealed = cost
+    return CheckedRun(violation, membership, identity_bound(ctrl.pre))

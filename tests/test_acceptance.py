@@ -23,8 +23,8 @@ from ddcontrol.metrics import noise_error_series, regret
 from ddcontrol.plant import collect_offline_data, random_system, simulate
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import (SwitchingQuadraticCost, min_seminorm_qp, model_steady_state,
-                     q_weight)
+from helpers import (SwitchingQuadraticCost, checked_run, min_seminorm_qp,
+                     model_steady_state, q_weight)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -122,9 +122,7 @@ def test_criterion_3_per_step_identities():
         offline=OfflineSpec(N=60, seed=3),
         horizon=500,
     )
-    record, _ = run_experiment(config, check_identities=True)
-    viol = record.extras["max_identity_violation"]
-    memb = record.extras["max_membership_residual"]
+    viol, memb, _ = checked_run(config)
     ok = viol <= 1e-7 and memb <= 1e-7
     report(3, "cross-step plan consistency identities", ok,
            f"(max violation {viol:.2e}, membership {memb:.2e})")

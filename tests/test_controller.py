@@ -18,8 +18,8 @@ from ddcontrol.linalg import factor
 from ddcontrol.plant import collect_offline_data, random_system, simulate, step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import (constrained_ls_kkt, kernel_basis_q_tilde, min_seminorm_qp,
-                     q_weight, rank_by_svd)
+from helpers import (checked_run, constrained_ls_kkt, kernel_basis_q_tilde,
+                     min_seminorm_qp, q_weight, rank_by_svd)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +300,65 @@ def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
     assert np.all(np.abs(logged - want) <= 1e-12 * (1.0 + scale))
 
 
+#: round-off allowance of the membership bound below. The two residuals
+#: come from different products (``E_alpha`` against a fresh factor of the
+#: depth-n windows), and the membership residual exceeded the logged one
+#: by at most 8.2e-15, on the thermal record
+MEMBERSHIP_SLACK = 1e-13
+
+
+@pytest.mark.parametrize("plant", ["thermal", (2, 1, 2), (3, 2, 2), (4, 1, 3), (5, 2, 2)],
+                         ids=["thermal", "n2", "n3", "n4", "n5"])
+def test_window_membership_is_bounded_by_the_alpha_residual(monkeypatch, plant):
+    # the window a step solves with, its past inputs and denoised outputs,
+    # is part of the alpha solve's right-hand side, and the record's
+    # depth-n windows include H_alpha's columns. So the window's membership
+    # residual is at most the alpha residual, which every step checks and
+    # logs. The stored outputs are nudged by 1e-9 each step, as in
+    # ``test_residual_maps_equal_fresh_residuals``, so that both residuals
+    # sit above round-off
+    import ddcontrol.controller as ctrl_module
+    from ddcontrol.behavioral import membership_residual
+    from ddcontrol.harness import ExperimentConfig, shipped_config_path
+
+    rng = np.random.default_rng(17)
+    if plant == "thermal":
+        config = ExperimentConfig.from_json(shipped_config_path())
+        cc = config.controller
+        model, x0 = config.plant.build()
+        data = collect_offline_data(
+            model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+            input_box=(config.offline.input_low, config.offline.input_high),
+            seed=config.offline.seed)
+        cost = config.cost.build(model.m, model.p)
+    else:
+        n, m, p = plant
+        model = random_system(rng, n, m, p)
+        order = 3 * n + n + 1                  # excitation order at mu = n
+        data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+        cc = ControllerConfig(gamma=0.2, mu=n, n=n, q_mode="identity")
+        cost = QuadraticTrackingCost(H=np.eye(m + p), target=rng.normal(size=m + p))
+        x0 = rng.normal(size=n)
+    ctrl = Controller(cc, data)
+    real_solve_alpha, windows = ctrl_module.solve_alpha, []
+
+    def nudged_solve_alpha(state, pre, y_latest=None):
+        state.y_den_hist += 1e-9 * rng.normal(size=state.y_den_hist.shape)
+        y_window = state.y_den_hist.copy() if y_latest is None \
+            else np.vstack([state.y_den_hist[1:], y_latest])
+        windows.append(Trajectory(state.u_hist.copy(), y_window))
+        return real_solve_alpha(state, pre, y_latest)
+
+    monkeypatch.setattr(ctrl_module, "solve_alpha", nudged_solve_alpha)
+    *_, steps = run_closed_loop(model, ctrl, cost, 40, x0)
+    membership = np.array([membership_residual(data, w) for w in windows])
+    logged = np.array([d.alpha_residual for d in steps])
+    assert len(membership) == len(logged) == 41
+    assert membership.min() > 1e-11
+    assert np.all(membership <= logged + MEMBERSHIP_SLACK), \
+        np.max(membership - logged)
+
+
 def test_precompute_refuses_unknown_q_mode(siso_data):
     assert Q_MODES == ("identity", "identity+future_inputs")
     with pytest.raises(ValueError, match="unknown q_mode 'bogus'"):
@@ -534,16 +593,22 @@ def test_gathers_match_a_tiled_assembly(monkeypatch, n, m, p):
 
 # ---------------------------------------------------------------- closed loop
 
-def test_per_step_identities_hold_in_closed_loop(siso_model, siso_data):
-    cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
-    ctrl = Controller(cfg, siso_data, check_identities=True)
-    cost = QuadraticTrackingCost(H=np.diag([2.0, 1.0]), target=np.array([0.5, 0.6]))
-    _, _, _, steps = run_closed_loop(siso_model, ctrl, cost, 60, np.array([0.4]))
-    viol = [d.identity_violation for d in steps
-            if d.identity_violation is not None]
-    memb = [d.membership for d in steps]
-    assert max(viol) <= 1e-8
-    assert max(memb) <= 1e-8
+def test_per_step_identities_hold_in_closed_loop():
+    # the reference plant and record of ``siso_model`` and ``siso_data``
+    from ddcontrol.harness import (CostSpec, ExperimentConfig, OfflineSpec,
+                                   PlantSpec)
+
+    config = ExperimentConfig(
+        plant=PlantSpec(type="matrices", A=[[0.5]], B=[[1.0]], C=[[1.0]],
+                        D=[[0.0]], initial_state=[0.4]),
+        controller=ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity"),
+        cost=CostSpec(type="quadratic", params={"H": [[2.0, 0.0], [0.0, 1.0]],
+                                                "target": [0.5, 0.6]}),
+        offline=OfflineSpec(N=60, seed=3),
+        horizon=60)
+    run = checked_run(config)
+    assert run.violation <= run.bound
+    assert run.membership <= 1e-8
 
 
 def test_steady_state_fixed_point_no_drift(siso_model, siso_data):
@@ -818,66 +883,6 @@ def test_step_does_no_matrix_factorization(monkeypatch, siso_model, siso_data):
         x, _, ym = step(siso_model, x, u)
         revealed = cost
         prev = ym
-
-
-@pytest.fixture(scope="module")
-def checked_thermal_run():
-    """40 checked steps of the shipped thermal day, counting ``linalg.factor``
-    calls inside ``step``; returns the count, the recorded membership
-    residuals and the windows they were taken on."""
-    from ddcontrol import linalg
-    from ddcontrol.harness import ExperimentConfig, shipped_config_path
-
-    config = ExperimentConfig.from_json(shipped_config_path())
-    cc = config.controller
-    model, x = config.plant.build()
-    data = collect_offline_data(model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
-                                seed=config.offline.seed)
-    cost = config.cost.build(model.m, model.p)
-    ctrl = Controller(cc, data, check_identities=True)
-    rng = np.random.default_rng(41)
-    meas = np.empty((cc.n, model.p))
-    for k in range(cc.n):
-        x, _, meas[k] = step(model, x, np.zeros(model.m), rng.uniform(-1, 1, model.p))
-    ctrl.start(meas)
-
-    calls = []
-    factor = linalg.factor
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return factor(*args, **kwargs)
-
-    recorded, windows = [], []
-    prev, revealed = None, None
-    linalg.factor = counting
-    try:
-        for t in range(40):
-            u_window = ctrl.state.u_hist.copy()
-            u = ctrl.step(y_meas=prev, prev_cost=revealed)
-            # the output window the step tested is the history it committed
-            windows.append(Trajectory(u_window, ctrl.state.y_den_hist.copy()))
-            recorded.append(ctrl.last.membership)
-            x, _, prev = step(model, x, u, rng.uniform(-1, 1, model.p))
-            revealed = cost
-    finally:
-        linalg.factor = factor
-    return calls, recorded, windows, data
-
-
-def test_checked_step_does_not_factor(checked_thermal_run):
-    # the record's window matrix is factored once, at construction
-    calls, recorded, _, _ = checked_thermal_run
-    assert calls == []
-    assert len(recorded) == 40 and all(r is not None for r in recorded)
-
-
-def test_checked_step_membership_matches_a_fresh_residual(checked_thermal_run):
-    from ddcontrol.behavioral import membership_residual
-
-    _, recorded, windows, data = checked_thermal_run
-    for residual, window in zip(recorded, windows):
-        assert abs(residual - membership_residual(data, window)) <= 1e-12
 
 
 def test_controller_module_never_imports_the_simulator():
