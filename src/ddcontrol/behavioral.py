@@ -70,10 +70,6 @@ class Trajectory:
         return Trajectory(self.inputs[start:start + length],
                           self.outputs[start:start + length])
 
-    def stacked(self) -> np.ndarray:
-        """All steps stacked as one vector: (u_0, y_0, ..., u_{N-1}, y_{N-1})."""
-        return np.hstack([self.inputs, self.outputs]).ravel()
-
 
 @dataclass(frozen=True)
 class HankelMatrix:

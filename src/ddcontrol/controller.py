@@ -53,6 +53,10 @@ class ControllerConfig:
     init_mode: str = "zero"
 
     def __post_init__(self):
+        for name in ("mu", "n"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.mu < 1:

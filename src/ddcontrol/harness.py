@@ -30,6 +30,11 @@ class ConfigError(ValueError):
     """Configuration file or override is missing, unparsable, or invalid."""
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer; a boolean is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _refuse_unknown(what: str, given: dict, known: set) -> None:
     """Raise ``ConfigError`` naming the keys of ``given`` outside ``known``."""
     unknown = sorted(set(given) - known)
@@ -113,9 +118,9 @@ class NoiseSpec:
             if set(fail) != {"channel", "start", "end", "scale"}:
                 raise ConfigError("failing_sensor needs exactly channel, start, end "
                                   f"and scale, got {sorted(fail)}")
-            if fail["channel"] != int(fail["channel"]) or fail["channel"] < 1:
-                raise ConfigError(
-                    f"failing_sensor channel is 1-based, got {fail['channel']}")
+            if not _is_count(fail["channel"]) or fail["channel"] < 1:
+                raise ConfigError("failing_sensor channel is a 1-based integer, "
+                                  f"got {fail['channel']!r}")
             if fail["channel"] > model.p:
                 raise ConfigError(f"failing_sensor channel {fail['channel']} exceeds the "
                                   f"plant's {model.p} outputs")
@@ -130,7 +135,7 @@ class NoiseSpec:
         if fail is not None:
             t = np.arange(start, stop)
             window = (fail["start"] <= t) & (t < fail["end"])
-            E[window, int(fail["channel"]) - 1] *= float(fail["scale"])
+            E[window, fail["channel"] - 1] *= float(fail["scale"])
         Q = noise.draw_process((steps, model.m if through_b else model.n))
 
         def draw(t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +218,9 @@ class ExperimentConfig:
         """
         try:
             for name, count in (("horizon", self.horizon), ("offline.N", self.offline.N),
-                                ("offline.seed", self.offline.seed)):
-                if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                                ("offline.seed", self.offline.seed),
+                                ("noise.seed", self.noise.seed)):
+                if not _is_count(count):
                     raise ConfigError(f"{name} must be an integer, got {count!r}")
             if self.horizon < 0:
                 raise ConfigError("horizon must be at least 0")

@@ -1,18 +1,21 @@
-"""One numerical-rank rule and the one function that applies it.
+"""One numerical-rank rule and the functions that apply it.
 
 Every rank decision on data (persistency checks, pseudoinverses,
-null-space bases) uses the same backward-stable cutoff so that derived
-quantities stay mutually consistent: a singular value counts toward the
-rank iff it exceeds ``max(rows, cols) * RANK_RTOL * sigma_max``. ``factor``
-is the only place that turns an SVD into a rank, a pseudoinverse, a null
-basis and a row basis, so a caller that needs two of them factors its
-matrix once;
-``numerical_rank`` applies the same cutoff to the singular values alone.
-The rank tests of ``plant.PlantModel`` check the ground-truth simulator,
-which the controller never sees, and use numpy's ``matrix_rank``.
+null-space bases, the regularized start's ridge step) uses the same
+backward-stable cutoff, ``_rank``, so that derived quantities stay
+mutually consistent: a singular value counts toward the rank iff it
+exceeds ``max(rows, cols) * RANK_RTOL * sigma_max``. ``factor`` applies it
+to turn an economy SVD into a rank, a pseudoinverse, a null basis and a
+row basis, so a caller that needs two of them factors its matrix once;
+the ridge step of ``constrained_ridge_lstsq`` and ``numerical_rank``
+apply it to their singular values. The rank tests of ``plant.PlantModel``
+check the ground-truth simulator, which the controller never sees, and
+use numpy's ``matrix_rank``.
 """
 
 import numpy as np
+
+from .errors import FeasibilityError
 
 RANK_RTOL = 1e-12
 
@@ -28,26 +31,24 @@ def numerical_rank(M: np.ndarray) -> int:
     return _rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
-def factor(M: np.ndarray, full: bool = False) -> tuple:
-    """``(rank, pinv, null_basis, row_basis)`` of M from one SVD.
+def factor(M: np.ndarray) -> tuple:
+    """``(rank, pinv, null_basis, row_basis)`` of M from one economy SVD.
 
     The rank uses the shared cutoff. The pseudoinverse repeats
-    ``np.linalg.pinv``'s arithmetic: from the default economy SVD it is
-    bit-identical to ``np.linalg.pinv(M, rcond=max(M.shape) *
-    RANK_RTOL)``. Both bases have orthonormal
-    columns. The row basis ``V_r`` (the first ``rank`` right singular
-    vectors) spans the row space of M from the economy SVD too, so a
-    caller that needs the kernel only through its projector
-    ``I - V_r V_r'`` never needs ``full=True``. The null basis spans the
-    whole kernel only for a tall M or with ``full=True``, because the
+    ``np.linalg.pinv``'s arithmetic and is bit-identical to
+    ``np.linalg.pinv(M, rcond=max(M.shape) * RANK_RTOL)``. Both bases have
+    orthonormal columns. The row basis ``V_r`` (the first ``rank`` right
+    singular vectors) spans the row space of M, so a caller that needs the
+    kernel only through its projector ``I - V_r V_r'`` needs no more. The
+    null basis spans the whole kernel only for a tall M, because the
     economy SVD of a wide M omits the last right singular vectors.
     """
     M = np.atleast_2d(M)
-    U, s, Vt = np.linalg.svd(M, full_matrices=full)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
     rank = _rank(s, M.shape)
     s_inv = np.zeros_like(s)
     s_inv[:rank] = 1.0 / s[:rank]
-    M_pinv = Vt[:s.size].T @ (s_inv[:, None] * U[:, :s.size].T)
+    M_pinv = Vt.T @ (s_inv[:, None] * U.T)
     return rank, M_pinv, Vt[rank:].T.copy(), Vt[:rank].T
 
 
@@ -61,40 +62,28 @@ def pinv(M: np.ndarray) -> np.ndarray:
     return factor(M)[1]
 
 
-def lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution with the shared cutoff."""
-    return factor(M)[1] @ b
-
-
-def constrained_ridge_lstsq(
-    M: np.ndarray,
-    c: np.ndarray,
-    E: np.ndarray,
-    b: np.ndarray,
-    lam: float = 0.0,
-) -> np.ndarray:
+def constrained_ridge_lstsq(M: np.ndarray, c: np.ndarray, E: np.ndarray,
+                            b: np.ndarray, lam: float = 0.0) -> np.ndarray:
     """Solve ``min_w |M w - c|^2 + lam * |w|^2  s.t.  E w = b``.
 
-    Uses the null-space method: a minimum-norm particular solution of the
-    constraint plus a ridge least-squares solve in the constraint's null
-    space. Raises FeasibilityError if the constraint itself is inconsistent.
+    The null-space method (Golub & Van Loan, "Matrix Computations", 4th
+    ed., section 6.2) with the kernel of E taken through its projector
+    ``I - V_r V_r'``: ``w = w0 + v``, where ``w0 = E^+ b`` lies in row(E)
+    and v is the ridge solution of ``min_v |A v - r|^2 + lam * |v|^2`` with
+    ``A = M (I - V_r V_r')`` and ``r = c - M w0``. That v lies in row(A),
+    inside null(E), so no kernel basis is formed, and one economy SVD of A
+    gives ``v = V diag(s / (s^2 + lam)) U' r`` over the singular values
+    above the shared cutoff. Raises FeasibilityError if the constraint
+    itself is inconsistent.
     """
-    from .errors import FeasibilityError
-
-    _, E_pinv, Z, _ = factor(E, full=True)
+    rank, E_pinv, _, V_r = factor(E)
     w0 = E_pinv @ b
     res = np.linalg.norm(E @ w0 - b)
     if res > 1e-8 * (1.0 + np.linalg.norm(b)):
-        raise FeasibilityError(
-            f"equality constraint inconsistent (residual {res:.3e})"
-        )
-    if Z.shape[1] == 0:
-        return w0
-    # w0 is orthogonal to null(E), so |w|^2 = |w0|^2 + |v|^2 exactly.
-    A = M @ Z
-    rhs = c - M @ w0
-    if lam > 0.0:
-        A = np.vstack([A, np.sqrt(lam) * np.eye(Z.shape[1])])
-        rhs = np.concatenate([rhs, np.zeros(Z.shape[1])])
-    v = lstsq(A, rhs)
-    return w0 + Z @ v
+        raise FeasibilityError(f"equality constraint inconsistent (residual {res:.3e})")
+    if rank == E.shape[1]:
+        return w0            # null(E) = {0}: A would be round-off alone
+    U, s, Vt = np.linalg.svd(M - (M @ V_r) @ V_r.T, full_matrices=False)
+    k = _rank(s, M.shape)
+    s = s[:k]
+    return w0 + Vt[:k].T @ (s / (s * s + lam) * (U[:, :k].T @ (c - M @ w0)))

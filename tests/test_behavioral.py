@@ -23,11 +23,10 @@ def test_trajectory_validation():
     assert (traj.N, traj.m, traj.p) == (4, 2, 1)
 
 
-def test_trajectory_window_and_stacked():
+def test_trajectory_window():
     traj = Trajectory(np.arange(6).reshape(3, 2), np.arange(3).reshape(3, 1))
     win = traj.window(1, 2)
     assert_allclose(win.inputs, [[2, 3], [4, 5]])
-    assert_allclose(traj.stacked(), [0, 1, 0, 2, 3, 1, 4, 5, 2])
     with pytest.raises(ValueError):
         traj.window(2, 2)
 

@@ -781,11 +781,24 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
     ({("offline", "seed"): 1.5}, "offline.seed must be an integer, got 1.5"),
     ({("horizon",): 20.7}, "horizon must be an integer, got 20.7"),
     ({("horizon",): True}, "horizon must be an integer, got True"),
+    # and these ran with a boolean read as 1, or crashed in the first step
+    ({("controller", "mu"): 10.5}, "mu must be an integer, got 10.5"),
+    ({("controller", "mu"): True}, "mu must be an integer, got True"),
+    ({("controller", "n"): 5.5}, "n must be an integer, got 5.5"),
+    ({("controller", "n"): True}, "n must be an integer, got True"),
+    ({("noise", "seed"): True}, "noise.seed must be an integer, got True"),
+    ({("noise", "seed"): 0.5}, "noise.seed must be an integer, got 0.5"),
+    ({("noise", "failing_sensor", "channel"): True},
+     "failing_sensor channel is a 1-based integer, got True"),
+    ({("noise", "failing_sensor", "channel"): 2.0},
+     "failing_sensor channel is a 1-based integer, got 2.0"),
 ], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
         "unstable-plant", "capacitance", "cost-horizon", "top-level-key",
         "process-key", "measurement-key", "q-mode-inputs", "q-mode-outputs",
         "q-mode-identity+inputs", "offline-N-fraction", "offline-N-string",
-        "offline-seed-fraction", "horizon-fraction", "horizon-boolean"])
+        "offline-seed-fraction", "horizon-fraction", "horizon-boolean",
+        "mu-fraction", "mu-boolean", "n-fraction", "n-boolean", "noise-seed-boolean",
+        "noise-seed-fraction", "channel-boolean", "channel-float"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
     spec = _edited(json.loads(shipped_config_path().read_text()), edits)

@@ -6,7 +6,8 @@ after a zero-mode start its inputs do not depend on the measurements, once
 the cost stops switching the regret stops growing, the regret is
 proportional to the path length of the optimum, measurement noise adds
 a constant to the regret, and the noise estimate misses by exactly the
-plant's response to what the controller does not see.
+plant's response to what the controller does not see, plus, after a
+regularized start, the free response of the state that start estimated.
 """
 
 import dataclasses
@@ -17,8 +18,8 @@ from numpy.testing import assert_allclose
 from ddcontrol.controller import Controller, ControllerConfig
 from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.harness import (CostSpec, ExperimentConfig, NoiseSpec,
-                               OfflineSpec, PlantSpec, run_experiment,
-                               shipped_config_path)
+                               OfflineSpec, PlantSpec, demo_siso_config,
+                               run_experiment, shipped_config_path)
 from ddcontrol.metrics import path_length, regret
 from ddcontrol.plant import simulate
 
@@ -182,3 +183,29 @@ def test_noise_estimate_misses_by_the_free_response_on_a_quiet_day():
     assert abs(rho - 0.98712) <= 5e-6
     err = np.linalg.norm(miss, axis=1)
     assert abs(err[1000] / err[500] / rho ** 500 - 1.0) <= 0.05
+
+
+def test_noise_estimate_misses_by_a_free_response_after_a_regularized_start():
+    # a regularized start stores a window that encodes an estimated state
+    # x_hat, and every later prediction carries that state's free response,
+    # so beyond y - y_rest the miss is C A^t z, with z = -x_hat at row 0.
+    # On demo-siso it is -0.4517 * 0.5^t; on the shipped day (n = 5) one
+    # 5-vector z fits all 301 x 3 rows
+    siso, thermal = demo_siso_config(), ExperimentConfig.from_json(shipped_config_path())
+    thermal.horizon = 300
+    fitted = []
+    for config in (siso, thermal):
+        config.controller = dataclasses.replace(config.controller, init_mode="regularized",
+                                                lambda_init=1.0)
+        miss, unseen = _unseen_response(config)
+        beyond = (miss - unseen).ravel()
+        model = config.build()[0]
+        rows = [model.C]
+        for _ in range(miss.shape[0] - 1):
+            rows.append(rows[-1] @ model.A)
+        free = np.vstack(rows)
+        z = np.linalg.lstsq(free, beyond, rcond=None)[0]
+        assert np.abs(beyond).max() > 0.1
+        assert np.abs(free @ z - beyond).max() <= 1e-11
+        fitted.append(z)
+    assert abs(fitted[0][0] + 0.4517) <= 5e-5

@@ -139,9 +139,9 @@ def test_projector_factors_each_matrix_once(monkeypatch, random_plants):
     factored, decomposed = [], []
     real_factor, real_svd = linalg.factor, np.linalg.svd
 
-    def recording_factor(M, full=False):
+    def recording_factor(M):
         factored.append(np.array(M))
-        return real_factor(M, full)
+        return real_factor(M)
 
     def recording_svd(M, *args, **kwargs):
         decomposed.append(np.array(M))
