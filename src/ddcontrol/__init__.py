@@ -27,8 +27,7 @@ from .harness import (ConfigError, ControllerSpec, CostSpec, ExperimentConfig,
 from .metrics import (RunRecord, noise_error_series, path_length, regret,
                       steps_to_converge, summarize)
 from .plant import (NoiseModel, PlantModel, ThermalZoneParams, build_hvac,
-                    collect_offline_data, discretize_zoh, random_system,
-                    simulate, step)
+                    collect_offline_data, random_system, simulate, step)
 from .steady_state import (SteadyStateProjector, build_projector,
                            optimal_steady_state, project)
 

@@ -57,8 +57,8 @@ class ControllerConfig:
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.mu < 1:
             raise ValueError("mu must be at least 1")
         if self.n < 1:
@@ -67,8 +67,9 @@ class ControllerConfig:
             raise ValueError(f"unknown q_mode {self.q_mode!r}; options: {Q_MODES}")
         if self.init_mode not in ("zero", "regularized"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.lambda_init < 0:
-            raise ValueError("lambda_init must be nonnegative")
+        if not (self.lambda_init >= 0 and math.isfinite(self.lambda_init)):
+            raise ValueError(f"lambda_init must be nonnegative and finite, "
+                             f"got {self.lambda_init}")
 
 
 def check_step_size(gamma: float, alpha_z: float, l_z: float) -> bool:
@@ -385,9 +386,10 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     r = pre.E_alpha.dot(rhs)
     # Euclidean norms, as ``np.linalg.norm`` computes them; a residual
     # within FEAS_RTOL passes whatever the right-hand side's norm, so that
-    # norm is taken only for a residual above it
+    # norm is taken only for a residual above it. Written as "not within",
+    # the test also fails a NaN residual, which every comparison rejects
     res = math.sqrt(r.dot(r))
-    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(rhs.dot(rhs))):
+    if not (res <= FEAS_RTOL or res <= FEAS_RTOL * (1.0 + math.sqrt(rhs.dot(rhs)))):
         raise FeasibilityError(
             f"prediction coefficients infeasible (residual {res:.3e}); "
             "controller state is corrupted or the data assumptions fail"
@@ -434,8 +436,8 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     np.subtract(target[b - a:], pre.Y_tail.dot(alpha), out=g[c:])
     beta = pre.Q_tilde.dot(g)
     r = pre.E_beta.dot(g)
-    res = math.sqrt(r.dot(r))  # the norms as in ``solve_alpha``
-    if res > FEAS_RTOL and res > FEAS_RTOL * (1.0 + math.sqrt(g.dot(g))):
+    res = math.sqrt(r.dot(r))  # the norms and the test as in ``solve_alpha``
+    if not (res <= FEAS_RTOL or res <= FEAS_RTOL * (1.0 + math.sqrt(g.dot(g)))):
         raise FeasibilityError(
             f"steering correction infeasible (residual {res:.3e}); "
             "the prediction horizon may be shorter than the controllability "

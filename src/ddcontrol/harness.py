@@ -9,6 +9,7 @@ are written as CSV with 17 significant digits so runs replay bit-exactly.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -87,6 +88,8 @@ class PlantSpec:
             else np.asarray(self.initial_state, dtype=float)
         if x0.shape != (model.n,):
             raise ConfigError(f"initial_state must have {model.n} entries")
+        if not np.isfinite(x0).all():
+            raise ConfigError("initial_state must be finite")
         return model, x0
 
 
@@ -124,7 +127,9 @@ class NoiseSpec:
             if fail["channel"] > model.p:
                 raise ConfigError(f"failing_sensor channel {fail['channel']} exceeds the "
                                   f"plant's {model.p} outputs")
-            if float(fail["start"]) > float(fail["end"]):
+            if not all(math.isfinite(fail[k]) for k in ("start", "end", "scale")):
+                raise ConfigError("failing_sensor start, end and scale must be finite")
+            if fail["start"] > fail["end"]:
                 raise ConfigError("failing_sensor start is after its end")
         measurement, process = (None if b is None else (float(b["low"]), float(b["high"]))
                                 for b in (self.measurement, self.process))
@@ -224,7 +229,10 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} must be an integer, got {count!r}")
             if self.horizon < 0:
                 raise ConfigError("horizon must be at least 0")
-            if self.offline.input_low > self.offline.input_high:
+            low, high = self.offline.input_low, self.offline.input_high
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ConfigError("offline input box must be finite")
+            if low > high:
                 raise ConfigError("offline input box is reversed")
             run_seed = self.noise.seed if seed is None else int(seed)
             overrides = {"gamma": None if gamma is None else float(gamma),

@@ -79,7 +79,7 @@ def constrained_ridge_lstsq(M: np.ndarray, c: np.ndarray, E: np.ndarray,
     rank, E_pinv, _, V_r = factor(E)
     w0 = E_pinv @ b
     res = np.linalg.norm(E @ w0 - b)
-    if res > 1e-8 * (1.0 + np.linalg.norm(b)):
+    if not res <= 1e-8 * (1.0 + np.linalg.norm(b)):     # a NaN residual fails too
         raise FeasibilityError(f"equality constraint inconsistent (residual {res:.3e})")
     if rank == E.shape[1]:
         return w0            # null(E) = {0}: A would be round-off alone

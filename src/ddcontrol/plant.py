@@ -1,10 +1,10 @@
 """Ground-truth LTI simulation: the plant the controller never sees.
 
 Provides the discrete-time state-space simulator, seeded noise models,
-offline data collection with excitation verification, a five-zone thermal
-model builder, and exact zero-order-hold discretization. The controller
-consumes only recorded trajectories and per-step measurements; nothing in
-this module leaks model matrices across that boundary.
+offline data collection with excitation verification, and a five-zone
+thermal model builder with exact zero-order-hold discretization. The
+controller consumes only recorded trajectories and per-step measurements;
+nothing in this module leaks model matrices across that boundary.
 """
 
 from dataclasses import dataclass, field
@@ -128,7 +128,11 @@ class NoiseModel:
 
     def __post_init__(self):
         for name, bounds in (("measurement", self.measurement), ("process", self.process)):
-            if bounds is not None and bounds[0] > bounds[1]:
+            if bounds is None:
+                continue
+            if not np.isfinite(bounds).all():
+                raise ValueError(f"{name} bounds must be finite: {bounds}")
+            if bounds[0] > bounds[1]:
                 raise ValueError(f"{name} bounds reversed: {bounds}")
         ss = np.random.SeedSequence(self.seed)
         children = ss.spawn(2)
@@ -177,61 +181,6 @@ def collect_offline_data(model: PlantModel, N: int, pe_order: int,
     return traj
 
 
-#: numerator coefficients of the degree-13 Pade approximant of exp, over
-#: the constant one, so that the approximant of a zero matrix is exactly I
-_PADE13 = tuple(b / 64764752532480000. for b in (
-    64764752532480000., 32382376266240000., 7771770303897600.,
-    1187353796428800., 129060195264000., 10559470521600., 670442572800.,
-    33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.))
-#: largest 1-norm for which the degree-13 approximant is accurate to round-off
-_THETA13 = 5.371920351148152
-
-
-def _expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with the degree-13 Pade approximant.
-
-    Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005: scale M by 2^-s so
-    its 1-norm is at most theta_13, evaluate r_13 = (V - U)^-1 (V + U), and
-    square s times.
-    """
-    norm = np.abs(M).sum(axis=0).max(initial=0.0)
-    s = 0 if norm <= _THETA13 else int(np.ceil(np.log2(norm / _THETA13)))
-    A = M / 2.0 ** s
-    b = _PADE13
-    I = np.eye(len(M))
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
-def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray, t_s: float):
-    """Exact zero-order-hold discretization via the block matrix exponential.
-
-    Returns (A, B) with A = exp(A_c t_s) and B the integral of the matrix
-    exponential applied to B_c, both read off one exponential of the
-    augmented block matrix [[A_c, B_c], [0, 0]] * t_s.
-    """
-    if t_s <= 0:
-        raise ValueError(f"sample time must be positive, got {t_s}")
-    A_c = np.atleast_2d(np.asarray(A_c, dtype=float))
-    B_c = np.atleast_2d(np.asarray(B_c, dtype=float))
-    n, m = A_c.shape[0], B_c.shape[1]
-    M = np.zeros((n + m, n + m))
-    M[:n, :n] = A_c
-    M[:n, n:] = B_c
-    E = _expm(M * t_s)
-    return E[:n, :n], E[:n, n:]
-
-
 @dataclass
 class ThermalZoneParams:
     """Parameters of the five-zone thermal model, in scaled units.
@@ -269,8 +218,8 @@ def thermal_coupling_matrices(params: ThermalZoneParams):
     """
     nz = params.zones
     cap = np.asarray(params.capacitance, dtype=float)
-    if np.any(cap <= 0):
-        raise ValueError("capacitances must be positive")
+    if not np.all((cap > 0) & (cap < np.inf)):
+        raise ValueError("capacitances must be positive and finite")
     if len(params.r_outdoor) != nz:
         raise ValueError("need one outdoor resistance per zone")
     neighbors: dict[int, set[int]] = {i: set() for i in range(nz)}
@@ -299,9 +248,9 @@ def thermal_coupling_matrices(params: ThermalZoneParams):
         raise ValueError("zone adjacency graph is disconnected")
     any_leak = False
     for i, r in enumerate(params.r_outdoor):
-        if r is None or np.isinf(r):
+        if r is None or r == np.inf:
             continue
-        if r <= 0:
+        if not r > 0:
             raise ValueError(f"outdoor resistance of zone {i} must be positive")
         A_c[i, i] -= 1.0 / (cap[i] * r)
         any_leak = True
@@ -315,13 +264,24 @@ def build_hvac(params: ThermalZoneParams | None = None) -> PlantModel:
     """Discrete-time five-zone thermal plant with sensors in a zone subset.
 
     The continuous dynamics are discretized exactly under zero-order hold
-    at ``params.sample_time``; the resulting A matrix is Schur stable for
-    any positive parameter choice because the continuous matrix has
-    nonpositive row sums with at least one strictly dissipative zone.
+    at ``params.sample_time``, in closed form. With C the diagonal of
+    capacitances, A_c = C^-1 G for a symmetric conductance matrix G, so
+    S = C^1/2 A_c C^-1/2 is symmetric, and with S = V diag(lam) V':
+    A = C^-1/2 V diag(exp(lam t_s)) V' C^1/2 and, as B_c = C^-1,
+    B = C^-1/2 V diag(expm1(lam t_s) / lam) V' C^-1/2. Every lam is
+    negative, because the network is connected and leaks to outdoors
+    somewhere, so A is Schur stable for any valid parameters.
     """
     params = params or ThermalZoneParams()
-    A_c, B_c = thermal_coupling_matrices(params)
-    A, B = discretize_zoh(A_c, B_c, params.sample_time)
+    t_s = params.sample_time
+    if not 0 < t_s < np.inf:
+        raise ValueError(f"sample_time must be positive and finite, got {t_s}")
+    A_c, _ = thermal_coupling_matrices(params)
+    c = np.sqrt(np.asarray(params.capacitance, dtype=float))
+    lam, V = np.linalg.eigh(c[:, None] * A_c / c)
+    W = V / c[:, None]                                  # C^-1/2 V
+    A = (W * np.exp(lam * t_s)) @ (V.T * c)
+    B = (W * (np.expm1(lam * t_s) / lam)) @ W.T
     nz = params.zones
     C = np.zeros((len(params.sensor_zones), nz))
     for row, zone in enumerate(params.sensor_zones):

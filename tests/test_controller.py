@@ -780,6 +780,29 @@ def test_failed_step_leaves_controller_unchanged(mimo_setup):
     assert ctrl.last is last
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_measurement_raises_and_leaves_the_controller_unchanged(
+        mimo_setup, bad):
+    # a non-finite measurement makes the alpha residual NaN (the denoised
+    # output of an infinite one is inf - inf), and a NaN fails every
+    # comparison; the feasibility test is written so that it fails the step
+    model, data, cfg, *_ = mimo_setup
+    cost = QuadraticTrackingCost(H=np.eye(4), target=np.array([0.3, -0.2, 0.5, 0.1]))
+    ctrl, twin = Controller(cfg, data), Controller(cfg, data)
+    _, _, ymeas, _ = run_closed_loop(model, ctrl, cost, 10, np.zeros(model.n))
+    run_closed_loop(model, twin, cost, 10, np.zeros(model.n))
+    y_bad = ymeas[-1].copy()
+    y_bad[0] = bad
+    with pytest.raises(FeasibilityError, match=r"prediction coefficients infeasible "
+                                               r"\(residual nan\)"), \
+            np.errstate(invalid="ignore"):
+        ctrl.step(y_meas=y_bad, prev_cost=cost)
+    assert ctrl.t == twin.t
+    u = ctrl.step(y_meas=ymeas[-1], prev_cost=cost)
+    np.testing.assert_array_equal(u, twin.step(y_meas=ymeas[-1], prev_cost=cost))
+    np.testing.assert_array_equal(ctrl.last.z_s, twin.last.z_s)
+
+
 @pytest.mark.parametrize("init_mode", ["zero", "regularized"])
 def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     # the diagnostics record the residuals the solves computed for their

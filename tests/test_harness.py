@@ -747,6 +747,7 @@ def test_cli_rejects_failing_sensor_beyond_the_outputs(tmp_path, capsys):
     assert "channel 4 exceeds the plant's 3 outputs" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
 UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
                   "initial_state": [1.0]}
 
@@ -792,13 +793,39 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
      "failing_sensor channel is a 1-based integer, got True"),
     ({("noise", "failing_sensor", "channel"): 2.0},
      "failing_sensor channel is a 1-based integer, got 2.0"),
+    # non-finite values once passed validate: the run gave regret nan, ran
+    # a sensor window that never opens, or crashed with an OverflowError
+    ({("controller", "gamma"): NAN}, "gamma must be positive and finite"),
+    ({("controller", "gamma"): INF}, "gamma must be positive and finite"),
+    ({("controller", "lambda_init"): NAN}, "lambda_init must be nonnegative and finite"),
+    ({("plant", "initial_state"): [NAN] * 5}, "initial_state must be finite"),
+    ({("offline", "input_low"): NAN}, "offline input box must be finite"),
+    ({("offline", "input_high"): INF}, "offline input box must be finite"),
+    ({("noise", "measurement", "low"): NAN}, "measurement bounds must be finite"),
+    ({("noise", "process", "high"): INF}, "process bounds must be finite"),
+    ({("noise", "failing_sensor", "scale"): NAN},
+     "failing_sensor start, end and scale must be finite"),
+    ({("noise", "failing_sensor", "start"): NAN},
+     "failing_sensor start, end and scale must be finite"),
+    # and these exited 2 only because the matrix exponential could not
+    # scale a NaN norm
+    ({("plant", "hvac", "sample_time"): NAN}, "sample_time must be positive and finite"),
+    ({("plant", "hvac", "sample_time"): INF}, "sample_time must be positive and finite"),
+    ({("plant", "hvac", "capacitance"): [2.0, NAN, 2.4, 1.8, 2.2]},
+     "capacitances must be positive and finite"),
+    ({("plant", "hvac", "r_outdoor"): [NAN, 30.0, None, 28.0, 22.0]},
+     "outdoor resistance of zone 0 must be positive"),
 ], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
         "unstable-plant", "capacitance", "cost-horizon", "top-level-key",
         "process-key", "measurement-key", "q-mode-inputs", "q-mode-outputs",
         "q-mode-identity+inputs", "offline-N-fraction", "offline-N-string",
         "offline-seed-fraction", "horizon-fraction", "horizon-boolean",
         "mu-fraction", "mu-boolean", "n-fraction", "n-boolean", "noise-seed-boolean",
-        "noise-seed-fraction", "channel-boolean", "channel-float"])
+        "noise-seed-fraction", "channel-boolean", "channel-float", "gamma-nan",
+        "gamma-inf", "lambda-init-nan", "initial-state-nan", "input-low-nan",
+        "input-high-inf", "measurement-low-nan", "process-high-inf",
+        "failing-scale-nan", "failing-start-nan", "sample-time-nan", "sample-time-inf",
+        "capacitance-nan", "r-outdoor-nan"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
     spec = _edited(json.loads(shipped_config_path().read_text()), edits)

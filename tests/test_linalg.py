@@ -90,6 +90,14 @@ def test_constrained_ridge_lstsq_inconsistent_constraint():
         constrained_ridge_lstsq(np.eye(2), np.zeros(2), E, b, 0.0)
 
 
+def test_constrained_ridge_lstsq_refuses_a_nan_constraint():
+    # a NaN residual fails every comparison, so the check is "not within"
+    E = np.array([[1.0, 0.0], [0.0, 1.0]])
+    b = np.array([1.0, np.nan])
+    with pytest.raises(FeasibilityError, match="inconsistent"):
+        constrained_ridge_lstsq(np.eye(2), np.zeros(2), E, b, 0.0)
+
+
 @pytest.fixture(scope="module")
 def offline_matrices() -> dict:
     """The matrices the shipped thermal day factors offline, and random ones."""

@@ -6,10 +6,8 @@ from scipy.linalg import expm
 from ddcontrol.behavioral import membership_residual, persistency_check
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import (NoiseModel, PlantModel, ThermalZoneParams,
-                             build_hvac, collect_offline_data, discretize_zoh,
-                             random_system, simulate, step,
-                             thermal_coupling_matrices)
-from ddcontrol.plant import _expm
+                             build_hvac, collect_offline_data, random_system,
+                             simulate, step, thermal_coupling_matrices)
 
 
 # ---------------------------------------------------------------- model checks
@@ -114,69 +112,87 @@ def test_noise_model_deterministic_and_bounded():
 
 # ---------------------------------------------------------------- discretization
 
-def test_zoh_zero_dynamics():
-    A, B = discretize_zoh(np.zeros((2, 2)), np.eye(2), 0.7)
-    assert_allclose(A, np.eye(2), atol=1e-12)
-    assert_allclose(B, 0.7 * np.eye(2), atol=1e-12)
+def _one_zone(a_rate: float, b_gain: float, ts: float) -> ThermalZoneParams:
+    # a single zone leaking to outdoors: A_c = -1/(c r) and B_c = 1/c
+    c = 1.0 / b_gain
+    return ThermalZoneParams(capacitance=np.array([c]), r_outdoor=[-1.0 / (a_rate * c)],
+                             r_between={}, sample_time=ts, sensor_zones=(0,))
+
+
+def _zoh_reference(params: ThermalZoneParams):
+    # (A, B) read off scipy's exponential of the augmented block [[A_c, B_c], [0, 0]] t_s
+    A_c, B_c = thermal_coupling_matrices(params)
+    n, m = B_c.shape
+    E = expm(np.block([[A_c, B_c], [np.zeros((m, n + m))]]) * params.sample_time)
+    return E[:n, :n], E[:n, n:]
+
+
+def _random_network(rng: np.random.Generator) -> ThermalZoneParams:
+    # the parameter ranges of the random stability test, with sample times
+    # log-uniform in 0.01-50
+    return ThermalZoneParams(
+        capacitance=rng.uniform(0.5, 20.0, size=5),
+        r_outdoor=[rng.uniform(2.0, 60.0), rng.uniform(2.0, 60.0), None,
+                   rng.uniform(2.0, 60.0), rng.uniform(2.0, 60.0)],
+        r_between={k: rng.uniform(2.0, 80.0)
+                   for k in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 4), (3, 4)]},
+        sample_time=float(np.exp(rng.uniform(np.log(0.01), np.log(50.0)))),
+    )
+
+
+def _relative_error(X, ref) -> float:
+    return np.linalg.norm(X - ref) / np.linalg.norm(ref)
 
 
 def test_zoh_scalar_closed_form():
-    a, b, ts = -0.8, 2.0, 0.5
-    A, B = discretize_zoh([[a]], [[b]], ts)
-    assert_allclose(A, [[np.exp(a * ts)]], atol=1e-12)
-    assert_allclose(B, [[(np.exp(a * ts) - 1.0) / a * b]], atol=1e-12)
+    model = build_hvac(_one_zone(-0.8, 2.0, 0.5))
+    assert_allclose(model.A, [[np.exp(-0.8 * 0.5)]], atol=1e-12)
+    assert_allclose(model.B, [[(np.exp(-0.8 * 0.5) - 1.0) / -0.8 * 2.0]], atol=1e-12)
 
 
 def test_zoh_semigroup_property():
-    rng = np.random.default_rng(5)
-    A_c = rng.normal(size=(4, 4)) * 0.3
-    B_c = rng.normal(size=(4, 2))
-    A1, _ = discretize_zoh(A_c, B_c, 0.6)
-    A2, _ = discretize_zoh(A_c, B_c, 1.2)
-    assert np.linalg.norm(A1 @ A1 - A2) <= 1e-9
+    # A(2 t_s) = A(t_s)^2 on the shipped network
+    A1 = build_hvac(ThermalZoneParams(sample_time=1.0)).A
+    A2 = build_hvac(ThermalZoneParams(sample_time=2.0)).A
+    assert _relative_error(A1 @ A1, A2) <= 1e-14
 
 
-@pytest.mark.parametrize("a", [-12.0, -3.0, -0.8, -1e-3, 1e-3, 0.7, 4.0])
+@pytest.mark.parametrize("a", [-12.0, -3.0, -0.8, -1e-3])
 @pytest.mark.parametrize("ts", [0.01, 0.5, 1.0, 3.0])
 def test_zoh_scalar_matches_closed_form_across_scales(a, ts):
-    # e^{a t} and b (e^{a t} - 1) / a, from below to far above theta_13
+    # e^{a t} and b (e^{a t} - 1) / a, for the rate the one-zone network has
     b = 2.0
-    A, B = discretize_zoh([[a]], [[b]], ts)
-    assert_allclose(A, [[np.exp(a * ts)]], rtol=1e-13, atol=0)
-    assert_allclose(B, [[b * np.expm1(a * ts) / a]], rtol=1e-13, atol=0)
-
-
-def test_expm_of_zero_is_exactly_identity():
-    for k in (1, 3, 10):
-        assert np.array_equal(_expm(np.zeros((k, k))), np.eye(k))
+    params = _one_zone(a, b, ts)
+    a = thermal_coupling_matrices(params)[0][0, 0]
+    model = build_hvac(params)
+    assert_allclose(model.A, [[np.exp(a * ts)]], rtol=1e-13, atol=0)
+    assert_allclose(model.B, [[b * np.expm1(a * ts) / a]], rtol=1e-13, atol=0)
 
 
 def test_expm_matches_scipy_on_thermal_block():
-    from scipy.linalg import expm
-
+    # build_hvac's closed form against scipy on the shipped network
     params = ThermalZoneParams()
-    A_c, B_c = thermal_coupling_matrices(params)
-    M = np.block([[A_c, B_c], [np.zeros((5, 10))]]) * params.sample_time
-    ref = expm(M)
-    assert np.linalg.norm(_expm(M) - ref) <= 1e-15 * np.linalg.norm(ref)
+    A_ref, B_ref = _zoh_reference(params)
+    model = build_hvac(params)
+    assert _relative_error(model.A, A_ref) <= 1e-14
+    assert _relative_error(model.B, B_ref) <= 1e-14
 
 
 def test_expm_matches_scipy_on_random_matrices():
-    from scipy.linalg import expm
-
+    # and on random networks, with sample times from 0.01 to 50
     rng = np.random.default_rng(13)
-    for k in range(1, 11):
-        for norm in np.geomspace(1e-3, 50.0, 9):
-            M = rng.normal(size=(k, k))
-            M *= norm / np.abs(M).sum(axis=0).max()
-            ref = expm(M)
-            assert np.linalg.norm(_expm(M) - ref) <= 1e-12 * np.linalg.norm(ref), \
-                (k, norm)
+    for _ in range(24):
+        params = _random_network(rng)
+        A_ref, B_ref = _zoh_reference(params)
+        model = build_hvac(params)
+        assert _relative_error(model.A, A_ref) <= 1e-14, params.sample_time
+        assert _relative_error(model.B, B_ref) <= 1e-14, params.sample_time
 
 
 def test_zoh_rejects_nonpositive_sample_time():
-    with pytest.raises(ValueError, match="positive"):
-        discretize_zoh(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+    for ts in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sample_time must be positive and finite"):
+            build_hvac(ThermalZoneParams(sample_time=ts))
 
 
 # ---------------------------------------------------------------- thermal model
@@ -232,6 +248,23 @@ def test_thermal_validation_errors():
         thermal_coupling_matrices(ThermalZoneParams(
             r_between={(0, 1): -2.0, (0, 2): 10.0, (0, 3): 10.0,
                        (1, 2): 10.0, (2, 4): 10.0, (3, 4): 10.0}))
+
+
+def test_thermal_parameters_are_refused_by_name():
+    # a NaN fails every comparison, so each check is written to pass only
+    # the values it names
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="capacitances must be positive and finite"):
+            thermal_coupling_matrices(ThermalZoneParams(
+                capacitance=np.array([2.0, bad, 2.4, 1.8, 2.2])))
+    for bad in (np.nan, -np.inf, 0.0):
+        with pytest.raises(ValueError, match="outdoor resistance of zone 1 must be positive"):
+            thermal_coupling_matrices(ThermalZoneParams(
+                r_outdoor=[25.0, bad, None, 28.0, 22.0]))
+    # +inf, like None, is an interior zone
+    A_inf, _ = thermal_coupling_matrices(ThermalZoneParams(
+        r_outdoor=[25.0, 30.0, np.inf, 28.0, 22.0]))
+    assert np.array_equal(A_inf, thermal_coupling_matrices(ThermalZoneParams())[0])
 
 
 def test_shipped_thermal_defaults_match_expected_structure():
