@@ -24,10 +24,10 @@ from .errors import FeasibilityError, NonConvergenceError, PersistencyError
 from .harness import (ConfigError, ControllerSpec, CostSpec, ExperimentConfig,
                       NoiseSpec, OfflineSpec, PlantSpec, cli_main,
                       demo_siso_config, run_experiment, shipped_config_path)
-from .metrics import (RunRecord, noise_error_series, path_length, regret,
-                      steps_to_converge, summarize)
+from .metrics import (RunRecord, path_length, regret, steps_to_converge,
+                      summarize)
 from .plant import (NoiseModel, PlantModel, ThermalZoneParams, build_hvac,
-                    collect_offline_data, random_system, simulate, step)
+                    collect_offline_data, simulate, step)
 from .steady_state import (SteadyStateProjector, build_projector,
                            optimal_steady_state, project)
 

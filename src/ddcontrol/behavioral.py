@@ -63,13 +63,6 @@ class Trajectory:
     def p(self) -> int:
         return self.outputs.shape[1]
 
-    def window(self, start: int, length: int) -> "Trajectory":
-        """Contiguous sub-trajectory of the given length starting at ``start``."""
-        if start < 0 or start + length > self.N:
-            raise ValueError(f"window [{start}, {start + length}) out of range")
-        return Trajectory(self.inputs[start:start + length],
-                          self.outputs[start:start + length])
-
 
 @dataclass(frozen=True)
 class HankelMatrix:

@@ -73,6 +73,12 @@ class CostFunction:
         return np.array([self.eval(t, z) for t, z in zip(map(int, times), points)],
                         dtype=float)
 
+    def _check_finite(self, *names):
+        # NaN fails every comparison, so the moduli checks cannot catch it
+        for name in names:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"cost parameter {name} must be finite")
+
     def _check_moduli(self):
         if not (0.0 < self.alpha_z <= self.l_z):
             raise ValueError(
@@ -95,6 +101,7 @@ class QuadraticTrackingCost(CostFunction):
     def __post_init__(self):
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
         self.target = np.asarray(self.target, dtype=float)
+        self._check_finite("H", "target")
         if self.H.shape[0] != self.H.shape[1] or self.H.shape[0] != self.target.size:
             raise ValueError("H must be square and match the target dimension")
         if np.linalg.norm(self.H - self.H.T) > 1e-12 * (1 + np.linalg.norm(self.H)):
@@ -150,14 +157,17 @@ class QuadraticSoftplusCost(CostFunction):
     c: float = 1.0
 
     def __post_init__(self):
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.target = np.asarray(self.target, dtype=float)
+        # the quadratic part is a tracking cost, checked as one
+        quadratic = QuadraticTrackingCost(self.H, self.target)
+        self.H, self.target = quadratic.H, quadratic.target
         self.a = np.asarray(self.a, dtype=float)
+        self._check_finite("a", "c")
+        if self.a.shape != self.target.shape:
+            raise ValueError("a must match the target dimension")
         if self.c < 0:
             raise ValueError("softplus weight must be nonnegative")
-        w = np.linalg.eigvalsh(self.H)
-        self.alpha_z = float(w[0])
-        self.l_z = float(w[-1] + 0.25 * self.c * self.a @ self.a)
+        self.alpha_z = quadratic.alpha_z
+        self.l_z = float(quadratic.l_z + 0.25 * self.c * self.a @ self.a)
         self._check_moduli()
 
     def eval(self, t: int, z: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -20,7 +20,8 @@ import numpy as np
 from . import metrics
 from .controller import Controller, ControllerConfig, check_step_size
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
-                    QuadraticTrackingCost, hvac_cost_schedule)
+                    QuadraticSoftplusCost, QuadraticTrackingCost,
+                    hvac_cost_schedule)
 from .metrics import RunRecord
 from .plant import (NoiseModel, PlantModel, ThermalZoneParams, build_hvac,
                     collect_offline_data, step)
@@ -160,17 +161,23 @@ _CONTROLLER_DEFAULTS = {"gamma": 0.1, "mu": 2, "n": 1}
 
 @dataclass
 class CostSpec:
-    type: str = "hvac_schedule"             # "hvac_schedule" | "quadratic" | "schedule"
+    type: str = "hvac_schedule"     # or "quadratic", "softplus", "schedule"
     params: dict = field(default_factory=dict)
 
     def build(self, m: int, p: int) -> CostFunction:
         if self.type == "hvac_schedule":
             return hvac_cost_schedule(p=p, m=m, **self.params)
-        if self.type == "quadratic":
-            _refuse_unknown("cost parameters", self.params, {"H", "target"})
-            return QuadraticTrackingCost(
-                H=np.asarray(self.params["H"], dtype=float),
-                target=np.asarray(self.params["target"], dtype=float))
+        static = {"quadratic": QuadraticTrackingCost,
+                  "softplus": QuadraticSoftplusCost}.get(self.type)
+        if static is not None:
+            # the parameters are the cost's fields: H, target, and softplus's a, c
+            _refuse_unknown("cost parameters", self.params,
+                            {f.name for f in fields(static)})
+            cost = static(**self.params)
+            if cost.target.size != m + p:
+                raise ConfigError(f"the cost's target has {cost.target.size} entries, "
+                                  f"but z = (u, y) has {m + p}")
+            return cost
         if self.type == "schedule":
             _refuse_unknown("cost parameters", self.params, {"segments", "price_series"})
             for s in self.params["segments"]:
@@ -249,7 +256,7 @@ class ExperimentConfig:
                                           self.horizon + 1)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(f"invalid config: {what}") from exc
         return model, x0, cost, controller, draw_noise, run_seed
@@ -257,9 +264,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ``ConfigError`` on anything ``build`` finds."""
         self.build()
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -296,17 +300,12 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def shipped_config_path(name: str = "hvac_day") -> Path:
-    """Path of a configuration file shipped inside the package."""
+def shipped_config_path() -> Path:
+    """Path of the thermal-day configuration shipped inside the package."""
     from importlib.resources import files
 
-    return Path(str(files("ddcontrol").joinpath(f"configs/{name}.json")))
+    return Path(str(files("ddcontrol").joinpath("configs/hvac_day.json")))
 
 
 # --------------------------------------------------------------------------

@@ -80,31 +80,6 @@ def path_length(zeta: np.ndarray, z_s_init: np.ndarray) -> float:
     return float(np.linalg.norm(zeta - prev, axis=1).sum())
 
 
-def fit_decay_rate(errors: np.ndarray) -> float:
-    """Geometric decay rate of an error series by a log-linear fit.
-
-    The first tenth of the samples is discarded to avoid transient
-    contamination, and samples at or below 1e-13 are dropped so that
-    numerical underflow does not pollute the fit. Returns NaN when fewer
-    than two usable samples remain.
-    """
-    errors = np.asarray(errors, dtype=float)
-    t = np.arange(len(errors))
-    start = int(np.ceil(0.1 * len(errors)))
-    t, errors = t[start:], errors[start:]
-    mask = errors > 1e-13
-    if mask.sum() < 2:
-        return float("nan")
-    slope = np.polyfit(t[mask], np.log(errors[mask]), 1)[0]
-    return float(np.exp(slope))
-
-
-def noise_error_series(record: RunRecord) -> tuple[np.ndarray, float]:
-    """Per-step norm of the noise-estimate error and its fitted decay rate."""
-    err = np.linalg.norm(record.e_hat - record.e_true, axis=1)
-    return err, fit_decay_rate(err)
-
-
 def steps_to_converge(record: RunRecord, tol: float = 1e-2) -> int:
     """First step after which the closed loop stays within tol of the oracle.
 

@@ -18,8 +18,8 @@ from .errors import PersistencyError
 class PlantModel:
     """Discrete-time LTI system x+ = Ax + Bu, y = Cx + Du.
 
-    Construction verifies Schur stability and full-rank controllability
-    and observability matrices.
+    Construction verifies finite matrices, Schur stability and full-rank
+    controllability and observability matrices.
     """
 
     def __init__(self, A, B, C, D=None):
@@ -38,6 +38,8 @@ class PlantModel:
         self.D = np.atleast_2d(np.asarray(D, dtype=float))
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
             raise ValueError("D must be p x m")
+        if not all(np.isfinite(M).all() for M in (self.A, self.B, self.C, self.D)):
+            raise ValueError("A, B, C and D must be finite")
         if self.spectral_radius() >= 1.0:
             raise ValueError(f"A is not Schur stable (spectral radius "
                              f"{self.spectral_radius():.4f})")
@@ -290,20 +292,3 @@ def build_hvac(params: ThermalZoneParams | None = None) -> PlantModel:
         C[row, zone] = 1.0
     return PlantModel(A, B, C)
 
-
-def random_system(rng: np.random.Generator, n: int, m: int, p: int) -> PlantModel:
-    """Random Schur-stable, controllable, observable system for experiments.
-
-    The spectral radius of A is drawn uniformly from [0.3, 0.9).
-    """
-    for _ in range(50):
-        A = rng.normal(size=(n, n))
-        radius = np.abs(np.linalg.eigvals(A)).max()
-        A *= rng.uniform(0.3, 0.9) / max(radius, 1e-9)
-        B = rng.normal(size=(n, m))
-        C = rng.normal(size=(p, n))
-        try:
-            return PlantModel(A, B, C)
-        except ValueError:
-            continue
-    raise RuntimeError("failed to draw a minimal stable system")

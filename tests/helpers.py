@@ -9,6 +9,8 @@ per-step algebra with every product written as ``@``, so that a change to
 how the loop calls its products can be checked bit for bit. The
 cross-step identities of that algebra, and the membership of each window
 a step solves with, are checked on a closed loop by ``checked_run``.
+The random plants and the noise-error decay fit are test fixtures only:
+no run of the package draws a plant or fits a rate.
 """
 
 import copy
@@ -21,7 +23,7 @@ from ddcontrol.behavioral import Trajectory, block_rows, membership_residual
 from ddcontrol.controller import Controller
 from ddcontrol.costs import (CostFunction, QuadraticScheduledCost,
                              QuadraticSoftplusCost, _logistic)
-from ddcontrol.plant import collect_offline_data, step
+from ddcontrol.plant import PlantModel, collect_offline_data, step
 
 
 def hankel_by_index(z, L):
@@ -130,6 +132,49 @@ def model_steady_state(model, u_s):
     u_s = np.atleast_1d(np.asarray(u_s, dtype=float))
     x = np.linalg.solve(np.eye(model.n) - model.A, model.B @ u_s)
     return np.concatenate([u_s, model.C @ x + model.D @ u_s])
+
+
+def random_system(rng: np.random.Generator, n: int, m: int, p: int) -> PlantModel:
+    """Random Schur-stable, controllable, observable system for experiments.
+
+    The spectral radius of A is drawn uniformly from [0.3, 0.9).
+    """
+    for _ in range(50):
+        A = rng.normal(size=(n, n))
+        radius = np.abs(np.linalg.eigvals(A)).max()
+        A *= rng.uniform(0.3, 0.9) / max(radius, 1e-9)
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(p, n))
+        try:
+            return PlantModel(A, B, C)
+        except ValueError:
+            continue
+    raise RuntimeError("failed to draw a minimal stable system")
+
+
+def fit_decay_rate(errors: np.ndarray) -> float:
+    """Geometric decay rate of an error series by a log-linear fit.
+
+    The first tenth of the samples is discarded to avoid transient
+    contamination, and samples at or below 1e-13 are dropped so that
+    numerical underflow does not pollute the fit. Returns NaN when fewer
+    than two usable samples remain.
+    """
+    errors = np.asarray(errors, dtype=float)
+    t = np.arange(len(errors))
+    start = int(np.ceil(0.1 * len(errors)))
+    t, errors = t[start:], errors[start:]
+    mask = errors > 1e-13
+    if mask.sum() < 2:
+        return float("nan")
+    slope = np.polyfit(t[mask], np.log(errors[mask]), 1)[0]
+    return float(np.exp(slope))
+
+
+def noise_error_series(record) -> tuple[np.ndarray, float]:
+    """Per-step norm of the noise-estimate error and its fitted decay rate."""
+    err = np.linalg.norm(record.e_hat - record.e_true, axis=1)
+    return err, fit_decay_rate(err)
 
 
 def fit_geometric_rate(err, start, stop):

@@ -19,12 +19,13 @@ from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.harness import (ExperimentConfig, NoiseSpec, OfflineSpec,
                                PlantSpec, CostSpec,
                                run_experiment, shipped_config_path)
-from ddcontrol.metrics import noise_error_series, regret
-from ddcontrol.plant import collect_offline_data, random_system, simulate
+from ddcontrol.metrics import regret
+from ddcontrol.plant import collect_offline_data, simulate
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
 from helpers import (SwitchingQuadraticCost, checked_run, min_seminorm_qp,
-                     model_steady_state, q_weight)
+                     model_steady_state, noise_error_series, q_weight,
+                     random_system)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

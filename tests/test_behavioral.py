@@ -23,14 +23,6 @@ def test_trajectory_validation():
     assert (traj.N, traj.m, traj.p) == (4, 2, 1)
 
 
-def test_trajectory_window():
-    traj = Trajectory(np.arange(6).reshape(3, 2), np.arange(3).reshape(3, 1))
-    win = traj.window(1, 2)
-    assert_allclose(win.inputs, [[2, 3], [4, 5]])
-    with pytest.raises(ValueError):
-        traj.window(2, 2)
-
-
 # ---------------------------------------------------------------- build_hankel
 
 def test_hankel_scalar_examples():
@@ -133,12 +125,12 @@ def test_persistency_monotone(seed, L):
 # ---------------------------------------------------------------- membership
 
 def test_membership_window_of_data(siso_data):
-    cand = siso_data.window(7, 9)
+    cand = Trajectory(siso_data.inputs[7:16], siso_data.outputs[7:16])
     assert membership_residual(siso_data, cand) <= 1e-10
 
 
 def test_membership_scaled_trajectory(siso_data):
-    cand = siso_data.window(3, 8)
+    cand = Trajectory(siso_data.inputs[3:11], siso_data.outputs[3:11])
     scaled = Trajectory(2.0 * cand.inputs, 2.0 * cand.outputs)
     assert membership_residual(siso_data, scaled) <= 1e-10
 
@@ -169,7 +161,7 @@ def test_membership_channel_mismatch(siso_data):
 
 def test_membership_pe_precondition(siso_model):
     short, _ = simulate(siso_model, np.zeros(1), np.ones((8, 1)))  # constant input
-    cand = short.window(0, 3)
+    cand = Trajectory(short.inputs[:3], short.outputs[:3])
     with pytest.raises(PersistencyError):
         membership_residual(short, cand, n=1)
 

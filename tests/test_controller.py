@@ -14,11 +14,11 @@ from ddcontrol.controller import (Q_MODES, Controller, ControllerConfig,
                                   solve_beta)
 from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.errors import FeasibilityError, PersistencyError
-from ddcontrol.plant import collect_offline_data, random_system, simulate, step
+from ddcontrol.plant import collect_offline_data, simulate, step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
 from helpers import (checked_run, constrained_ls_kkt, kernel_basis_q_tilde,
-                     min_seminorm_qp, q_weight, rank_by_svd)
+                     min_seminorm_qp, q_weight, random_system, rank_by_svd)
 
 
 @pytest.fixture(scope="module")

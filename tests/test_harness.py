@@ -4,7 +4,7 @@ import csv
 import importlib.util
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,10 @@ from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
                                demo_siso_config, run_experiment,
                                shipped_config_path)
 from ddcontrol.errors import PersistencyError
-from ddcontrol.plant import NoiseModel, collect_offline_data, random_system, step
+from ddcontrol.plant import NoiseModel, collect_offline_data, step
 
-from helpers import checked_run, reference_cost, reference_plant_step, reference_step
+from helpers import (checked_run, random_system, reference_cost, reference_plant_step,
+                     reference_step)
 
 
 @pytest.fixture()
@@ -37,14 +38,18 @@ def small_config():
 
 # ---------------------------------------------------------------- config
 
+def _write_config(config: ExperimentConfig, path: Path) -> None:
+    path.write_text(json.dumps(asdict(config), indent=2, sort_keys=True))
+
+
 def test_config_round_trip(tmp_path, small_config):
     path = tmp_path / "conf.json"
-    small_config.to_json(path)
+    _write_config(small_config, path)
     back = ExperimentConfig.from_json(path)
     assert back == small_config
     # serialize -> parse -> serialize is also stable
     path2 = tmp_path / "conf2.json"
-    back.to_json(path2)
+    _write_config(back, path2)
     assert path.read_text() == path2.read_text()
 
 
@@ -683,7 +688,7 @@ def test_cli_validate_missing_config(capsys):
 
 def test_cli_rejects_nonpositive_gamma(tmp_path, small_config, capsys):
     path = tmp_path / "conf.json"
-    small_config.to_json(path)
+    _write_config(small_config, path)
     code = cli_main(["run", "--config", str(path), "--gamma", "-1"])
     assert code == 2
     assert "gamma must be positive" in capsys.readouterr().err
@@ -691,7 +696,7 @@ def test_cli_rejects_nonpositive_gamma(tmp_path, small_config, capsys):
 
 def test_cli_run_and_demo(tmp_path, small_config):
     path = tmp_path / "conf.json"
-    small_config.to_json(path)
+    _write_config(small_config, path)
     assert cli_main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0
     header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[0]
@@ -815,6 +820,11 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
      "capacitances must be positive and finite"),
     ({("plant", "hvac", "r_outdoor"): [NAN, 30.0, None, 28.0, 22.0]},
      "outdoor resistance of zone 0 must be positive"),
+    # an index or an hour read as an integer once raised an OverflowError,
+    # so both commands exited 1
+    ({("plant", "hvac", "sensor_zones"): [0, 3, INF]},
+     "cannot convert float infinity to integer"),
+    ({("cost", "params", "switch_hour"): INF}, "cannot convert float infinity to integer"),
 ], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
         "unstable-plant", "capacitance", "cost-horizon", "top-level-key",
         "process-key", "measurement-key", "q-mode-inputs", "q-mode-outputs",
@@ -825,7 +835,7 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
         "gamma-inf", "lambda-init-nan", "initial-state-nan", "input-low-nan",
         "input-high-inf", "measurement-low-nan", "process-high-inf",
         "failing-scale-nan", "failing-start-nan", "sample-time-nan", "sample-time-inf",
-        "capacitance-nan", "r-outdoor-nan"])
+        "capacitance-nan", "r-outdoor-nan", "sensor-zone-inf", "switch-hour-inf"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
     spec = _edited(json.loads(shipped_config_path().read_text()), edits)
@@ -843,7 +853,7 @@ def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, messag
 ], ids=["quadratic-parameter", "segment-key", "schedule-parameter"])
 def test_cli_rejects_unknown_cost_parameters(tmp_path, capsys, edits, message):
     # no cost reads these keys, so a misspelt one would be ignored
-    spec = _edited(demo_siso_config().to_dict(), edits)
+    spec = _edited(asdict(demo_siso_config()), edits)
     _assert_both_commands_exit_2(tmp_path, capsys, spec, message)
 
 
@@ -851,7 +861,7 @@ def test_cli_rejects_unknown_cost_parameters(tmp_path, capsys, edits, message):
 def test_cli_rejects_non_finite_prices(tmp_path, capsys, bad):
     # Python's json reads a bare NaN or Infinity; such a price once ran to
     # accumulated_cost: nan with exit 0
-    spec = demo_siso_config().to_dict()
+    spec = asdict(demo_siso_config())
     spec["cost"]["params"]["price_series"][5] = bad
     _assert_both_commands_exit_2(tmp_path, capsys, spec, "prices must be positive and finite")
 
@@ -862,10 +872,67 @@ def test_cli_rejects_non_finite_prices(tmp_path, capsys, bad):
 def test_cli_rejects_non_finite_cost_segment(tmp_path, capsys, field, value):
     # a NaN input weight passes a positivity test, and neither the output
     # weight nor the setpoint was checked; each once gave regret = nan
-    spec = demo_siso_config().to_dict()
+    spec = asdict(demo_siso_config())
     spec["cost"]["params"]["segments"][0][field] = value
     _assert_both_commands_exit_2(tmp_path, capsys, spec,
                                  "segment weights and setpoint must be finite")
+
+
+def _static_cost(kind: str, **changes) -> dict:
+    """A ``quadratic`` or ``softplus`` cost section for demo-siso's z = (u, y)."""
+    params = {"H": [[1.0, 0.0], [0.0, 1.0]], "target": [0.5, 1.0]}
+    if kind == "softplus":
+        params.update(a=[1.0, -1.0], c=0.5)
+    return {"type": kind, "params": {**params, **changes}}
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({("plant", "B"): [[INF]]}, "A, B, C and D must be finite"),
+    ({("plant", "D"): [[NAN]]}, "A, B, C and D must be finite"),
+    ({("cost",): _static_cost("quadratic", target=[NAN, 1.0])},
+     "cost parameter target must be finite"),
+    ({("cost",): _static_cost("softplus", target=[0.5, INF])},
+     "cost parameter target must be finite"),
+    ({("cost",): _static_cost("softplus", a=[NAN, -1.0])}, "cost parameter a must be finite"),
+    ({("cost",): _static_cost("softplus", c=INF)}, "cost parameter c must be finite"),
+    # a cost of the wrong shape: the run would fail in its first step, or
+    # the oracle would not converge on an asymmetric H
+    ({("cost",): _static_cost("quadratic", H=np.eye(3).tolist(), target=[0.5, 1.0, 0.0])},
+     "the cost's target has 3 entries, but z = (u, y) has 2"),
+    ({("cost",): _static_cost("softplus", a=[1.0, -1.0, 0.0])},
+     "a must match the target dimension"),
+    ({("cost",): _static_cost("softplus", H=[[1.0, 5.0], [0.0, 1.0]])}, "H must be symmetric"),
+], ids=["B-inf", "D-nan", "quadratic-target-nan", "softplus-target-inf", "softplus-a-nan",
+        "softplus-c-inf", "quadratic-size", "softplus-a-size", "softplus-asymmetric"])
+def test_cli_rejects_bad_plant_matrices_and_cost_parameters(tmp_path, capsys, edits, message):
+    # refused before the run, which would otherwise exit 1 on an SVD that
+    # does not converge or a steering residual of nan; a softplus c = inf
+    # would pass the moduli check, since l_z = inf satisfies it
+    spec = _edited(asdict(demo_siso_config()), edits)
+    _assert_both_commands_exit_2(tmp_path, capsys, spec, message)
+
+
+def test_cli_runs_a_softplus_cost_through_the_iterative_oracle(tmp_path, monkeypatch):
+    # the one shipped cost that is not quadratic has no closed-form steady
+    # state, so a config that names it reaches the projected-gradient oracle
+    import ddcontrol.steady_state as ss_module
+
+    calls, real = [], ss_module._projected_gradient
+
+    def counting_projected_gradient(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(ss_module, "_projected_gradient", counting_projected_gradient)
+    spec = asdict(demo_siso_config())
+    spec["cost"] = _static_cost("softplus")
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        (summary,) = csv.DictReader(fh)
+    assert np.isfinite([float(v) for v in summary.values()]).all(), summary
+    assert calls == [0]         # a static cost is one run of equal parameters
 
 
 def _edited(spec: dict, edits: dict) -> dict:
@@ -897,7 +964,7 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, small_config, capsys):
     # a valid config that fails at runtime: offline record too short for mu
     small_config.offline.N = 12
     path = tmp_path / "conf.json"
-    small_config.to_json(path)
+    _write_config(small_config, path)
     code = cli_main(["run", "--config", str(path), "--mu", "6"])
     assert code == 1
     assert "runtime failure" in capsys.readouterr().err

@@ -1,12 +1,14 @@
-"""The package runs on numpy alone: scipy is a test dependency only."""
+"""The package's surface: it runs on numpy alone, and a run reaches every export."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 COLD_RUN = """
 import sys
@@ -40,3 +42,31 @@ def test_package_never_imports_scipy():
     statement = re.compile(r"^\s*(?:import|from)\s+scipy\b", re.MULTILINE)
     for path in sorted((SRC / "ddcontrol").rglob("*.py")):
         assert not statement.search(path.read_text()), path.name
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # the package exports what a run, a demo or the benchmark uses, not
+    # helpers for its tests: each exported name is read somewhere under
+    # src/, demos/ or perfbench/ (a call, an instance, a subclass, an
+    # annotation or an attribute), outside __init__.py and its own definition
+    init = ast.parse((SRC / "ddcontrol" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    paths = [path for folder in (SRC / "ddcontrol", ROOT / "demos", ROOT / "perfbench")
+             for path in folder.rglob("*.py") if path != SRC / "ddcontrol" / "__init__.py"]
+    for path in paths:
+        visit(ast.parse(path.read_text()), frozenset())
+    assert len(exported) > 50
+    assert exported <= read, sorted(exported - read)

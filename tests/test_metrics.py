@@ -4,11 +4,12 @@ from numpy.testing import assert_allclose
 
 from ddcontrol.controller import Controller, ControllerConfig
 from ddcontrol.costs import QuadraticTrackingCost
-from ddcontrol.metrics import (RunRecord, fit_decay_rate, noise_error_series,
-                               path_length, regret, steps_to_converge,
+from ddcontrol.metrics import (RunRecord, path_length, regret, steps_to_converge,
                                summarize, write_summary_csv)
 from ddcontrol.plant import step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
+
+from helpers import fit_decay_rate, noise_error_series
 
 
 def make_record(cost_vals, opt_vals, dim_u=1, dim_y=1, **overrides):

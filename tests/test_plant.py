@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from ddcontrol.behavioral import membership_residual, persistency_check
+from ddcontrol.behavioral import Trajectory, membership_residual, persistency_check
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import (NoiseModel, PlantModel, ThermalZoneParams,
-                             build_hvac, collect_offline_data, random_system,
-                             simulate, step, thermal_coupling_matrices)
+                             build_hvac, collect_offline_data, simulate, step,
+                             thermal_coupling_matrices)
+
+from helpers import random_system
 
 
 # ---------------------------------------------------------------- model checks
@@ -74,7 +76,8 @@ def test_collect_offline_data_excitation(siso_model):
     data = collect_offline_data(siso_model, 50, pe_order=6, seed=0)
     assert persistency_check(data.inputs, 6)
     # any window of the data is trivially a member of itself
-    assert membership_residual(data, data.window(10, 8)) <= 1e-10
+    window = Trajectory(data.inputs[10:18], data.outputs[10:18])
+    assert membership_residual(data, window) <= 1e-10
 
 
 def test_collect_offline_data_zero_width_box(siso_model):

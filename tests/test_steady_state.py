@@ -7,11 +7,12 @@ from ddcontrol.behavioral import Trajectory, build_hankel
 from ddcontrol.costs import (QuadraticSoftplusCost, QuadraticTrackingCost,
                              hvac_cost_schedule)
 from ddcontrol.errors import PersistencyError
-from ddcontrol.plant import collect_offline_data, random_system, simulate
+from ddcontrol.plant import collect_offline_data, simulate
 from ddcontrol.steady_state import (SteadyStateProjector, build_projector,
                                     optimal_steady_state, project)
 
-from helpers import SwitchingQuadraticCost, model_steady_state, rank_by_svd
+from helpers import (SwitchingQuadraticCost, model_steady_state, random_system,
+                     rank_by_svd)
 
 # hand-computed values for the scalar reference plant (steady states y = 2u):
 # null(S) spanned by (1, 2)/sqrt(5), so P = [[0.2, 0.4], [0.4, 0.8]]
