@@ -28,7 +28,7 @@ H = build_hankel(data.inputs, 4)
 print(f"depth-4 input Hankel matrix: {H.entries.shape[0]} x {H.entries.shape[1]}")
 
 print("\n== certifying candidate trajectories ==")
-fresh, _ = simulate(plant, rng.normal(size=2), rng.uniform(-1, 1, (6, 1)))
+fresh = simulate(plant, rng.normal(size=2), rng.uniform(-1, 1, (6, 1)))
 print(f"fresh simulation of the same plant: residual = "
       f"{membership_residual(data, fresh, n=2):.2e}  (a trajectory)")
 

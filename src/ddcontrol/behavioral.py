@@ -3,9 +3,9 @@
 A length-N input-output record of a linear system, arranged into Hankel
 matrices, spans every trajectory of that system once the input is
 persistently exciting of sufficient order. This module provides the
-containers (Trajectory, HankelMatrix, HankelSet), the excitation check,
-and a least-squares membership test certifying whether a candidate
-window could have been produced by the same system.
+containers (Trajectory, HankelMatrix), the excitation check, and a
+least-squares membership test certifying whether a candidate window
+could have been produced by the same system.
 
 Indexing conventions: sequence time indices are 0-based everywhere;
 block rows of a Hankel matrix are 1-based (``block_rows(H, a, b)``
@@ -154,35 +154,8 @@ def membership_residual(data: Trajectory, candidate: Trajectory,
     return float(np.linalg.norm(H @ (pinv(H) @ rhs) - rhs))
 
 
-@dataclass(frozen=True)
-class HankelSet:
-    """Hankel matrices of a data record, preassembled for the controller.
-
-    ``U`` and ``Y`` have depth 2n+mu+1. ``H_alpha`` stacks the blocks used
-    to pin down an initialized prediction (past inputs, full future input
-    window, past outputs); ``H_beta`` stacks the blocks constrained by the
-    steering correction (past inputs and outputs pinned to zero, terminal
-    input and output windows pinned to the target equilibrium). ``m`` and
-    ``p`` are the record's input and output widths, kept as plain fields
-    because the per-step loop reads them.
-    """
-
-    U: HankelMatrix
-    Y: HankelMatrix
-    H_alpha: np.ndarray
-    H_beta: np.ndarray
-    n: int
-    mu: int
-    m: int
-    p: int
-
-    @property
-    def columns(self) -> int:
-        return self.U.columns
-
-
-def build_hankel_set(data: Trajectory, n: int, mu: int) -> HankelSet:
-    """Assemble the depth-(2n+mu+1) Hankel matrices of a data record.
+def build_hankel_set(data: Trajectory, n: int, mu: int) -> tuple:
+    """The depth-(2n+mu+1) Hankel matrices ``(U, Y)`` of a data record.
 
     Args:
         data: offline record with noise-free outputs.
@@ -196,18 +169,4 @@ def build_hankel_set(data: Trajectory, n: int, mu: int) -> HankelSet:
         raise ValueError(
             f"data of length {data.N} too short for Hankel depth {depth}"
         )
-    U = build_hankel(data.inputs, depth)
-    Y = build_hankel(data.outputs, depth)
-    H_alpha = np.vstack([
-        block_rows(U, 1, n),
-        block_rows(U, n + 1, 2 * n + mu + 1),
-        block_rows(Y, 1, n),
-    ])
-    H_beta = np.vstack([
-        block_rows(U, 1, n),
-        block_rows(U, n + mu + 1, 2 * n + mu + 1),
-        block_rows(Y, 1, n),
-        block_rows(Y, n + mu + 1, 2 * n + mu),
-    ])
-    return HankelSet(U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu,
-                     m=data.m, p=data.p)
+    return build_hankel(data.inputs, depth), build_hankel(data.outputs, depth)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import linalg
-from .behavioral import HankelSet, Trajectory, block_rows, persistency_check
+from .behavioral import HankelMatrix, Trajectory, block_rows, persistency_check
 from .costs import CostFunction
 from .errors import FeasibilityError, PersistencyError
 from .steady_state import SteadyStateProjector
@@ -93,9 +93,13 @@ Q_MODES = ("identity", "identity+future_inputs")
 
 
 @dataclass(frozen=True)
-class Precomputed(HankelSet):
-    """A record's Hankel set plus everything the per-step loop multiplies by.
+class Precomputed:
+    """A record's Hankel matrices plus everything the per-step loop multiplies by.
 
+    ``U`` and ``Y`` have depth 2n+mu+1; ``m`` and ``p`` are the record's
+    input and output widths, plain fields because the loop reads them.
+    ``H_alpha`` and ``H_beta`` stack the row blocks ``precompute`` names,
+    in the row orders of ``alpha_rhs`` and of ``solve_beta``'s g.
     ``H_alpha_pinv`` solves the prediction-coefficient system and
     ``Q_tilde`` maps a steering target mismatch g to the solution of
     ``H_beta beta = g`` of least ``q_mode`` seminorm, in closed form from
@@ -110,6 +114,14 @@ class Precomputed(HankelSet):
     window's layout: u_s n+1 times, then y_s n times.
     """
 
+    U: HankelMatrix
+    Y: HankelMatrix
+    H_alpha: np.ndarray
+    H_beta: np.ndarray
+    n: int
+    mu: int
+    m: int
+    p: int
     H_alpha_pinv: np.ndarray
     Q_tilde: np.ndarray
     E_alpha: np.ndarray
@@ -122,14 +134,19 @@ class Precomputed(HankelSet):
     Y_tail: np.ndarray      # Y^{n+mu+1:2n+mu}: terminal output window
     steady_index: np.ndarray
 
+    @property
+    def columns(self) -> int:
+        return self.U.columns
+
 
 def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     """Factor an offline data record once; the loop then only multiplies.
 
     Checks the record's length and its input's excitation of order 3n+mu+1,
-    then builds the Hankel set and factors it: ``H_alpha`` by its
-    pseudoinverse, ``H_beta`` by one SVD that gives ``Q_tilde`` in closed
-    form (``notes/decisions.md``, "Q̃ in closed form").
+    builds the record's Hankel matrices, cuts each named row block once and
+    stacks ``H_alpha`` and ``H_beta`` from them, then factors the two:
+    ``H_alpha`` by its pseudoinverse, ``H_beta`` by one SVD that gives
+    ``Q_tilde`` in closed form (``notes/decisions.md``, "Q̃ in closed form").
     """
     # looked up at call time, so a timing wrapper on the module attribute sees it
     from .behavioral import build_hankel_set
@@ -145,34 +162,36 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
         raise PersistencyError(
             f"data input is not persistently exciting of order 3n+mu+1 = {order}"
         )
-    hankels = build_hankel_set(data, n, mu)
-    H_beta = hankels.H_beta
+    U, Y = build_hankel_set(data, n, mu)
+    # each row block the factors or the loop read, cut once; U_f holds the
+    # future inputs
+    U_past, U_f = block_rows(U, 1, n), block_rows(U, n + 1, 2 * n + mu + 1)
+    U_plan = block_rows(U, n + 1, n + mu + 1)
+    U_tail = block_rows(U, n + mu + 1, 2 * n + mu + 1)
+    Y_past, Y_next = block_rows(Y, 1, n), block_rows(Y, n + 1, n + 1)
+    Y_ahead = block_rows(Y, n + mu + 1, n + mu + 1)
+    Y_tail = block_rows(Y, n + mu + 1, 2 * n + mu)
+    H_alpha = np.vstack([U_past, U_f, Y_past])
+    H_beta = np.vstack([U_past, U_tail, Y_past, Y_tail])
     # "identity" mode takes H_beta^+ alone; future inputs also need the
     # kernel, but only through its projector I - V_r V_r'
-    _, Q_tilde, _, V_r = linalg.factor(H_beta)
+    _, Q_tilde, _, V_r, _ = linalg.factor(H_beta)
     if q_mode == "identity+future_inputs":
         # beta = H_beta^+ g + N z minimizing |beta|^2 + |U_f beta|^2, for a
         # kernel basis N, is H_beta^+ g - K (I + U_f K)^-1 U_f H_beta^+ g with
         # K = N N' U_f': Woodbury and push-through give one solve of U_f's rows
-        U_f = block_rows(hankels.U, n + 1, 2 * n + mu + 1)
         K = U_f.T - V_r @ (V_r.T @ U_f.T)
         Q_tilde = Q_tilde - K @ np.linalg.solve(np.eye(U_f.shape[0]) + U_f @ K,
                                                 U_f @ Q_tilde)
-    H_alpha = hankels.H_alpha
     H_alpha_pinv = linalg.pinv(H_alpha)
-    m, p = hankels.m, hankels.p
+    m, p = data.m, data.p
     return Precomputed(
-        **vars(hankels),
-        H_alpha_pinv=H_alpha_pinv,
-        Q_tilde=Q_tilde,
+        U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu, m=m, p=p,
+        H_alpha_pinv=H_alpha_pinv, Q_tilde=Q_tilde,
         E_alpha=H_alpha @ H_alpha_pinv - np.eye(H_alpha.shape[0]),
         E_beta=H_beta @ Q_tilde - np.eye(H_beta.shape[0]),
-        U_plan=block_rows(hankels.U, n + 1, n + mu + 1),
-        U_tail=block_rows(hankels.U, n + mu + 1, 2 * n + mu + 1),
-        Y_past=block_rows(hankels.Y, 1, n),
-        Y_next=block_rows(hankels.Y, n + 1, n + 1),
-        Y_ahead=block_rows(hankels.Y, n + mu + 1, n + mu + 1),
-        Y_tail=block_rows(hankels.Y, n + mu + 1, 2 * n + mu),
+        U_plan=U_plan, U_tail=U_tail, Y_past=Y_past, Y_next=Y_next,
+        Y_ahead=Y_ahead, Y_tail=Y_tail,
         steady_index=np.concatenate([np.tile(np.arange(m), n + 1),
                                      m + np.tile(np.arange(p), n)]),
     )
@@ -291,8 +310,7 @@ def initialize(config: ControllerConfig, pre: Precomputed,
     # a copy: the controller shifts its history in place
     u_hist = np.zeros((n, m)) if u_init is None \
         else np.array(u_init, dtype=float).reshape(n, m)
-    alpha0, _ = regularized_init_solution(
-        pre, y_meas, u_hist, u_pred, z_s[:m], config.lambda_init)
+    alpha0, _ = regularized_init_solution(pre, y_meas, u_hist, config.lambda_init)
     # Absorb the least-squares residual into the noise estimates, which are
     # y_meas minus the stored outputs, so that the stored history is exactly
     # the trajectory the coefficients encode; the feasibility induction of
@@ -307,26 +325,23 @@ def initialize(config: ControllerConfig, pre: Precomputed,
 
 
 def regularized_init_solution(pre: Precomputed, y_meas: np.ndarray,
-                              u_hist: np.ndarray, u_pred: np.ndarray,
-                              u_s: np.ndarray, lam: float):
+                              u_hist: np.ndarray, lam: float):
     """Joint least-squares choice of initial coefficients and noise estimates.
 
     Minimizes the output-match residual plus ``lam`` times the squared norm
     of the stacked unknowns (coefficients, noise estimates), subject to the
-    input rows of the data matching the past inputs, the shifted input
-    plan, and the held steady-state input exactly. Larger ``lam`` pulls the
-    solution toward the minimum-norm feasible pair.
+    input rows of the data matching exactly the past inputs, then the zero
+    input plan and zero held steady-state input that every start begins
+    from. Larger ``lam`` pulls the solution toward the minimum-norm
+    feasible pair.
 
     Returns ``(alpha0, e_hat)`` where e_hat has shape (n, p).
     """
     n, m, p = pre.n, pre.m, pre.p
     cols = pre.columns
-    rhs_u = np.concatenate([
-        np.asarray(u_hist, dtype=float).ravel(),
-        np.asarray(u_pred, dtype=float).ravel()[m:],
-        np.tile(np.asarray(u_s, dtype=float), n + 1),
-    ])
     U_full = pre.U.entries
+    rhs_u = np.zeros(U_full.shape[0])
+    rhs_u[:n * m] = np.ravel(u_hist)
     E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
     M = np.hstack([pre.Y_past, np.eye(n * p)])
     w = linalg.constrained_ridge_lstsq(M, np.asarray(y_meas, dtype=float).ravel(),

@@ -126,15 +126,6 @@ class QuadraticTrackingCost(CostFunction):
     def params_key(self, t: int):
         return "static"
 
-    def run_starts(self, times: np.ndarray) -> np.ndarray:
-        return np.arange(min(len(times), 1), dtype=np.intp)
-
-    def stacked_quadratic_terms(self, times: np.ndarray):
-        H, g, c = self.quadratic_terms(0)
-        k = len(times)
-        return (np.repeat(H[None], k, axis=0), np.repeat(g[None], k, axis=0),
-                np.full(k, c))
-
 
 def _logistic(x):
     """1 / (1 + exp(-x)) in the two-branch form that cannot overflow."""

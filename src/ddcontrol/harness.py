@@ -190,9 +190,13 @@ class CostSpec:
                             setpoint=np.asarray(s["setpoint"], dtype=float))
                 for s in self.params["segments"]
             ]
-            return QuadraticScheduledCost(
+            cost = QuadraticScheduledCost(
                 m=m, segments=segments,
                 price_series=np.asarray(self.params["price_series"], dtype=float))
+            if cost.p != p:
+                raise ConfigError(f"the cost's setpoints have {cost.p} entries, "
+                                  f"but y has {p}")
+            return cost
         raise ConfigError(f"unknown cost type {self.type!r}")
 
 
@@ -229,18 +233,20 @@ class ExperimentConfig:
         its excitation and its factors) is checked when the run collects it.
         """
         try:
-            for name, count in (("horizon", self.horizon), ("offline.N", self.offline.N),
-                                ("offline.seed", self.offline.seed),
-                                ("noise.seed", self.noise.seed)):
+            for name, count, least in (("horizon", self.horizon, 0),
+                                       ("offline.N", self.offline.N, 1),
+                                       ("offline.seed", self.offline.seed, 0),
+                                       ("noise.seed", self.noise.seed, 0)):
                 if not _is_count(count):
                     raise ConfigError(f"{name} must be an integer, got {count!r}")
-            if self.horizon < 0:
-                raise ConfigError("horizon must be at least 0")
+                if count < least:
+                    raise ConfigError(f"{name} must be at least {least}, got {count}")
             low, high = self.offline.input_low, self.offline.input_high
             if not (math.isfinite(low) and math.isfinite(high)):
                 raise ConfigError("offline input box must be finite")
-            if low > high:
-                raise ConfigError("offline input box is reversed")
+            # a box of zero width draws a constant input, which excites nothing
+            if not low < high:
+                raise ConfigError("offline input box needs input_low < input_high")
             run_seed = self.noise.seed if seed is None else int(seed)
             overrides = {"gamma": None if gamma is None else float(gamma),
                          "mu": None if mu is None else int(mu)}

@@ -4,13 +4,16 @@ Every rank decision on data (persistency checks, pseudoinverses,
 null-space bases, the regularized start's ridge step) uses the same
 backward-stable cutoff, ``_rank``, so that derived quantities stay
 mutually consistent: a singular value counts toward the rank iff it
-exceeds ``max(rows, cols) * RANK_RTOL * sigma_max``. ``factor`` applies it
-to turn an economy SVD into a rank, a pseudoinverse, a null basis and a
-row basis, so a caller that needs two of them factors its matrix once;
-the ridge step of ``constrained_ridge_lstsq`` and ``numerical_rank``
-apply it to their singular values. The rank tests of ``plant.PlantModel``
-check the ground-truth simulator, which the controller never sees, and
-use numpy's ``matrix_rank``.
+exceeds ``max(rows, cols) * rtol * sigma_max``, with ``rtol = RANK_RTOL``
+for data. A matrix built from data by round-off projectors passes a
+larger ``rtol`` that matches its forward error (``steady_state``).
+``factor`` applies the cutoff to turn an economy SVD into a rank, a
+pseudoinverse, a null basis and a row basis, so a caller that needs two
+of them factors its matrix once; the ridge step of
+``constrained_ridge_lstsq`` and ``numerical_rank`` apply it to their
+singular values. The rank tests of ``plant.PlantModel`` check the
+ground-truth simulator, which the controller never sees, and use numpy's
+``matrix_rank``.
 """
 
 import numpy as np
@@ -20,9 +23,9 @@ from .errors import FeasibilityError
 RANK_RTOL = 1e-12
 
 
-def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+def _rank(s: np.ndarray, shape: tuple[int, int], rtol: float = RANK_RTOL) -> int:
     """Count of singular values above the cutoff, formed as ``np.linalg.pinv`` does."""
-    return int(np.count_nonzero(s > max(shape) * RANK_RTOL * s.max(initial=0.0)))
+    return int(np.count_nonzero(s > max(shape) * rtol * s.max(initial=0.0)))
 
 
 def numerical_rank(M: np.ndarray) -> int:
@@ -31,25 +34,26 @@ def numerical_rank(M: np.ndarray) -> int:
     return _rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
-def factor(M: np.ndarray) -> tuple:
-    """``(rank, pinv, null_basis, row_basis)`` of M from one economy SVD.
+def factor(M: np.ndarray, rtol: float = RANK_RTOL) -> tuple:
+    """``(rank, pinv, null_basis, row_basis, s)`` of M from one economy SVD.
 
-    The rank uses the shared cutoff. The pseudoinverse repeats
-    ``np.linalg.pinv``'s arithmetic and is bit-identical to
-    ``np.linalg.pinv(M, rcond=max(M.shape) * RANK_RTOL)``. Both bases have
-    orthonormal columns. The row basis ``V_r`` (the first ``rank`` right
-    singular vectors) spans the row space of M, so a caller that needs the
-    kernel only through its projector ``I - V_r V_r'`` needs no more. The
-    null basis spans the whole kernel only for a tall M, because the
-    economy SVD of a wide M omits the last right singular vectors.
+    The rank uses the shared cutoff at relative tolerance ``rtol``. The
+    pseudoinverse repeats ``np.linalg.pinv``'s arithmetic and is
+    bit-identical to ``np.linalg.pinv(M, rcond=max(M.shape) * rtol)``. Both
+    bases have orthonormal columns. The row basis ``V_r`` (the first
+    ``rank`` right singular vectors) spans the row space of M, so a caller
+    that needs the kernel only through its projector ``I - V_r V_r'``
+    needs no more. The null basis spans the whole kernel only for a tall M,
+    because the economy SVD of a wide M omits the last right singular
+    vectors. ``s`` holds the singular values, largest first.
     """
     M = np.atleast_2d(M)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    rank = _rank(s, M.shape)
+    rank = _rank(s, M.shape, rtol)
     s_inv = np.zeros_like(s)
     s_inv[:rank] = 1.0 / s[:rank]
     M_pinv = Vt.T @ (s_inv[:, None] * U.T)
-    return rank, M_pinv, Vt[rank:].T.copy(), Vt[:rank].T
+    return rank, M_pinv, Vt[rank:].T.copy(), Vt[:rank].T, s
 
 
 def pinv(M: np.ndarray) -> np.ndarray:
@@ -76,7 +80,7 @@ def constrained_ridge_lstsq(M: np.ndarray, c: np.ndarray, E: np.ndarray,
     above the shared cutoff. Raises FeasibilityError if the constraint
     itself is inconsistent.
     """
-    rank, E_pinv, _, V_r = factor(E)
+    rank, E_pinv, _, V_r, _ = factor(E)
     w0 = E_pinv @ b
     res = np.linalg.norm(E @ w0 - b)
     if not res <= 1e-8 * (1.0 + np.linalg.norm(b)):     # a NaN residual fails too

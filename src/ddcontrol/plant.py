@@ -99,19 +99,14 @@ def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
     return x_next, y, y_meas
 
 
-def simulate(model: PlantModel, x0: np.ndarray, inputs: np.ndarray,
-             e: np.ndarray | None = None, q: np.ndarray | None = None):
-    """Roll out a whole input sequence; returns (Trajectory, measured outputs)."""
+def simulate(model: PlantModel, x0: np.ndarray, inputs: np.ndarray) -> Trajectory:
+    """Roll out a whole input sequence without noise."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    T = inputs.shape[0]
     x = np.asarray(x0, dtype=float).copy()
-    ys = np.empty((T, model.p))
-    ys_meas = np.empty((T, model.p))
-    for k in range(T):
-        ek = None if e is None else e[k]
-        qk = None if q is None else q[k]
-        x, ys[k], ys_meas[k] = step(model, x, inputs[k], ek, qk)
-    return Trajectory(inputs, ys), ys_meas
+    ys = np.empty((inputs.shape[0], model.p))
+    for k, u in enumerate(inputs):
+        x, ys[k], _ = step(model, x, u)
+    return Trajectory(inputs, ys)
 
 
 @dataclass
@@ -179,8 +174,7 @@ def collect_offline_data(model: PlantModel, N: int, pe_order: int,
             f"the input drawn from box [{lo}, {hi}] is not persistently "
             f"exciting of order {pe_order}"
         )
-    traj, _ = simulate(model, np.zeros(model.n), u)
-    return traj
+    return simulate(model, np.zeros(model.n), u)
 
 
 @dataclass

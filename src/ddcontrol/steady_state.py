@@ -71,7 +71,7 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         )
     H = np.vstack([build_hankel(data.inputs, n + 1).entries,
                    build_hankel(data.outputs, n + 1).entries])
-    rank, H_pinv, _, _ = linalg.factor(H)
+    rank, H_pinv, _, _, sigma = linalg.factor(H)
     bound = m * (n + 1) + n
     if rank > bound:
         raise PersistencyError(
@@ -86,9 +86,12 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         [np.zeros(((n + 1) * p, m)), stack_p],
     ])
     S = (H @ H_pinv - np.eye((m + p) * (n + 1))) @ repeat
-    # one factorization gives S^+ and the basis, so both agree on the rank;
+    # S is built from the projector H H^+, whose round-off error is about
+    # eps cond_r(H) (Wedin), so its rank is read at that scale; one
+    # factorization gives S^+ and the basis, so both agree on the rank;
     # S is tall, so its economy SVD carries the complete null basis
-    _, S_pinv, basis, _ = linalg.factor(S)
+    rtol = max(linalg.RANK_RTOL, np.finfo(float).eps * sigma[0] / sigma[rank - 1])
+    _, S_pinv, basis, _, _ = linalg.factor(S, rtol)
     P = np.eye(m + p) - S_pinv @ S
     return SteadyStateProjector(S=S, P=P, basis=basis, m=m, p=p, n=n)
 

@@ -68,7 +68,7 @@ def test_criterion_1_trajectory_membership(system_zoo):
     for model, data, L in system_zoo:
         for _ in range(10):
             x0 = rng.normal(size=model.n)
-            fresh, _ = simulate(model, x0, rng.uniform(-1, 1, (L, model.m)))
+            fresh = simulate(model, x0, rng.uniform(-1, 1, (L, model.m)))
             res = membership_residual(data, fresh, n=model.n)
             assert res <= 1e-8
         corrupted = fresh.outputs.copy()

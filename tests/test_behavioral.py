@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from ddcontrol.behavioral import (Trajectory, block_rows, build_hankel,
                                   build_hankel_set, membership_residual,
                                   persistency_check)
+from ddcontrol.controller import precompute
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import simulate
 
@@ -137,7 +138,7 @@ def test_membership_scaled_trajectory(siso_data):
 
 def test_membership_perturbed_trajectory(siso_model, siso_data):
     rng = np.random.default_rng(5)
-    traj, _ = simulate(siso_model, np.zeros(1), rng.uniform(-1, 1, (8, 1)))
+    traj = simulate(siso_model, np.zeros(1), rng.uniform(-1, 1, (8, 1)))
     assert membership_residual(siso_data, traj) <= 1e-9
     bad_outputs = traj.outputs.copy()
     bad_outputs[4, 0] += 1.0
@@ -149,7 +150,7 @@ def test_membership_fresh_simulations(siso_model, siso_data):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x0 = rng.normal(size=1)
-        traj, _ = simulate(siso_model, x0, rng.uniform(-1, 1, (6, 1)))
+        traj = simulate(siso_model, x0, rng.uniform(-1, 1, (6, 1)))
         assert membership_residual(siso_data, traj, n=1) <= 1e-9
 
 
@@ -160,7 +161,7 @@ def test_membership_channel_mismatch(siso_data):
 
 
 def test_membership_pe_precondition(siso_model):
-    short, _ = simulate(siso_model, np.zeros(1), np.ones((8, 1)))  # constant input
+    short = simulate(siso_model, np.zeros(1), np.ones((8, 1)))  # constant input
     cand = Trajectory(short.inputs[:3], short.outputs[:3])
     with pytest.raises(PersistencyError):
         membership_residual(short, cand, n=1)
@@ -172,9 +173,15 @@ def test_hankel_set_shapes_and_blocks():
     rng = np.random.default_rng(1)
     m, p, n, mu, N = 2, 1, 2, 3, 40
     data = Trajectory(rng.normal(size=(N, m)), rng.normal(size=(N, p)))
-    hs = build_hankel_set(data, n, mu)
+    U, Y = build_hankel_set(data, n, mu)
     depth = 2 * n + mu + 1
     cols = N - 2 * n - mu
+    assert U.entries.shape == (m * depth, cols) and U.depth == depth
+    assert Y.entries.shape == (p * depth, cols) and Y.depth == depth
+    # the controller stacks its two systems from these blocks
+    hs = precompute(data, n, mu, "identity")
+    assert_allclose(hs.U.entries, U.entries)
+    assert_allclose(hs.Y.entries, Y.entries)
     assert hs.H_alpha.shape == (m * depth + p * n, cols)
     assert hs.H_beta.shape == (m * (2 * n + 1) + p * 2 * n, cols)
     # row blocks are literal copies of the Hankel block rows

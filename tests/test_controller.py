@@ -104,11 +104,11 @@ def test_precompute_min_norm_against_qp_oracle(mimo_setup):
 
 def test_precompute_rejects_bad_inputs(siso_model):
     # constant input: no excitation
-    flat, _ = simulate(siso_model, np.zeros(1), np.ones((30, 1)))
+    flat = simulate(siso_model, np.zeros(1), np.ones((30, 1)))
     with pytest.raises(PersistencyError):
         precompute(flat, 1, 2, "identity")
-    tiny, _ = simulate(siso_model, np.zeros(1),
-                       np.random.default_rng(0).uniform(-1, 1, (9, 1)))
+    tiny = simulate(siso_model, np.zeros(1),
+                    np.random.default_rng(0).uniform(-1, 1, (9, 1)))
     with pytest.raises(ValueError, match="too short"):
         precompute(tiny, 1, 2, "identity")
 
@@ -155,8 +155,8 @@ def test_residual_map_keeps_a_broken_steering_map_loud():
     # the step's beta residual comes from E_beta = H_beta Q_tilde - I, which
     # carries Q_tilde's own error: the plant above now steers, and with the
     # projector-form Q_tilde put back the check refuses the first step that
-    # has a target to steer to. (This record's steady-state set comes out
-    # of dimension 0, so the target is the round-off of a zero projector.)
+    # has a target to steer to. (This record's steady-state set has
+    # dimension m = 2, so the target is a real equilibrium: g_norm 2.8e-2.)
     n = mu = 5
     data = _record(*POORLY_OBSERVABLE[0])
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity")
@@ -682,7 +682,7 @@ def test_initialize_regularized_feasible_and_consistent(mimo_setup):
     # a real excitation: simulate the plant under nonzero inputs, then hand
     # the controller those inputs and noisy measurements
     u_past = rng.uniform(-1, 1, (cfg.n, model.m))
-    traj, _ = simulate(model, rng.normal(size=model.n), u_past)
+    traj = simulate(model, rng.normal(size=model.n), u_past)
     y_noisy = traj.outputs + rng.uniform(-0.2, 0.2, traj.outputs.shape)
     state = initialize(cfg, pre, y_noisy, u_init=u_past)
     from ddcontrol.behavioral import membership_residual
@@ -709,8 +709,7 @@ def test_regularized_solution_matches_kkt_oracle_and_monotone(mimo_setup):
     rhs_u = np.concatenate([u_hist.ravel(), u_pred.ravel()[m:], np.tile(u_s, n + 1)])
     norms = []
     for lam in (0.01, 1.0, 100.0):
-        alpha0, e_hat = regularized_init_solution(pre, y_meas, u_hist, u_pred,
-                                                  u_s, lam)
+        alpha0, e_hat = regularized_init_solution(pre, y_meas, u_hist, lam)
         w = np.concatenate([alpha0, e_hat.ravel()])
         w_star = constrained_ls_kkt(M, y_meas.ravel(), E, rhs_u, lam)
         assert_allclose(w, w_star, atol=1e-7)
@@ -1021,7 +1020,7 @@ def test_distinct_records_never_share_factors(factor_cache):
     # inputs from another initial state change only the outputs
     u_changed = u.copy()
     u_changed[17] += 1e-3 * np.linalg.svd(model.B)[2][-1]
-    y_changed = simulate(model, np.full(1, 1e-3), u)[0].outputs
+    y_changed = simulate(model, np.full(1, 1e-3), u).outputs
     variants = {
         "n": (dataclasses.replace(base_cfg, n=2), base_data),
         "mu": (dataclasses.replace(base_cfg, mu=3), base_data),

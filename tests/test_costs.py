@@ -289,7 +289,7 @@ def test_scalar_schedule_stacked_eval_is_eval_bit_for_bit():
 
 @pytest.mark.parametrize("make, own_forms", [
     (lambda: QuadraticTrackingCost(H=np.diag([1.0, 4.0]), target=np.array([1.0, -1.0])),
-     True),
+     False),
     (lambda: SwitchingQuadraticCost(np.diag([2.0, 1.0]), [[0.0, 0.0], [1.5, 3.0]],
                                     [0, 50]), False),
     (lambda: QuadraticSoftplusCost(H=np.eye(2), target=np.zeros(2),

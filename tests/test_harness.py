@@ -236,7 +236,7 @@ def test_self_checks_hold_on_multi_state_plants(n):
 @example(5, 2, 1, 969146)
 def test_self_checks_hold_on_drawn_plants(n, m, p, seed):
     # the two examples are poorly observable (cond_r of H_beta 1e7 and
-    # 1.6e6): their identities read 3.9e-8 and 2.5e-8, round-off at that
+    # 1.6e6): their identities read 9.0e-11 and 3.2e-11, round-off at that
     # conditioning, which ``identity_bound`` scales with
     config = random_plant_config(np.random.default_rng(seed), n, m, p, seed)
     run = checked_run(config)
@@ -825,6 +825,13 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
     ({("plant", "hvac", "sensor_zones"): [0, 3, INF]},
      "cannot convert float infinity to integer"),
     ({("cost", "params", "switch_hour"): INF}, "cannot convert float infinity to integer"),
+    # values wrong whatever record is drawn once passed validate, and the
+    # run exited 1 while it collected the record
+    ({("offline", "N"): 0}, "offline.N must be at least 1, got 0"),
+    ({("offline", "N"): -1}, "offline.N must be at least 1, got -1"),
+    ({("offline", "seed"): -1}, "offline.seed must be at least 0, got -1"),
+    ({("offline", "input_low"): True}, "offline input box needs input_low < input_high"),
+    ({("offline", "input_high"): -1.0}, "offline input box needs input_low < input_high"),
 ], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
         "unstable-plant", "capacitance", "cost-horizon", "top-level-key",
         "process-key", "measurement-key", "q-mode-inputs", "q-mode-outputs",
@@ -835,7 +842,9 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
         "gamma-inf", "lambda-init-nan", "initial-state-nan", "input-low-nan",
         "input-high-inf", "measurement-low-nan", "process-high-inf",
         "failing-scale-nan", "failing-start-nan", "sample-time-nan", "sample-time-inf",
-        "capacitance-nan", "r-outdoor-nan", "sensor-zone-inf", "switch-hour-inf"])
+        "capacitance-nan", "r-outdoor-nan", "sensor-zone-inf", "switch-hour-inf",
+        "offline-N-zero", "offline-N-negative", "offline-seed-negative",
+        "input-box-boolean", "input-box-empty"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
     spec = _edited(json.loads(shipped_config_path().read_text()), edits)
@@ -902,8 +911,14 @@ def _static_cost(kind: str, **changes) -> dict:
     ({("cost",): _static_cost("softplus", a=[1.0, -1.0, 0.0])},
      "a must match the target dimension"),
     ({("cost",): _static_cost("softplus", H=[[1.0, 5.0], [0.0, 1.0]])}, "H must be symmetric"),
+    # a schedule sized for two outputs on the one-output plant: the run
+    # would fail in its first step on a broadcast
+    ({("cost", "params", "segments", k, key): value for k in (0, 1)
+      for key, value in (("setpoint", [1.0, 2.0]), ("output_weight", np.eye(2).tolist()))},
+     "the cost's setpoints have 2 entries, but y has 1"),
 ], ids=["B-inf", "D-nan", "quadratic-target-nan", "softplus-target-inf", "softplus-a-nan",
-        "softplus-c-inf", "quadratic-size", "softplus-a-size", "softplus-asymmetric"])
+        "softplus-c-inf", "quadratic-size", "softplus-a-size", "softplus-asymmetric",
+        "schedule-size"])
 def test_cli_rejects_bad_plant_matrices_and_cost_parameters(tmp_path, capsys, edits, message):
     # refused before the run, which would otherwise exit 1 on an SVD that
     # does not converge or a steering residual of nan; a softplus c = inf

@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddcontrol.linalg as linalg_module
-from ddcontrol.behavioral import build_hankel, build_hankel_set
+from ddcontrol.behavioral import build_hankel
+from ddcontrol.controller import precompute
 from ddcontrol.errors import FeasibilityError
 from ddcontrol.harness import ExperimentConfig, shipped_config_path
 from ddcontrol.linalg import (RANK_RTOL, constrained_ridge_lstsq, factor,
@@ -108,7 +109,7 @@ def offline_matrices() -> dict:
         model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
-    hankels = build_hankel_set(data, cc.n, cc.mu)
+    hankels = precompute(data, cc.n, cc.mu, cc.q_mode)
     rng = np.random.default_rng(6)
     deficient = rng.normal(size=(9, 4)) @ rng.normal(size=(4, 12))
     return {
@@ -135,7 +136,7 @@ def test_pinv_is_bit_identical_to_numpy(offline_matrices):
 
 def test_factor_rank_and_null_basis_follow_the_one_rule(offline_matrices):
     for name, M in offline_matrices.items():
-        rank, _, Z, V_r = factor(M)
+        rank, _, Z, V_r, _ = factor(M)
         assert rank == numerical_rank(M), name
         assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
         scale = 1.0 + np.abs(M).max(initial=0.0)

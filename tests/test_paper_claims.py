@@ -144,7 +144,7 @@ def _unseen_response(config):
     """
     record, _ = run_experiment(config)
     model = config.build()[0]
-    y_rest = simulate(model, np.zeros(model.n), record.u)[0].outputs
+    y_rest = simulate(model, np.zeros(model.n), record.u).outputs
     return record.e_hat - record.e_true, record.y - y_rest
 
 
@@ -175,7 +175,7 @@ def test_noise_estimate_misses_by_the_free_response_on_a_quiet_day():
     miss, _ = _unseen_response(config)
     model, x0 = config.build()[:2]
     n, steps = config.controller.n, miss.shape[0]
-    free = simulate(model, x0, np.zeros((steps + n, model.m)))[0].outputs[n:]
+    free = simulate(model, x0, np.zeros((steps + n, model.m))).outputs[n:]
     assert np.abs(free).max() > 1.0
     assert np.abs(miss - free).max() <= 1e-10
 

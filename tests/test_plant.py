@@ -64,9 +64,9 @@ def test_superposition(siso_model):
     rng = np.random.default_rng(1)
     u1 = rng.normal(size=(30, 1))
     u2 = rng.normal(size=(30, 1))
-    t1, _ = simulate(siso_model, np.zeros(1), u1)
-    t2, _ = simulate(siso_model, np.zeros(1), u2)
-    t12, _ = simulate(siso_model, np.zeros(1), u1 + u2)
+    t1 = simulate(siso_model, np.zeros(1), u1)
+    t2 = simulate(siso_model, np.zeros(1), u2)
+    t12 = simulate(siso_model, np.zeros(1), u1 + u2)
     assert_allclose(t12.outputs, t1.outputs + t2.outputs, atol=1e-10)
 
 

@@ -65,7 +65,7 @@ def test_project_dimension_mismatch(siso_proj):
 
 
 def test_pe_violation_raises(siso_model):
-    traj, _ = simulate(siso_model, np.zeros(1), np.ones((10, 1)))
+    traj = simulate(siso_model, np.zeros(1), np.ones((10, 1)))
     with pytest.raises(PersistencyError):
         build_projector(traj, n=1)
 
@@ -115,21 +115,36 @@ def test_nullspace_dimension_is_input_dimension(random_plants):
         assert proj.dim == nullity == model.m
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "build_projector ranks the round-off projector S against its own "
-    "sigma_max, so round-off singular values count toward its rank "
-    "(ROADMAP open item 10)"))
 def test_steady_state_dimension_on_poorly_observable_plants():
     # n = 5 plants with poles below 0.33 seen through one output, 150
     # samples each: S has singular values 1.04, 2.3e-10, 8.7e-11 and 0.94,
-    # 2.0e-11, 6.5e-12 against cutoffs of 1.9e-11 and 1.7e-11, so the
-    # steady-state sets come out of dimension 0 and 1 where both are m = 2
+    # 2.0e-11, 6.5e-12. Ranked against S's own sigma_max (cutoffs 1.9e-11
+    # and 1.7e-11) the round-off values counted and the sets came out of
+    # dimension 0 and 1; at eps cond_r(H) (cond_r 1.0e7 and 1.4e6, cutoffs
+    # 4.2e-8 and 5.2e-9) both are m = 2
     dims = []
     for seed in (889143, 969146):
         model = random_system(np.random.default_rng(seed), 5, 2, 1)
         data = collect_offline_data(model, 150, pe_order=3 * 5 + 5 + 1, seed=seed)
         dims.append(build_projector(data, model.n).dim)
     assert dims == [2, 2]
+
+
+def test_steady_state_dimension_is_input_dimension_across_shapes():
+    # 40 records of shapes up to n = 5 and m, p = 3, each a little longer
+    # than the controller's excitation order at mu = n needs: ranked at
+    # eps cond_r(H), every steady-state set has dimension m
+    rng = np.random.default_rng(10)
+    shapes = []
+    for _ in range(40):
+        n, m, p = (int(k) for k in rng.integers(1, [6, 4, 4]))
+        model = random_system(rng, n, m, p)
+        order = 4 * n + 1
+        data = collect_offline_data(model, (m + 1) * order + 10, pe_order=order,
+                                    seed=int(rng.integers(10 ** 6)))
+        assert build_projector(data, n).dim == m, (n, m, p)
+        shapes.append((n, m, p))
+    assert len(set(shapes)) >= 20
 
 
 def test_projector_factors_each_matrix_once(monkeypatch, random_plants):
@@ -140,9 +155,9 @@ def test_projector_factors_each_matrix_once(monkeypatch, random_plants):
     factored, decomposed = [], []
     real_factor, real_svd = linalg.factor, np.linalg.svd
 
-    def recording_factor(M):
+    def recording_factor(M, *args):
         factored.append(np.array(M))
-        return real_factor(M)
+        return real_factor(M, *args)
 
     def recording_svd(M, *args, **kwargs):
         decomposed.append(np.array(M))
