@@ -15,32 +15,35 @@ from ddcontrol.costs import CostFunction
 
 
 class SwitchingCost(CostFunction):
-    """Quadratic with a target that jumps at fixed times."""
+    """Quadratic with a target that jumps at fixed times.
+
+    It writes the oracle's runs and terms, so each run is solved once.
+    """
 
     def __init__(self, H, targets, times):
         self.H = np.asarray(H, dtype=float)
-        self.targets = [np.asarray(x, dtype=float) for x in targets]
-        self.times = list(times)
+        self.targets = np.array(targets, dtype=float)
+        self.times = np.asarray(times)
         w = np.linalg.eigvalsh(self.H)
         self.alpha_z, self.l_z = float(w[0]), float(w[-1])
 
-    def _target(self, t):
-        idx = sum(t >= s for s in self.times) - 1
-        return self.targets[idx]
+    def _segment(self, t):
+        return np.searchsorted(self.times, t, side="right") - 1
 
     def eval(self, t, z):
-        d = z - self._target(t)
+        d = z - self.targets[self._segment(t)]
         return 0.5 * float(d @ self.H @ d)
 
     def grad(self, t, z):
-        return self.H @ (z - self._target(t))
+        return self.H @ (z - self.targets[self._segment(t)])
 
-    def quadratic_terms(self, t):
-        x = self._target(t)
-        return self.H.copy(), -self.H @ x, 0.5 * float(x @ self.H @ x)
+    def run_starts(self, times):
+        return np.flatnonzero(np.diff(self._segment(times), prepend=-1))
 
-    def params_key(self, t):
-        return sum(t >= s for s in self.times)
+    def stacked_quadratic_terms(self, times):
+        x = self.targets[self._segment(times)]
+        Hx = x @ self.H             # H is symmetric
+        return np.repeat(self.H[None], len(x), axis=0), -Hx, 0.5 * (x * Hx).sum(axis=1)
 
 
 base = dict(

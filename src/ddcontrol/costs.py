@@ -14,21 +14,23 @@ import numpy as np
 
 
 class CostFunction:
-    """Base interface: value, gradient, and convexity moduli.
+    """Base interface: value, gradient, convexity moduli and the oracle's forms.
 
     Subclasses must set ``alpha_z`` (strong convexity) and ``l_z``
     (smoothness) with 0 < alpha_z <= l_z, and implement ``eval`` and
-    ``grad``. ``quadratic_terms(t)`` may return (H, g, c) such that
-    L_t(z) = 0.5 z'Hz + g'z + c, enabling exact reduced solves;
-    the default returns None. ``params_key(t)`` identifies the cost
-    parameters active at time t, so times with equal keys must give equal
-    values and gradients: ``optimal_steady_state`` solves a run of
-    consecutive times with equal keys once, and ``run_experiment``
-    evaluates the oracle cost once per run. The safe default treats every
-    step as distinct. ``run_starts``, ``stacked_quadratic_terms`` and
-    ``stacked_eval`` are the same facts over a 1-D array of times, which
-    the oracle reads; here they loop the scalar forms, and
-    ``QuadraticScheduledCost`` computes all three with array operations.
+    ``grad``. The regret oracle reads a cost over a 1-D array of times
+    through three array forms, which a cost may override:
+
+    - ``run_starts(times)``: the positions in ``times`` where a run of
+      equal cost parameters starts. Times in one run must give equal
+      values and gradients: the oracle solves each run once and evaluates
+      its cost once. The default makes every time its own run.
+    - ``stacked_quadratic_terms(times)``: ``(H, g, c)`` with
+      L_t(z) = 0.5 z'Hz + g'z + c at each time, shapes (k, d, d), (k, d)
+      and (k,), which the oracle solves in closed form. The default, None,
+      says the cost is not quadratic, and the oracle iterates.
+    - ``stacked_eval(times, points)``: ``eval`` at each time and the
+      matching row of ``points``; the default loops ``eval``.
     """
 
     alpha_z: float
@@ -40,36 +42,13 @@ class CostFunction:
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def quadratic_terms(self, t: int):
-        return None
-
-    def params_key(self, t: int):
-        return t
-
     def run_starts(self, times: np.ndarray) -> np.ndarray:
-        """Positions in 1-D ``times`` where a run of equal ``params_key`` starts."""
-        starts, last_key = [], object()
-        for i, t in enumerate(map(int, times)):
-            key = self.params_key(t)
-            if key != last_key:
-                starts.append(i)
-                last_key = key
-        return np.array(starts, dtype=np.intp)
+        return np.arange(len(times))
 
     def stacked_quadratic_terms(self, times: np.ndarray):
-        """``quadratic_terms`` at each of 1-D ``times``, stacked.
-
-        Returns ``(H, g, c)`` with shapes (k, d, d), (k, d) and (k,), or
-        None when the cost has no quadratic terms at some of the times.
-        """
-        terms = [self.quadratic_terms(t) for t in map(int, times)]
-        if not terms or any(term is None for term in terms):
-            return None
-        H, g, c = zip(*terms)
-        return np.array(H), np.array(g), np.array(c, dtype=float)
+        return None
 
     def stacked_eval(self, times: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """``eval`` at each of 1-D ``times`` and the matching row of ``points``."""
         return np.array([self.eval(t, z) for t, z in zip(map(int, times), points)],
                         dtype=float)
 
@@ -118,13 +97,16 @@ class QuadraticTrackingCost(CostFunction):
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
         return self.H.dot(z - self.target)
 
-    def quadratic_terms(self, t: int):
-        # a copy of H, so a caller that edits it cannot alter the cost
-        return (self.H.copy(), -self.H @ self.target,
-                0.5 * float(self.target @ self.H @ self.target))
+    def run_starts(self, times: np.ndarray) -> np.ndarray:
+        # a static cost is one run
+        return np.zeros(1, dtype=np.intp)
 
-    def params_key(self, t: int):
-        return "static"
+    def stacked_quadratic_terms(self, times: np.ndarray):
+        # np.repeat copies H, so a caller that edits it cannot alter the cost
+        k = len(times)
+        return (np.repeat(self.H[None], k, axis=0),
+                np.repeat((-self.H @ self.target)[None], k, axis=0),
+                np.repeat(0.5 * float(self.target @ self.H @ self.target), k))
 
 
 def _logistic(x):
@@ -170,8 +152,7 @@ class QuadraticSoftplusCost(CostFunction):
         s = _logistic(self.a.dot(z))
         return self.H.dot(z - self.target) + self.c * s * self.a
 
-    def params_key(self, t: int):
-        return "static"
+    run_starts = QuadraticTrackingCost.run_starts
 
 
 @dataclass(frozen=True)
@@ -281,16 +262,8 @@ class QuadraticScheduledCost(CostFunction):
         u, y = z[:self.m], z[self.m:]
         return np.concatenate([iw * u, W.dot(y - sp)])
 
-    def quadratic_terms(self, t: int):
-        H, g, c = self.stacked_quadratic_terms(np.array([t]))
-        return H[0], g[0], float(c[0])
-
-    def params_key(self, t: int):
-        seg = self.segments[self._index(t)]
-        return (seg.start, float(self.price_series[t]))
-
     def run_starts(self, times: np.ndarray) -> np.ndarray:
-        # a run ends where the segment or the price changes, as the key does
+        # a run ends where the segment or the price changes
         times = np.asarray(times)
         k, price = self._indices(times), self.price_series[times]
         new = np.ones(len(times), dtype=bool)

@@ -22,6 +22,7 @@ from .controller import Controller, ControllerConfig, check_step_size
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                     QuadraticSoftplusCost, QuadraticTrackingCost,
                     hvac_cost_schedule)
+from .errors import FeasibilityError
 from .metrics import RunRecord
 from .plant import (NoiseModel, PlantModel, ThermalZoneParams, build_hvac,
                     collect_offline_data, step)
@@ -35,6 +36,14 @@ class ConfigError(ValueError):
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer; a boolean is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _index(value, what: str) -> int:
+    """``int(value)``, refusing a boolean or a fraction; ``int`` refuses ±inf, NaN."""
+    index = int(value)
+    if isinstance(value, bool) or index != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return index
 
 
 def _refuse_unknown(what: str, given: dict, known: set) -> None:
@@ -74,12 +83,14 @@ class PlantSpec:
                 params.r_outdoor = [None if r is None else float(r)
                                     for r in overrides.pop("r_outdoor")]
             if "r_between" in overrides:
-                params.r_between = {(int(i), int(j)): float(r)
+                params.r_between = {(_index(i, "r_between zone"),
+                                     _index(j, "r_between zone")): float(r)
                                     for i, j, r in overrides.pop("r_between")}
             if "sample_time" in overrides:
                 params.sample_time = float(overrides.pop("sample_time"))
             if "sensor_zones" in overrides:
-                params.sensor_zones = tuple(int(z) for z in overrides.pop("sensor_zones"))
+                params.sensor_zones = tuple(_index(z, "sensor zone")
+                                            for z in overrides.pop("sensor_zones"))
             if overrides:
                 raise ConfigError(f"unknown hvac parameters: {sorted(overrides)}")
             model = build_hvac(params)
@@ -184,7 +195,7 @@ class CostSpec:
                 _refuse_unknown("cost segment keys", s, {"start", "output_weight",
                                                         "input_weight", "setpoint"})
             segments = [
-                CostSegment(start=int(s["start"]),
+                CostSegment(start=_index(s["start"], "segment start"),
                             output_weight=np.asarray(s["output_weight"], dtype=float),
                             input_weight=float(s["input_weight"]),
                             setpoint=np.asarray(s["setpoint"], dtype=float))
@@ -335,8 +346,10 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     recorder: after each step it copies the controller's ``last`` record
     into the run's arrays. The best equilibria ``zeta_t`` that regret is
     measured against do not depend on the loop: one call after it solves
-    them for all t, and each run of equal cost parameters is evaluated
-    once.
+    them for all t, reading the cost's array forms (see ``CostFunction``),
+    and ``stacked_eval`` evaluates each run of equal parameters once. A
+    summary value that is not finite raises ``FeasibilityError``, naming
+    the first step whose u, y, e_hat, cost or opt_cost is not finite.
 
     Returns ``(record, summary)``.
     """
@@ -416,6 +429,15 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                        beta_residual=bres_log)
     summary = metrics.summarize(record, seed=run_seed, gamma=cc.gamma, mu=cc.mu)
     summary["accumulated_cost"] = float(cost_log.sum())
+    # one check after the loop, so that no step pays for it: a finite
+    # value so large that the loop overflows must not pass as a result
+    bad = [key for key, value in summary.items() if not np.isfinite(value)]
+    if bad:
+        rows = np.column_stack([uy_log, ehat_log, cost_log, opt_log])
+        steps = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        where = f"step {steps[0]} has" if steps.size else "no step has"
+        raise FeasibilityError(f"the run's {bad[0]} is not finite: {where} a "
+                               "non-finite u, y, e_hat, cost or opt_cost")
 
     target_dir = out_dir if out_dir is not None else config.output_dir
     if target_dir is not None:

@@ -108,17 +108,17 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     """Minimizers of a strongly convex cost over the steady-state set.
 
     ``t`` is one time index, which gives the minimizer at that time with
-    shape (m+p,), or a 1-D sequence of them. Consecutive times with equal
-    ``cost.params_key`` form a run and share one solve, so a sequence gives
-    ``(starts, zeta)``: the position in ``t`` where each run starts, and
-    one minimizer row per run. One time is the length-one case of the same
-    computation. The runs and the quadratic terms come from the cost's
-    array forms, ``run_starts`` and ``stacked_quadratic_terms``.
-    Quadratic costs are reduced to the normal equations B'HB w = -B'g in
-    the null-space basis B, all formed by stacked products and solved in
-    one batched call; B'HB >= alpha_z I, so every system is nonsingular.
-    General smooth costs fall back to projected gradient iteration driven
-    to a projected-gradient norm of 1e-10, once per run.
+    shape (m+p,), or a 1-D sequence of them. The cost's ``run_starts``
+    splits the times into runs of equal parameters, and each run shares one
+    solve, so a sequence gives ``(starts, zeta)``: the position in ``t``
+    where each run starts, and one minimizer row per run. One time is the
+    length-one case of the same computation. A cost whose
+    ``stacked_quadratic_terms`` gives terms is reduced to the normal
+    equations B'HB w = -B'g in the null-space basis B, all formed by
+    stacked products and solved in one batched call; B'HB >= alpha_z I, so
+    every system is nonsingular. Any other cost falls back to projected
+    gradient iteration driven to a projected-gradient norm of 1e-10, once
+    per run.
     """
     times = np.atleast_1d(t)
     starts = cost.run_starts(times)

@@ -189,45 +189,39 @@ def fit_geometric_rate(err, start, stop):
 class SwitchingQuadraticCost(CostFunction):
     """Test scenario cost: quadratic in z with piecewise-constant targets.
 
-    ``switches`` maps step indices to target points; the target active at
-    time t is the one with the largest switch index <= t. The Hessian is
-    shared across segments. Only the scalar forms are written here, so the
-    oracle reads the runs and terms through ``CostFunction``'s loops.
+    The target active at time t is the one whose switch time is the
+    largest at or before t; the Hessian is shared across segments. The
+    oracle's array forms find each time's segment with ``searchsorted``
+    over the switch times.
     """
 
     def __init__(self, H, targets, switch_times):
         self.H = np.atleast_2d(np.asarray(H, dtype=float))
-        self.targets = [np.asarray(x, dtype=float) for x in targets]
-        self.switch_times = list(switch_times)
+        self.targets = np.array(targets, dtype=float)
+        self.switch_times = np.asarray(switch_times)
         assert self.switch_times[0] == 0
         w = np.linalg.eigvalsh(self.H)
         self.alpha_z = float(w[0])
         self.l_z = float(w[-1])
 
-    def _target(self, t):
-        idx = 0
-        for k, start in enumerate(self.switch_times):
-            if t >= start:
-                idx = k
-        return self.targets[idx]
+    def _segment(self, times):
+        return np.searchsorted(self.switch_times, times, side="right") - 1
 
     def eval(self, t, z):
-        d = z - self._target(t)
+        d = z - self.targets[self._segment(t)]
         return 0.5 * float(d @ self.H @ d)
 
     def grad(self, t, z):
-        return self.H @ (z - self._target(t))
+        return self.H @ (z - self.targets[self._segment(t)])
 
-    def quadratic_terms(self, t):
-        target = self._target(t)
-        return self.H.copy(), -self.H @ target, 0.5 * float(target @ self.H @ target)
+    def run_starts(self, times):
+        # a run ends where the segment changes
+        return np.flatnonzero(np.diff(self._segment(times), prepend=-1))
 
-    def params_key(self, t):
-        idx = 0
-        for k, start in enumerate(self.switch_times):
-            if t >= start:
-                idx = k
-        return idx
+    def stacked_quadratic_terms(self, times):
+        x = self.targets[self._segment(times)]
+        Hx = x @ self.H             # H is symmetric
+        return np.repeat(self.H[None], len(x), axis=0), -Hx, 0.5 * (x * Hx).sum(axis=1)
 
 
 def reference_cost(cost, t, z):

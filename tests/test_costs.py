@@ -169,41 +169,45 @@ def test_schedule_rejects_non_finite_segment(field, bad):
 
 def test_schedule_hessians_within_moduli():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
-    for t in (0, 30, 50, 95):
-        H, _, _ = cost.quadratic_terms(t)
-        w = np.linalg.eigvalsh(H)
+    H, _, _ = cost.stacked_quadratic_terms(np.array([0, 30, 50, 95]))
+    for w in np.linalg.eigvalsh(H):
         assert cost.alpha_z - 1e-12 <= w[0]
         assert w[-1] <= cost.l_z + 1e-12
+
+
+def assert_array_forms_match_params_at(cost, times):
+    """The runs and terms of a schedule, checked against ``params_at`` per time."""
+    params = [cost.params_at(int(t)) for t in times]
+    # a run ends where the segment's weights, the price or the setpoint change
+    changed = [i == 0 or any(np.any(a != b) for a, b in zip(params[i], params[i - 1]))
+               for i in range(len(times))]
+    np.testing.assert_array_equal(cost.run_starts(times), np.flatnonzero(changed))
+    m = cost.m
+    for (W, iw, sp), H, g, c in zip(params, *cost.stacked_quadratic_terms(times)):
+        H_ref = np.zeros((m + cost.p, m + cost.p))
+        H_ref[:m, :m] = iw * np.eye(m)
+        H_ref[m:, m:] = W
+        np.testing.assert_array_equal(H, H_ref)
+        np.testing.assert_array_equal(g, np.concatenate([np.zeros(m), -W @ sp]))
+        assert c == 0.5 * float(sp @ W @ sp)
 
 
 def test_schedule_quadratic_terms_match_parameters():
     # the terms are the closed form of params_at, bit for bit, at every t
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
-    for t in range(cost.horizon):
-        W, iw, sp = cost.params_at(t)
-        H_ref = np.zeros((8, 8))
-        H_ref[:5, :5] = iw * np.eye(5)
-        H_ref[5:, 5:] = W
-        H, g, c = cost.quadratic_terms(t)
-        np.testing.assert_array_equal(H, H_ref)
-        np.testing.assert_array_equal(g, np.concatenate([np.zeros(5), -W @ sp]))
-        assert c == 0.5 * float(sp @ W @ sp)
+    assert_array_forms_match_params_at(cost, np.arange(cost.horizon))
 
 
 def test_schedule_quadratic_terms_survive_caller_mutation():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
-    H0, g0, c0 = (np.copy(x) for x in cost.quadratic_terms(40))
-    H, g, _ = cost.quadratic_terms(40)
+    times = np.array([40, 41])           # same segment, other price
+    H0, g0, c0 = (np.copy(x) for x in cost.stacked_quadratic_terms(times))
+    H, g, c = cost.stacked_quadratic_terms(times)
     H += 1.0
-    try:
-        g += 1.0
-    except ValueError:           # read-only is as good as a copy
-        pass
-    for t in (40, 41):           # same segment, same and other price
-        H_t, g_t, c_t = cost.quadratic_terms(t)
-        np.testing.assert_array_equal(g_t, g0)
-        assert c_t == c0
-    np.testing.assert_array_equal(cost.quadratic_terms(40)[0], H0)
+    g += 1.0
+    c += 1.0
+    for got, want in zip(cost.stacked_quadratic_terms(times), (H0, g0, c0)):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("make", [
@@ -215,41 +219,25 @@ def test_quadratic_terms_hessian_is_the_callers_copy(make):
     # editing the returned Hessian must leave the cost as it was
     cost = make()
     before = cost.eval(0, np.zeros(2))
-    H, _, _ = cost.quadratic_terms(0)
+    H, _, _ = cost.stacked_quadratic_terms(np.array([0, 7]))
     H *= 3.0
     assert cost.eval(0, np.zeros(2)) == before
-    np.testing.assert_array_equal(cost.quadratic_terms(0)[0], np.diag([1.0, 4.0]))
+    np.testing.assert_array_equal(cost.stacked_quadratic_terms(np.array([0]))[0],
+                                  [np.diag([1.0, 4.0])])
 
 
 # ---------------------------------------------------------------- array forms
-
-def scalar_run_starts(cost, times):
-    """Where ``params_key`` changes along ``times``, one scalar call per time."""
-    keys = [cost.params_key(int(t)) for t in times]
-    return [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
-
-
-def assert_array_forms_match_scalar_forms(cost, times):
-    np.testing.assert_array_equal(cost.run_starts(times), scalar_run_starts(cost, times))
-    stacked = cost.stacked_quadratic_terms(times)
-    if cost.quadratic_terms(int(times[0])) is None:
-        assert stacked is None
-        return
-    for t, *terms in zip(times, *stacked):
-        for got, want in zip(terms, cost.quadratic_terms(int(t))):
-            np.testing.assert_array_equal(got, want)
-
 
 @pytest.mark.parametrize("times", [np.arange(1440), np.arange(359, 541),
                                    np.array([360]), np.array([540, 541])],
                          ids=["day", "segment-starts", "360", "540"])
 def test_shipped_day_array_forms_equal_scalar_forms(times):
     # the oracle reads the runs and the terms of every t in one call each;
-    # they are the scalar params_key partition and quadratic_terms, bit for bit
+    # they are what params_at gives at each t, bit for bit
     cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
     assert [seg.start for seg in cost.segments] == [0, 360, 540]
     assert cost.horizon == 1440
-    assert_array_forms_match_scalar_forms(cost, times)
+    assert_array_forms_match_params_at(cost, times)
 
 
 def test_array_forms_refuse_times_beyond_the_horizon():
@@ -287,25 +275,38 @@ def test_scalar_schedule_stacked_eval_is_eval_bit_for_bit():
         cost.stacked_eval(np.array([100]), points[:1])
 
 
-@pytest.mark.parametrize("make, own_forms", [
+def test_default_array_forms_make_every_time_its_own_run():
+    # a cost that states no runs and no terms is solved once per time,
+    # by the iterative oracle
+    times = np.array([3, 4, 4, 9])
+    np.testing.assert_array_equal(CostFunction().run_starts(times), np.arange(4))
+    assert CostFunction().stacked_quadratic_terms(times) is None
+
+
+@pytest.mark.parametrize("make, starts, quadratic", [
     (lambda: QuadraticTrackingCost(H=np.diag([1.0, 4.0]), target=np.array([1.0, -1.0])),
-     False),
+     [0], True),
     (lambda: SwitchingQuadraticCost(np.diag([2.0, 1.0]), [[0.0, 0.0], [1.5, 3.0]],
-                                    [0, 50]), False),
+                                    [0, 50]), [0, 50], True),
     (lambda: QuadraticSoftplusCost(H=np.eye(2), target=np.zeros(2),
-                                   a=np.array([1.0, -1.0])), False),
+                                   a=np.array([1.0, -1.0])), [0], False),
 ], ids=["tracking", "switching", "softplus"])
-def test_other_costs_array_forms_equal_scalar_forms(make, own_forms):
-    # a cost that writes only the scalar forms gets CostFunction's loops
+def test_other_costs_array_forms_equal_scalar_forms(make, starts, quadratic):
+    # a static cost is one run, and a switching cost one run per target;
+    # the quadratic terms give eval and grad at every time
     cost = make()
-    for name in ("run_starts", "stacked_quadratic_terms"):
-        inherited = getattr(type(cost), name) is getattr(CostFunction, name)
-        assert inherited != own_forms
-    assert_array_forms_match_scalar_forms(cost, np.arange(120))
-    assert type(cost).stacked_eval is CostFunction.stacked_eval
+    times = np.arange(120)
+    np.testing.assert_array_equal(cost.run_starts(times), starts)
     points = np.random.default_rng(7).normal(size=(120, 2))
+    terms = cost.stacked_quadratic_terms(times)
+    assert (terms is not None) == quadratic
+    if quadratic:
+        for t, z, H, g, c in zip(times, points, *terms):
+            assert_allclose(0.5 * z @ H @ z + g @ z + c, cost.eval(int(t), z), rtol=1e-12)
+            assert_allclose(H @ z + g, cost.grad(int(t), z), rtol=1e-12, atol=1e-12)
+    assert type(cost).stacked_eval is CostFunction.stacked_eval
     np.testing.assert_array_equal(
-        cost.stacked_eval(np.arange(120), points),
+        cost.stacked_eval(times, points),
         [cost.eval(t, z) for t, z in enumerate(points)])
 
 

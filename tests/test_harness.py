@@ -567,11 +567,11 @@ class RecordingCost(CostFunction):
         self.log.append(("grad", t))
         return self.inner.grad(t, z)
 
-    def quadratic_terms(self, t):
-        return self.inner.quadratic_terms(t)
+    def run_starts(self, times):
+        return self.inner.run_starts(times)
 
-    def params_key(self, t):
-        return self.inner.params_key(t)
+    def stacked_quadratic_terms(self, times):
+        return self.inner.stacked_quadratic_terms(times)
 
 
 def test_information_pattern(small_config):
@@ -595,9 +595,9 @@ def test_information_pattern(small_config):
 class TermsRecordingCost(RecordingCost):
     """Also logs every access to the quadratic terms."""
 
-    def quadratic_terms(self, t):
-        self.log.append(("quadratic_terms", t))
-        return self.inner.quadratic_terms(t)
+    def stacked_quadratic_terms(self, times):
+        self.log.append(("stacked_quadratic_terms", times))
+        return self.inner.stacked_quadratic_terms(times)
 
 
 def test_oracle_runs_once_after_the_loop(monkeypatch, small_config):
@@ -629,8 +629,8 @@ def test_oracle_runs_once_after_the_loop(monkeypatch, small_config):
     kinds = [kind for kind, _ in recorder.log]
     last_step = len(kinds) - 1 - kinds[::-1].index("step")
     assert kinds.count("step") == T + 1
-    assert "quadratic_terms" in kinds[last_step:]
-    assert "quadratic_terms" not in kinds[:last_step]
+    assert "stacked_quadratic_terms" in kinds[last_step:]
+    assert "stacked_quadratic_terms" not in kinds[:last_step]
     np.testing.assert_array_equal(
         record.opt_cost,
         [recorder.inner.eval(t, record.zeta[t]) for t in range(T + 1)])
@@ -755,6 +755,11 @@ def test_cli_rejects_failing_sensor_beyond_the_outputs(tmp_path, capsys):
 NAN, INF = float("nan"), float("inf")
 UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
                   "initial_state": [1.0]}
+#: a schedule cost for the shipped plant's three outputs, with a fractional start
+FRACTIONAL_START_SCHEDULE = {"type": "schedule", "params": {
+    "segments": [{"start": start, "output_weight": np.eye(3).tolist(), "input_weight": 10.0,
+                  "setpoint": [3.0] * 3} for start in (0, 150.7)],
+    "price_series": [1.0] * 1440}}
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -825,6 +830,13 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
     ({("plant", "hvac", "sensor_zones"): [0, 3, INF]},
      "cannot convert float infinity to integer"),
     ({("cost", "params", "switch_hour"): INF}, "cannot convert float infinity to integer"),
+    # and a fractional index was truncated, so the run used another zone
+    # or started the segment a fraction early
+    ({("plant", "hvac", "sensor_zones"): [0.6, 3, 4]},
+     "sensor zone must be an integer, got 0.6"),
+    ({("plant", "hvac", "r_between", 0): [0.5, 1, 45.0]},
+     "r_between zone must be an integer, got 0.5"),
+    ({("cost",): FRACTIONAL_START_SCHEDULE}, "segment start must be an integer, got 150.7"),
     # values wrong whatever record is drawn once passed validate, and the
     # run exited 1 while it collected the record
     ({("offline", "N"): 0}, "offline.N must be at least 1, got 0"),
@@ -843,6 +855,7 @@ UNSTABLE_PLANT = {"type": "matrices", "A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
         "input-high-inf", "measurement-low-nan", "process-high-inf",
         "failing-scale-nan", "failing-start-nan", "sample-time-nan", "sample-time-inf",
         "capacitance-nan", "r-outdoor-nan", "sensor-zone-inf", "switch-hour-inf",
+        "sensor-zone-fraction", "r-between-fraction", "segment-start-fraction",
         "offline-N-zero", "offline-N-negative", "offline-seed-negative",
         "input-box-boolean", "input-box-empty"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
@@ -983,6 +996,19 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, small_config, capsys):
     code = cli_main(["run", "--config", str(path), "--mu", "6"])
     assert code == 1
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_cli_run_with_a_non_finite_summary_is_exit_one(tmp_path, capsys):
+    # a setpoint of 1e300 is finite, so validate passes, but the cost
+    # overflows from its segment on; the run once exited 0 with regret nan
+    spec = asdict(demo_siso_config())
+    spec["cost"]["params"]["segments"][1]["setpoint"] = [1e300]
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert ("FeasibilityError: the run's regret is not finite: step 150 has a "
+            "non-finite u, y, e_hat, cost or opt_cost") in capsys.readouterr().err
 
 
 def test_trace_columns_read_back_as_record(tmp_path, small_config):

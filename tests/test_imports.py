@@ -70,3 +70,17 @@ def test_every_export_has_a_caller_outside_tests():
         visit(ast.parse(path.read_text()), frozenset())
     assert len(exported) > 50
     assert exported <= read, sorted(exported - read)
+
+
+def test_no_class_defines_the_scalar_oracle_forms():
+    # the oracle reads run_starts and stacked_quadratic_terms only, so a
+    # cost written to the scalar params_key and quadratic_terms of old
+    # would silently be solved once per time by the iterative oracle
+    old = {"params_key", "quadratic_terms"}
+    for folder in (SRC, ROOT / "demos", ROOT / "tests"):
+        for path in sorted(folder.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    names = {item.name for item in node.body
+                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                    assert not names & old, f"{path.name}: {node.name}"
