@@ -274,79 +274,53 @@ class ControllerState:
 
 
 def initialize(config: ControllerConfig, pre: Precomputed,
-               first_measurements: np.ndarray,
-               u_init: np.ndarray | None = None) -> ControllerState:
+               first_measurements: np.ndarray) -> ControllerState:
     """Controller state before the first step.
 
-    In "zero" mode the plant is assumed to have been at rest under zero
-    input: the noise estimates swallow the first n measurements entirely,
-    so the stored history is the all-zero trajectory, which is valid for
-    any linear system. In "regularized" mode the past inputs may be
-    nonzero; the initial coefficients and noise estimates are found by a
-    least-squares solve that trades the output-match residual against the
-    norm of the unknowns with weight ``config.lambda_init``, subject to
-    the input rows being matched exactly. Both modes start from a zero
-    input plan and a zero steady-state estimate, and the first step solves
-    for its coefficients like every later one.
+    Every start follows n steps of zero input, so both modes store a zero
+    input history, a zero input plan and a zero steady-state estimate, and
+    the first step solves for its coefficients like every later one. Only
+    the stored outputs differ. "zero" mode assumes the plant was also at
+    rest: they are zero, the all-zero trajectory valid for any linear
+    system, and the noise estimates swallow the first n measurements.
+    "regularized" mode stores ``Y_past @ alpha0`` for the coefficients of
+    ``regularized_init_solution``. The noise estimates, y_meas minus the
+    stored outputs, absorb the least-squares residual, so the stored
+    history is exactly the trajectory alpha0 encodes; the feasibility
+    induction of every later step depends on this.
     """
     n, mu, m, p = pre.n, pre.mu, pre.m, pre.p
     y_meas = np.atleast_2d(np.asarray(first_measurements, dtype=float))
     if y_meas.shape != (n, p):
         raise ValueError(f"need the first n={n} measurements, shape (n, p)")
-    u_pred = np.zeros((mu + 1, m))
-    z_s = np.zeros(m + p)
-
     if config.init_mode == "zero":
-        if u_init is not None and np.any(np.asarray(u_init) != 0):
-            raise ValueError("zero-mode initialization requires zero past inputs")
-        return ControllerState(
-            u_hist=np.zeros((n, m)),
-            y_den_hist=np.zeros((n, p)),
-            u_pred=u_pred,
-            z_s_prev=z_s,
-            coeff_prev=None,
-        )
-
-    # a copy: the controller shifts its history in place
-    u_hist = np.zeros((n, m)) if u_init is None \
-        else np.array(u_init, dtype=float).reshape(n, m)
-    alpha0, _ = regularized_init_solution(pre, y_meas, u_hist, config.lambda_init)
-    # Absorb the least-squares residual into the noise estimates, which are
-    # y_meas minus the stored outputs, so that the stored history is exactly
-    # the trajectory the coefficients encode; the feasibility induction of
-    # every later step depends on this.
-    return ControllerState(
-        u_hist=u_hist,
-        y_den_hist=(pre.Y_past @ alpha0).reshape(n, p),
-        u_pred=u_pred,
-        z_s_prev=z_s,
-        coeff_prev=None,
-    )
+        y_den_hist = np.zeros((n, p))
+    else:
+        alpha0 = regularized_init_solution(pre, y_meas, config.lambda_init)
+        y_den_hist = (pre.Y_past @ alpha0).reshape(n, p)
+    return ControllerState(u_hist=np.zeros((n, m)), y_den_hist=y_den_hist,
+                           u_pred=np.zeros((mu + 1, m)), z_s_prev=np.zeros(m + p),
+                           coeff_prev=None)
 
 
 def regularized_init_solution(pre: Precomputed, y_meas: np.ndarray,
-                              u_hist: np.ndarray, lam: float):
-    """Joint least-squares choice of initial coefficients and noise estimates.
+                              lam: float) -> np.ndarray:
+    """Initial coefficients from a joint least-squares fit with the noise estimates.
 
     Minimizes the output-match residual plus ``lam`` times the squared norm
-    of the stacked unknowns (coefficients, noise estimates), subject to the
-    input rows of the data matching exactly the past inputs, then the zero
-    input plan and zero held steady-state input that every start begins
-    from. Larger ``lam`` pulls the solution toward the minimum-norm
-    feasible pair.
-
-    Returns ``(alpha0, e_hat)`` where e_hat has shape (n, p).
+    of the stacked unknowns (coefficients, noise estimates), subject to
+    every input row of the data being zero: the zero warm-up inputs, then
+    the zero input plan and zero held steady-state input that every start
+    begins from. Larger ``lam`` pulls the solution toward the minimum-norm
+    feasible pair. Returns the coefficients ``alpha0``.
     """
-    n, m, p = pre.n, pre.m, pre.p
-    cols = pre.columns
+    n, p = pre.n, pre.p
     U_full = pre.U.entries
-    rhs_u = np.zeros(U_full.shape[0])
-    rhs_u[:n * m] = np.ravel(u_hist)
     E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
     M = np.hstack([pre.Y_past, np.eye(n * p)])
     w = linalg.constrained_ridge_lstsq(M, np.asarray(y_meas, dtype=float).ravel(),
-                                       E, rhs_u, lam=lam)
-    return w[:cols], w[cols:].reshape(n, p)
+                                       E, lam=lam)
+    return w[:pre.columns]
 
 
 def estimate_noise(state: ControllerState, y_meas: np.ndarray,
@@ -401,10 +375,12 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     r = pre.E_alpha.dot(rhs)
     # Euclidean norms, as ``np.linalg.norm`` computes them; a residual
     # within FEAS_RTOL passes whatever the right-hand side's norm, so that
-    # norm is taken only for a residual above it. Written as "not within",
-    # the test also fails a NaN residual, which every comparison rejects
+    # norm is taken only for a residual above it, and a bound that
+    # overflowed to inf passes nothing. Written as "not within", the test
+    # also fails a NaN residual, which every comparison rejects
     res = math.sqrt(r.dot(r))
-    if not (res <= FEAS_RTOL or res <= FEAS_RTOL * (1.0 + math.sqrt(rhs.dot(rhs)))):
+    if not (res <= FEAS_RTOL
+            or res <= FEAS_RTOL * (1.0 + math.sqrt(rhs.dot(rhs))) < math.inf):
         raise FeasibilityError(
             f"prediction coefficients infeasible (residual {res:.3e}); "
             "controller state is corrupted or the data assumptions fail"
@@ -452,7 +428,8 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     beta = pre.Q_tilde.dot(g)
     r = pre.E_beta.dot(g)
     res = math.sqrt(r.dot(r))  # the norms and the test as in ``solve_alpha``
-    if not (res <= FEAS_RTOL or res <= FEAS_RTOL * (1.0 + math.sqrt(g.dot(g)))):
+    if not (res <= FEAS_RTOL
+            or res <= FEAS_RTOL * (1.0 + math.sqrt(g.dot(g))) < math.inf):
         raise FeasibilityError(
             f"steering correction infeasible (residual {res:.3e}); "
             "the prediction horizon may be shorter than the controllability "
@@ -520,11 +497,9 @@ class Controller:
         self.t = 0
         self.last: StepDiagnostics | None = None
 
-    def start(self, first_measurements: np.ndarray,
-              u_init: np.ndarray | None = None) -> None:
-        """Install the initialization from the first n measurements."""
-        self.state = initialize(self.config, self.pre, first_measurements,
-                                u_init=u_init)
+    def start(self, first_measurements: np.ndarray) -> None:
+        """Install the initialization from the n measurements taken under zero input."""
+        self.state = initialize(self.config, self.pre, first_measurements)
         self.t = 0
         self.last = None
 

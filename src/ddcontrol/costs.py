@@ -318,8 +318,8 @@ DEFAULT_PRICE_KNOTS = [
 
 
 def hvac_cost_schedule(
-    p: int = 3,
-    m: int = 5,
+    p: int,
+    m: int,
     day_steps: int = 1440,
     comfort_weight: float = 1.0,
     night_weight: float = 0.1,

@@ -258,6 +258,8 @@ class ExperimentConfig:
             # a box of zero width draws a constant input, which excites nothing
             if not low < high:
                 raise ConfigError("offline input box needs input_low < input_high")
+            if not isinstance(self.output_dir, (str, type(None))):
+                raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
             run_seed = self.noise.seed if seed is None else int(seed)
             overrides = {"gamma": None if gamma is None else float(gamma),
                          "mu": None if mu is None else int(mu)}

@@ -10,15 +10,13 @@ larger ``rtol`` that matches its forward error (``steady_state``).
 ``factor`` applies the cutoff to turn an economy SVD into a rank, a
 pseudoinverse, a null basis and a row basis, so a caller that needs two
 of them factors its matrix once; the ridge step of
-``constrained_ridge_lstsq`` and ``numerical_rank`` apply it to their
-singular values. The rank tests of ``plant.PlantModel`` check the
-ground-truth simulator, which the controller never sees, and use numpy's
-``matrix_rank``.
+``constrained_ridge_lstsq`` on the kernel of its constraint and
+``numerical_rank`` apply it to their singular values. The rank tests of
+``plant.PlantModel`` check the ground-truth simulator, which the
+controller never sees, and use numpy's ``matrix_rank``.
 """
 
 import numpy as np
-
-from .errors import FeasibilityError
 
 RANK_RTOL = 1e-12
 
@@ -67,27 +65,19 @@ def pinv(M: np.ndarray) -> np.ndarray:
 
 
 def constrained_ridge_lstsq(M: np.ndarray, c: np.ndarray, E: np.ndarray,
-                            b: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Solve ``min_w |M w - c|^2 + lam * |w|^2  s.t.  E w = b``.
+                            lam: float = 0.0) -> np.ndarray:
+    """Solve ``min_w |M w - c|^2 + lam * |w|^2  s.t.  E w = 0``.
 
-    The null-space method (Golub & Van Loan, "Matrix Computations", 4th
-    ed., section 6.2) with the kernel of E taken through its projector
-    ``I - V_r V_r'``: ``w = w0 + v``, where ``w0 = E^+ b`` lies in row(E)
-    and v is the ridge solution of ``min_v |A v - r|^2 + lam * |v|^2`` with
-    ``A = M (I - V_r V_r')`` and ``r = c - M w0``. That v lies in row(A),
-    inside null(E), so no kernel basis is formed, and one economy SVD of A
-    gives ``v = V diag(s / (s^2 + lam)) U' r`` over the singular values
-    above the shared cutoff. Raises FeasibilityError if the constraint
-    itself is inconsistent.
+    E must have a nontrivial kernel. The null-space method (Golub & Van
+    Loan, "Matrix Computations", 4th ed., section 6.2) with the kernel of
+    E taken through its projector ``I - V_r V_r'``: w is the ridge solution
+    of ``min_w |A w - c|^2 + lam * |w|^2`` with ``A = M (I - V_r V_r')``.
+    That w lies in row(A), inside null(E), so no kernel basis is formed,
+    and one economy SVD of A gives ``w = V diag(s / (s^2 + lam)) U' c``
+    over the singular values above the shared cutoff.
     """
-    rank, E_pinv, _, V_r, _ = factor(E)
-    w0 = E_pinv @ b
-    res = np.linalg.norm(E @ w0 - b)
-    if not res <= 1e-8 * (1.0 + np.linalg.norm(b)):     # a NaN residual fails too
-        raise FeasibilityError(f"equality constraint inconsistent (residual {res:.3e})")
-    if rank == E.shape[1]:
-        return w0            # null(E) = {0}: A would be round-off alone
+    V_r = factor(E)[3]
     U, s, Vt = np.linalg.svd(M - (M @ V_r) @ V_r.T, full_matrices=False)
     k = _rank(s, M.shape)
     s = s[:k]
-    return w0 + Vt[:k].T @ (s / (s * s + lam) * (U[:, :k].T @ (c - M @ w0)))
+    return Vt[:k].T @ (s / (s * s + lam) * (U[:, :k].T @ c))

@@ -550,6 +550,16 @@ def test_solve_beta_infeasible_target(mimo_setup):
         solve_beta(alpha, z_bad, pre)
 
 
+def test_solve_beta_refuses_a_target_whose_squared_norm_overflows(mimo_setup):
+    # |g|^2 overflows to inf, and a bound of inf once passed any residual
+    model, _, cfg, _, pre, proj = mimo_setup
+    state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
+    alpha, _ = solve_alpha(state, pre)
+    z_huge = 1e160 * np.concatenate([np.ones(model.m), 37.0 * np.ones(model.p)])
+    with np.errstate(over="ignore"), pytest.raises(FeasibilityError, match="steering"):
+        solve_beta(alpha, z_huge, pre)
+
+
 @pytest.mark.parametrize("n, m, p", [(2, 1, 3), (3, 3, 1), (4, 2, 2), (5, 3, 3)])
 def test_gathers_match_a_tiled_assembly(monkeypatch, n, m, p):
     # alpha_rhs and solve_beta place the steady state by one gather; the
@@ -658,8 +668,6 @@ def test_initialize_zero_mode_state_is_valid_trajectory(siso_setup, siso_data):
     assert membership_residual(siso_data, hist) <= 1e-12
     # the initial noise estimate is the measurement minus the stored output
     assert_allclose((y_meas - state.y_den_hist)[0], [0.83])
-    with pytest.raises(ValueError, match="zero past inputs"):
-        initialize(cfg, pre, np.array([[0.0]]), u_init=np.array([[1.0]]))
 
 
 def test_initialize_at_rest_no_noise_gives_zero_estimates(siso_model, siso_data):
@@ -679,14 +687,14 @@ def test_initialize_regularized_feasible_and_consistent(mimo_setup):
     cfg = ControllerConfig(gamma=0.1, mu=cfg0.mu, n=cfg0.n,
                            q_mode="identity", init_mode="regularized",
                            lambda_init=0.5)
-    # a real excitation: simulate the plant under nonzero inputs, then hand
-    # the controller those inputs and noisy measurements
-    u_past = rng.uniform(-1, 1, (cfg.n, model.m))
-    traj = simulate(model, rng.normal(size=model.n), u_past)
+    # a plant not at rest: the zero warm-up inputs from a random state,
+    # measured with noise
+    traj = simulate(model, rng.normal(size=model.n), np.zeros((cfg.n, model.m)))
     y_noisy = traj.outputs + rng.uniform(-0.2, 0.2, traj.outputs.shape)
-    state = initialize(cfg, pre, y_noisy, u_init=u_past)
+    state = initialize(cfg, pre, y_noisy)
     from ddcontrol.behavioral import membership_residual
     hist = Trajectory(state.u_hist, state.y_den_hist)
+    assert np.abs(state.y_den_hist).max() > 0.1
     assert membership_residual(data, hist) <= 1e-8
     # the first step solves for its coefficients like every later one, and
     # the regularized state makes that solve feasible
@@ -697,25 +705,36 @@ def test_initialize_regularized_feasible_and_consistent(mimo_setup):
 def test_regularized_solution_matches_kkt_oracle_and_monotone(mimo_setup):
     model, data, cfg0, hankels, pre, proj = mimo_setup
     rng = np.random.default_rng(13)
-    n, m, p = cfg0.n, model.m, model.p
+    n, p = cfg0.n, model.p
     y_meas = rng.normal(size=(n, p))
-    u_hist = rng.uniform(-1, 1, (n, m))
-    u_pred = np.zeros((cfg0.mu + 1, m))
-    u_s = np.zeros(m)
-    cols = hankels.columns
     U_full = hankels.U.entries
     E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
     M = np.hstack([hankels.H_alpha[-p * n:], np.eye(n * p)])
-    rhs_u = np.concatenate([u_hist.ravel(), u_pred.ravel()[m:], np.tile(u_s, n + 1)])
     norms = []
     for lam in (0.01, 1.0, 100.0):
-        alpha0, e_hat = regularized_init_solution(pre, y_meas, u_hist, lam)
-        w = np.concatenate([alpha0, e_hat.ravel()])
-        w_star = constrained_ls_kkt(M, y_meas.ravel(), E, rhs_u, lam)
+        alpha0 = regularized_init_solution(pre, y_meas, lam)
+        # the noise estimates are unconstrained, so given alpha0 they
+        # minimize |Y_past alpha0 + e - y|^2 + lam |e|^2 in closed form
+        e_hat = (y_meas.ravel() - hankels.Y_past @ alpha0) / (1.0 + lam)
+        w = np.concatenate([alpha0, e_hat])
+        w_star = constrained_ls_kkt(M, y_meas.ravel(), E, np.zeros(E.shape[0]), lam)
         assert_allclose(w, w_star, atol=1e-7)
         norms.append(np.linalg.norm(w))
     # larger regularization pulls toward the minimum-norm feasible pair
     assert norms[0] >= norms[1] >= norms[2]
+
+
+def test_a_nan_first_measurement_fails_the_first_regularized_step(mimo_setup):
+    model, data, cfg0, *_ = mimo_setup
+    cfg = ControllerConfig(gamma=0.1, mu=cfg0.mu, n=cfg0.n, q_mode="identity",
+                           init_mode="regularized", lambda_init=0.5)
+    ctrl = Controller(cfg, data)
+    first = np.zeros((cfg.n, model.p))
+    first[1, 0] = np.nan
+    ctrl.start(first)
+    with pytest.raises(FeasibilityError, match="prediction coefficients"):
+        ctrl.step()
+    assert ctrl.t == 0
 
 
 # ---------------------------------------------------------------- wrapper protocol

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import re
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
                                NoiseSpec, OfflineSpec, PlantSpec, cli_main,
                                demo_siso_config, run_experiment,
                                shipped_config_path)
-from ddcontrol.errors import PersistencyError
+from ddcontrol.errors import FeasibilityError, PersistencyError
 from ddcontrol.plant import NoiseModel, collect_offline_data, step
 
 from helpers import (checked_run, random_system, reference_cost, reference_plant_step,
@@ -844,6 +845,13 @@ FRACTIONAL_START_SCHEDULE = {"type": "schedule", "params": {
     ({("offline", "seed"): -1}, "offline.seed must be at least 0, got -1"),
     ({("offline", "input_low"): True}, "offline input box needs input_low < input_high"),
     ({("offline", "input_high"): -1.0}, "offline input box needs input_low < input_high"),
+    # an output_dir that is not a path once passed validate, and the run
+    # went through the whole loop to exit 1 with a TypeError
+    ({("output_dir",): 0}, "output_dir must be a string, got 0"),
+    ({("output_dir",): 0.5}, "output_dir must be a string, got 0.5"),
+    ({("output_dir",): True}, "output_dir must be a string, got True"),
+    ({("output_dir",): NAN}, "output_dir must be a string, got nan"),
+    ({("output_dir",): 1e300}, "output_dir must be a string, got 1e+300"),
 ], ids=["cost-type", "plant-type", "hvac-key", "initial-state", "cost-parameter",
         "unstable-plant", "capacitance", "cost-horizon", "top-level-key",
         "process-key", "measurement-key", "q-mode-inputs", "q-mode-outputs",
@@ -857,7 +865,8 @@ FRACTIONAL_START_SCHEDULE = {"type": "schedule", "params": {
         "capacitance-nan", "r-outdoor-nan", "sensor-zone-inf", "switch-hour-inf",
         "sensor-zone-fraction", "r-between-fraction", "segment-start-fraction",
         "offline-N-zero", "offline-N-negative", "offline-seed-negative",
-        "input-box-boolean", "input-box-empty"])
+        "input-box-boolean", "input-box-empty", "output-dir-zero", "output-dir-fraction",
+        "output-dir-boolean", "output-dir-nan", "output-dir-huge"])
 def test_cli_rejects_config_that_cannot_be_built(tmp_path, capsys, edits, message):
     # validate builds every object the run would, so both commands exit 2
     spec = _edited(json.loads(shipped_config_path().read_text()), edits)
@@ -999,16 +1008,85 @@ def test_cli_runtime_failure_is_exit_one(tmp_path, small_config, capsys):
 
 
 def test_cli_run_with_a_non_finite_summary_is_exit_one(tmp_path, capsys):
-    # a setpoint of 1e300 is finite, so validate passes, but the cost
-    # overflows from its segment on; the run once exited 0 with regret nan
+    # an initial state of 1e300 is finite, so validate passes, but the cost
+    # overflows from step 0 on, which no per-step check sees; a setpoint of
+    # 1e300 once exited 0 with regret nan
     spec = asdict(demo_siso_config())
-    spec["cost"]["params"]["segments"][1]["setpoint"] = [1e300]
+    spec["plant"]["initial_state"] = [1e300]
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(spec))
     assert cli_main(["validate", "--config", str(path)]) == 0
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert ("FeasibilityError: the run's regret is not finite: step 150 has a "
+    assert ("FeasibilityError: the run's regret is not finite: step 0 has a "
             "non-finite u, y, e_hat, cost or opt_cost") in capsys.readouterr().err
+
+
+#: what the probe below puts in place of one leaf of a config
+PROBE_VALUES = [NAN, INF, -INF, -1, 0, 0.5, True, "x", 1e300, None]
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar of a parsed config; a list longer than
+    five entries contributes its two ends only."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        ends = range(len(node)) if len(node) <= 5 else (0, len(node) - 1)
+        children = ((i, node[i]) for i in ends)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def test_validate_refuses_or_runs_every_single_leaf_mutation(monkeypatch, tmp_path):
+    # validate raises nothing but ConfigError on any one leaf replaced by a
+    # probe value; what it passes on a scalar base runs, and may end only
+    # in a FeasibilityError, never with a non-finite summary
+    monkeypatch.chdir(tmp_path)          # an output_dir of "x" writes here
+    demo = json.loads(json.dumps(asdict(demo_siso_config())))
+    demo["horizon"] = 30
+    quadratic, softplus = copy.deepcopy(demo), copy.deepcopy(demo)
+    quadratic["cost"] = {"type": "quadratic", "params": {
+        "H": [[10.0, 0.0], [0.0, 1.0]], "target": [0.0, 1.0]}}
+    softplus["cost"] = {"type": "softplus", "params": {
+        "H": [[10.0, 0.0], [0.0, 1.0]], "target": [0.0, 1.0], "a": [0.5, -1.0], "c": 1.0}}
+    bases = [("hvac_day", json.loads(shipped_config_path().read_text()), False),
+             ("demo_siso", demo, True), ("demo_siso_quadratic", quadratic, True),
+             ("demo_siso_softplus", softplus, True)]
+    breaks = []
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for name, base, run in bases:
+            for *keys, last in _leaf_paths(base):
+                for value in PROBE_VALUES:
+                    spec = copy.deepcopy(base)
+                    section = spec
+                    for key in keys:
+                        section = section[key]
+                    section[last] = value
+                    case = f"{name} {(*keys, last)} = {value!r}"
+                    try:
+                        config = ExperimentConfig.from_dict(spec)
+                        config.validate()
+                    except ConfigError:
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - what the probe finds
+                        breaks.append(f"{case}: validate raised {exc!r}")
+                        continue
+                    if not run:
+                        continue
+                    try:
+                        _, summary = run_experiment(config)
+                    except FeasibilityError:
+                        continue
+                    except Exception as exc:  # noqa: BLE001
+                        breaks.append(f"{case}: the run raised {exc!r}")
+                        continue
+                    if not all(np.isfinite(v) for v in summary.values()):
+                        breaks.append(f"{case}: the run's summary is not finite")
+    assert not breaks, "\n".join(breaks)
 
 
 def test_trace_columns_read_back_as_record(tmp_path, small_config):

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 import ddcontrol.linalg as linalg_module
 from ddcontrol.behavioral import build_hankel
 from ddcontrol.controller import precompute
-from ddcontrol.errors import FeasibilityError
 from ddcontrol.harness import ExperimentConfig, shipped_config_path
 from ddcontrol.linalg import (RANK_RTOL, constrained_ridge_lstsq, factor,
                               numerical_rank, pinv)
@@ -64,39 +63,11 @@ def test_constrained_ridge_lstsq_matches_kkt_oracle():
     M = rng.normal(size=(7, 10))
     c = rng.normal(size=7)
     E = rng.normal(size=(3, 10))
-    b = rng.normal(size=3)
     for lam in (0.0, 0.3, 10.0):
-        w = constrained_ridge_lstsq(M, c, E, b, lam)
-        w_star = constrained_ls_kkt(M, c, E, b, lam)
-        assert_allclose(E @ w, b, atol=1e-10)
+        w = constrained_ridge_lstsq(M, c, E, lam)
+        w_star = constrained_ls_kkt(M, c, E, np.zeros(3), lam)
+        assert_allclose(E @ w, np.zeros(3), atol=1e-10)
         assert_allclose(w, w_star, atol=1e-8)
-
-
-def test_constrained_ridge_lstsq_with_a_trivial_kernel():
-    # an invertible E leaves A = M (I - V_r V_r') as round-off alone, whose
-    # singular values a relative cutoff keeps; inverting them gives entries
-    # near 1e15, so the solve returns E^+ b there
-    rng = np.random.default_rng(7)
-    E, b = rng.normal(size=(4, 4)), rng.normal(size=4)
-    M, c = rng.normal(size=(3, 4)), rng.normal(size=3)
-    for lam in (0.0, 1.0):
-        assert_allclose(constrained_ridge_lstsq(M, c, E, b, lam), np.linalg.solve(E, b),
-                        atol=1e-12)
-
-
-def test_constrained_ridge_lstsq_inconsistent_constraint():
-    E = np.array([[1.0, 0.0], [1.0, 0.0]])
-    b = np.array([1.0, 2.0])
-    with pytest.raises(FeasibilityError, match="inconsistent"):
-        constrained_ridge_lstsq(np.eye(2), np.zeros(2), E, b, 0.0)
-
-
-def test_constrained_ridge_lstsq_refuses_a_nan_constraint():
-    # a NaN residual fails every comparison, so the check is "not within"
-    E = np.array([[1.0, 0.0], [0.0, 1.0]])
-    b = np.array([1.0, np.nan])
-    with pytest.raises(FeasibilityError, match="inconsistent"):
-        constrained_ridge_lstsq(np.eye(2), np.zeros(2), E, b, 0.0)
 
 
 @pytest.fixture(scope="module")
