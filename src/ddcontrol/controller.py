@@ -28,6 +28,11 @@ from .steady_state import SteadyStateProjector
 
 #: relative residual tolerance for the coefficient solves
 FEAS_RTOL = 1e-7
+#: bound on the steering map's own error (``check_steering_map``). A
+#: backward-stable Q_tilde errs by about eps cond(H_beta): 3.3e-11 on the
+#: shipped record and 1.8e-7 on a test record of cond 1e7, where the
+#: projector-form map errs by 4e15
+STEER_RTOL = 1e-6
 
 
 @dataclass
@@ -103,13 +108,16 @@ class Precomputed:
     ``H_alpha_pinv`` solves the prediction-coefficient system and
     ``Q_tilde`` maps a steering target mismatch g to the solution of
     ``H_beta beta = g`` of least ``q_mode`` seminorm, in closed form from
-    one SVD of ``H_beta``. ``E_alpha = H_alpha H_alpha_pinv - I`` and
-    ``E_beta = H_beta Q_tilde - I`` map a right-hand side to the residual
-    of its solve, so the per-step feasibility checks multiply by these
-    small square maps instead of by ``H_alpha`` and ``H_beta``. ``E_beta``
-    carries the error of ``Q_tilde`` itself, so a ``Q_tilde`` that misses
-    its targets still fails the check. The named row blocks of the data
-    Hankel matrices are the ones the loop reads out every step.
+    one SVD of ``H_beta``. ``left_null_alpha`` and ``left_null_beta`` hold,
+    as orthonormal rows, the left singular vectors of ``H_alpha`` and
+    ``H_beta`` past their ranks: they span the complement of each range,
+    so a right-hand side's solve residual is the norm of its product with
+    them, and the per-step feasibility checks multiply by these short, wide
+    bases instead of by ``H_alpha`` and ``H_beta``. Where a matrix has full
+    row rank the basis is empty and its check tests finiteness only.
+    ``precompute`` checks ``Q_tilde``'s own error once
+    (``check_steering_map``). The named row blocks of the data Hankel
+    matrices are the ones the loop reads out every step.
     ``steady_index`` gathers a steady state (u_s, y_s) into the terminal
     window's layout: u_s n+1 times, then y_s n times.
     """
@@ -124,8 +132,8 @@ class Precomputed:
     p: int
     H_alpha_pinv: np.ndarray
     Q_tilde: np.ndarray
-    E_alpha: np.ndarray
-    E_beta: np.ndarray
+    left_null_alpha: np.ndarray
+    left_null_beta: np.ndarray
     U_plan: np.ndarray      # U^{n+1:n+mu+1}: the planned input window
     U_tail: np.ndarray      # U^{n+mu+1:2n+mu+1}: terminal input window
     Y_past: np.ndarray      # Y^{1:n}
@@ -144,9 +152,12 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
 
     Checks the record's length and its input's excitation of order 3n+mu+1,
     builds the record's Hankel matrices, cuts each named row block once and
-    stacks ``H_alpha`` and ``H_beta`` from them, then factors the two:
-    ``H_alpha`` by its pseudoinverse, ``H_beta`` by one SVD that gives
-    ``Q_tilde`` in closed form (``notes/decisions.md``, "Q̃ in closed form").
+    stacks ``H_alpha`` and ``H_beta`` from them, then factors the two by
+    one SVD each: ``H_alpha`` into its pseudoinverse, ``H_beta`` into
+    ``Q_tilde`` in closed form (``notes/decisions.md``, "Q̃ in closed form"),
+    and each into the basis of its range's complement. Raises
+    ``FeasibilityError`` through ``check_steering_map`` when ``Q_tilde``
+    misses its targets.
     """
     # looked up at call time, so a timing wrapper on the module attribute sees it
     from .behavioral import build_hankel_set
@@ -175,7 +186,7 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     H_beta = np.vstack([U_past, U_tail, Y_past, Y_tail])
     # "identity" mode takes H_beta^+ alone; future inputs also need the
     # kernel, but only through its projector I - V_r V_r'
-    _, Q_tilde, _, V_r, _ = linalg.factor(H_beta)
+    _, Q_tilde, _, V_r, _, left_null_beta = linalg.factor(H_beta, complete=True)
     if q_mode == "identity+future_inputs":
         # beta = H_beta^+ g + N z minimizing |beta|^2 + |U_f beta|^2, for a
         # kernel basis N, is H_beta^+ g - K (I + U_f K)^-1 U_f H_beta^+ g with
@@ -183,18 +194,39 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
         K = U_f.T - V_r @ (V_r.T @ U_f.T)
         Q_tilde = Q_tilde - K @ np.linalg.solve(np.eye(U_f.shape[0]) + U_f @ K,
                                                 U_f @ Q_tilde)
-    H_alpha_pinv = linalg.pinv(H_alpha)
+    _, H_alpha_pinv, _, _, _, left_null_alpha = linalg.factor(H_alpha, complete=True)
     m, p = data.m, data.p
-    return Precomputed(
+    pre = Precomputed(
         U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu, m=m, p=p,
         H_alpha_pinv=H_alpha_pinv, Q_tilde=Q_tilde,
-        E_alpha=H_alpha @ H_alpha_pinv - np.eye(H_alpha.shape[0]),
-        E_beta=H_beta @ Q_tilde - np.eye(H_beta.shape[0]),
+        left_null_alpha=left_null_alpha, left_null_beta=left_null_beta,
         U_plan=U_plan, U_tail=U_tail, Y_past=Y_past, Y_next=Y_next,
         Y_ahead=Y_ahead, Y_tail=Y_tail,
         steady_index=np.concatenate([np.tile(np.arange(m), n + 1),
                                      m + np.tile(np.arange(p), n)]),
     )
+    check_steering_map(pre)
+    return pre
+
+
+def check_steering_map(pre: Precomputed) -> None:
+    """Refuse a ``Q_tilde`` whose error on consistent targets exceeds ``STEER_RTOL``.
+
+    ``H_beta Q_tilde`` should be the projector onto range(H_beta), which
+    is ``I - L'L`` for ``L = left_null_beta``. The Frobenius norm of the
+    difference bounds its spectral norm, so a map that passes gives every
+    steering correction ``|H_beta beta - g| <= STEER_RTOL |g| + |L g|``,
+    and the per-step check on ``|L g|`` completes the bound. Raises
+    ``FeasibilityError``.
+    """
+    L = pre.left_null_beta
+    D = pre.H_beta @ pre.Q_tilde + L.T @ L - np.eye(pre.H_beta.shape[0])
+    err = float(np.linalg.norm(D))
+    if not err <= STEER_RTOL:
+        raise FeasibilityError(
+            f"steering map misses its targets: |H_beta Q_tilde - (I - L'L)|_F "
+            f"= {err:.3e} exceeds {STEER_RTOL:.0e}"
+        )
 
 
 #: offline factors ``(pre, projector)`` of the data records used last,
@@ -368,22 +400,22 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     record's windows is at most this residual.
     ``y_latest`` is the newest denoised output, not yet in the state (see
     ``alpha_rhs``). Returns ``(alpha, residual)``, where the residual
-    ``|(H_alpha H_alpha^+ - I) rhs|`` comes from the offline map ``E_alpha``.
+    ``|L rhs|``, for ``L = left_null_alpha``, is the distance of rhs from
+    range(H_alpha).
     """
     rhs = alpha_rhs(state, pre, y_latest)
     alpha = pre.H_alpha_pinv.dot(rhs)
-    r = pre.E_alpha.dot(rhs)
-    # Euclidean norms, as ``np.linalg.norm`` computes them; a residual
-    # within FEAS_RTOL passes whatever the right-hand side's norm, so that
-    # norm is taken only for a residual above it, and a bound that
-    # overflowed to inf passes nothing. Written as "not within", the test
-    # also fails a NaN residual, which every comparison rejects
-    res = math.sqrt(r.dot(r))
-    if not (res <= FEAS_RTOL
-            or res <= FEAS_RTOL * (1.0 + math.sqrt(rhs.dot(rhs))) < math.inf):
+    r = pre.left_null_alpha.dot(rhs)
+    # Euclidean norms, as ``np.linalg.norm`` computes them. The bound is
+    # taken at every step, since an empty L reads 0 for any rhs: written as
+    # "not within", the test fails a NaN residual or bound, which every
+    # comparison rejects, and a bound that overflowed to inf passes nothing
+    res, rhs_norm = math.sqrt(r.dot(r)), math.sqrt(rhs.dot(rhs))
+    if not res <= FEAS_RTOL * (1.0 + rhs_norm) < math.inf:
         raise FeasibilityError(
-            f"prediction coefficients infeasible (residual {res:.3e}); "
-            "controller state is corrupted or the data assumptions fail"
+            f"prediction coefficients infeasible (residual {res:.3e}) for a "
+            f"right-hand side of norm {rhs_norm:.3e}; controller state is "
+            "corrupted or the data assumptions fail"
         )
     return alpha, res
 
@@ -415,9 +447,10 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     The correction keeps the initialization untouched (zero blocks), moves
     the terminal input window to the new steady-state input held for n+1
     steps, and pins the last n predicted outputs to the new steady-state
-    output. Returns ``(beta, g, residual)`` where g is the assembled target
-    mismatch and the residual ``|(H_beta Q_tilde - I) g|`` comes from the
-    offline map ``E_beta``.
+    output. Returns ``(beta, g, g_norm, residual)`` where g is the
+    assembled target mismatch, ``g_norm`` its norm, and the residual
+    ``|L g|``, for ``L = left_null_beta``, its distance from
+    range(H_beta).
     """
     n, m, p = pre.n, pre.m, pre.p
     a, b, c = n * m, (2 * n + 1) * m, (2 * n + 1) * m + n * p
@@ -426,16 +459,17 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     np.subtract(target[:b - a], pre.U_tail.dot(alpha), out=g[a:b])
     np.subtract(target[b - a:], pre.Y_tail.dot(alpha), out=g[c:])
     beta = pre.Q_tilde.dot(g)
-    r = pre.E_beta.dot(g)
-    res = math.sqrt(r.dot(r))  # the norms and the test as in ``solve_alpha``
-    if not (res <= FEAS_RTOL
-            or res <= FEAS_RTOL * (1.0 + math.sqrt(g.dot(g))) < math.inf):
+    r = pre.left_null_beta.dot(g)
+    # the norms and the test as in ``solve_alpha``
+    res, g_norm = math.sqrt(r.dot(r)), math.sqrt(g.dot(g))
+    if not res <= FEAS_RTOL * (1.0 + g_norm) < math.inf:
         raise FeasibilityError(
-            f"steering correction infeasible (residual {res:.3e}); "
-            "the prediction horizon may be shorter than the controllability "
-            "index, or the data is corrupted"
+            f"steering correction infeasible (residual {res:.3e}) for a "
+            f"target mismatch of norm {g_norm:.3e}; the prediction horizon "
+            "may be shorter than the controllability index, or the data is "
+            "corrupted"
         )
-    return beta, g, res
+    return beta, g, g_norm, res
 
 
 def advance(state: ControllerState, alpha: np.ndarray, beta: np.ndarray,
@@ -550,10 +584,10 @@ class Controller:
         _, z_s = predict_and_descend(
             state, alpha, pre, prev_cost, self.t - 1,
             self.projector, self.config.gamma)
-        beta, g, beta_res = solve_beta(alpha, z_s, pre)
+        beta, _, g_norm, beta_res = solve_beta(alpha, z_s, pre)
         u_t = advance(state, alpha, beta, z_s, pre, y_den)
 
-        self.last = StepDiagnostics(z_s=z_s, e_hat=e_hat, g_norm=math.sqrt(g.dot(g)),
+        self.last = StepDiagnostics(z_s=z_s, e_hat=e_hat, g_norm=g_norm,
                                     alpha_residual=alpha_res, beta_residual=beta_res)
         self.t += 1
         return u_t

@@ -7,9 +7,9 @@ mutually consistent: a singular value counts toward the rank iff it
 exceeds ``max(rows, cols) * rtol * sigma_max``, with ``rtol = RANK_RTOL``
 for data. A matrix built from data by round-off projectors passes a
 larger ``rtol`` that matches its forward error (``steady_state``).
-``factor`` applies the cutoff to turn an economy SVD into a rank, a
-pseudoinverse, a null basis and a row basis, so a caller that needs two
-of them factors its matrix once; the ridge step of
+``factor`` applies the cutoff to turn one SVD into a rank, a
+pseudoinverse, a null basis, a row basis and a left null basis, so a
+caller that needs two of them factors its matrix once; the ridge step of
 ``constrained_ridge_lstsq`` on the kernel of its constraint and
 ``numerical_rank`` apply it to their singular values. The rank tests of
 ``plant.PlantModel`` check the ground-truth simulator, which the
@@ -32,8 +32,8 @@ def numerical_rank(M: np.ndarray) -> int:
     return _rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
-def factor(M: np.ndarray, rtol: float = RANK_RTOL) -> tuple:
-    """``(rank, pinv, null_basis, row_basis, s)`` of M from one economy SVD.
+def factor(M: np.ndarray, rtol: float = RANK_RTOL, complete: bool = False) -> tuple:
+    """``(rank, pinv, null_basis, row_basis, s, left_null)`` of M from one SVD.
 
     The rank uses the shared cutoff at relative tolerance ``rtol``. The
     pseudoinverse repeats ``np.linalg.pinv``'s arithmetic and is
@@ -43,15 +43,22 @@ def factor(M: np.ndarray, rtol: float = RANK_RTOL) -> tuple:
     that needs the kernel only through its projector ``I - V_r V_r'``
     needs no more. The null basis spans the whole kernel only for a tall M,
     because the economy SVD of a wide M omits the last right singular
-    vectors. ``s`` holds the singular values, largest first.
+    vectors. ``s`` holds the singular values, largest first. ``left_null``
+    holds the left singular vectors past the rank as orthonormal rows, a
+    C-contiguous array; they span the left null space of M, the orthogonal
+    complement of its range, when M is wide or square. ``complete`` asks
+    for that span on a tall M too: the SVD is then the full one, whose
+    pseudoinverse may round differently from numpy's.
     """
     M = np.atleast_2d(M)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = np.linalg.svd(M, full_matrices=complete and M.shape[0] > M.shape[1])
     rank = _rank(s, M.shape, rtol)
+    left_null = U[:, rank:].T.copy()
+    U = U[:, :s.size]
     s_inv = np.zeros_like(s)
     s_inv[:rank] = 1.0 / s[:rank]
     M_pinv = Vt.T @ (s_inv[:, None] * U.T)
-    return rank, M_pinv, Vt[rank:].T.copy(), Vt[:rank].T, s
+    return rank, M_pinv, Vt[rank:].T.copy(), Vt[:rank].T, s, left_null
 
 
 def pinv(M: np.ndarray) -> np.ndarray:

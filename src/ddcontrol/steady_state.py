@@ -9,6 +9,7 @@ controller's gradient step projects through, and minimizing a cost over
 null(S) gives the reference point regret is measured against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,7 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         )
     H = np.vstack([build_hankel(data.inputs, n + 1).entries,
                    build_hankel(data.outputs, n + 1).entries])
-    rank, H_pinv, _, _, sigma = linalg.factor(H)
+    rank, H_pinv, _, _, sigma, _ = linalg.factor(H)
     bound = m * (n + 1) + n
     if rank > bound:
         raise PersistencyError(
@@ -91,7 +92,7 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
     # factorization gives S^+ and the basis, so both agree on the rank;
     # S is tall, so its economy SVD carries the complete null basis
     rtol = max(linalg.RANK_RTOL, np.finfo(float).eps * sigma[0] / sigma[rank - 1])
-    _, S_pinv, basis, _, _ = linalg.factor(S, rtol)
+    _, S_pinv, basis, _, _, _ = linalg.factor(S, rtol)
     P = np.eye(m + p) - S_pinv @ S
     return SteadyStateProjector(S=S, P=P, basis=basis, m=m, p=p, n=n)
 
@@ -118,7 +119,8 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     stacked products and solved in one batched call; B'HB >= alpha_z I, so
     every system is nonsingular. Any other cost falls back to projected
     gradient iteration driven to a projected-gradient norm of 1e-10, once
-    per run.
+    per run; that solver raises ``NonConvergenceError`` at the first
+    projected gradient whose norm is not finite.
     """
     times = np.atleast_1d(t)
     starts = cost.run_starts(times)
@@ -143,10 +145,15 @@ def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:
         raise ValueError("iterative steady-state solve needs a strongly convex cost")
     step = 2.0 / (cost.alpha_z + cost.l_z)
     z = np.zeros(proj.m + proj.p)
-    for _ in range(_MAX_ITERS):
+    for k in range(_MAX_ITERS):
         grad = cost.grad(t, z)
-        if np.linalg.norm(proj.P @ grad) <= _GRAD_TOL:
+        norm = np.linalg.norm(proj.P @ grad)
+        if norm <= _GRAD_TOL:
             return z
+        if not math.isfinite(norm):
+            raise NonConvergenceError(
+                f"projected gradient norm is {norm} at iteration {k}: the "
+                "cost's parameters overflow its gradient")
         z = proj.P @ (z - step * grad)
     raise NonConvergenceError(
         f"projected gradient did not reach tolerance {_GRAD_TOL} "

@@ -262,7 +262,7 @@ def reference_solves(state, pre, proj, gamma, t, y_meas, prev_cost):
     rhs = np.concatenate([state.u_hist.ravel(), state.u_pred.ravel()[m:],
                           np.tile(state.z_s_prev[:m], n + 1), y_window])
     alpha = pre.H_alpha_pinv @ rhs
-    r = pre.E_alpha @ rhs
+    r = pre.left_null_alpha @ rhs
     alpha_res = math.sqrt(r @ r)
 
     z_hat = np.concatenate([state.z_s_prev[:m], pre.Y_ahead @ alpha])
@@ -275,7 +275,7 @@ def reference_solves(state, pre, proj, gamma, t, y_meas, prev_cost):
     g[a:b] = np.tile(z_s[:m], n + 1) - pre.U_tail @ alpha
     g[c:] = np.tile(z_s[m:], n) - pre.Y_tail @ alpha
     beta = pre.Q_tilde @ g
-    r = pre.E_beta @ g
+    r = pre.left_null_beta @ g
     return e_hat, y_den, alpha, alpha_res, z_s, g, beta, math.sqrt(r @ r)
 
 

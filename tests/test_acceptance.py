@@ -306,7 +306,7 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     worst_gap, worst_res = 0.0, 0.0
     for _ in range(50):
         z_s = proj.basis @ rng.normal(size=proj.dim)
-        beta, g, _ = solve_beta(alpha, z_s, pre)
+        beta, g, *_ = solve_beta(alpha, z_s, pre)
         beta_star = min_seminorm_qp(hankels.H_beta, g, Q)
         gap = np.linalg.norm(Q @ beta) - np.linalg.norm(Q @ beta_star)
         res = np.linalg.norm(hankels.H_beta @ beta - g)

@@ -14,7 +14,8 @@ from ddcontrol.controller import (Q_MODES, Controller, ControllerConfig,
                                   solve_beta)
 from ddcontrol.costs import QuadraticTrackingCost
 from ddcontrol.errors import FeasibilityError, PersistencyError
-from ddcontrol.plant import collect_offline_data, simulate, step
+from ddcontrol.harness import OfflineSpec
+from ddcontrol.plant import PlantModel, collect_offline_data, simulate, step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
 from helpers import (checked_run, constrained_ls_kkt, kernel_basis_q_tilde,
@@ -151,12 +152,14 @@ def _projector_q_tilde(pre, mode):
     return (I - pinv(Q @ (I - H_beta_pinv @ pre.H_beta)) @ Q) @ H_beta_pinv
 
 
-def test_residual_map_keeps_a_broken_steering_map_loud():
-    # the step's beta residual comes from E_beta = H_beta Q_tilde - I, which
-    # carries Q_tilde's own error: the plant above now steers, and with the
-    # projector-form Q_tilde put back the check refuses the first step that
-    # has a target to steer to. (This record's steady-state set has
-    # dimension m = 2, so the target is a real equilibrium: g_norm 2.8e-2.)
+def test_residual_map_keeps_a_broken_steering_map_loud(monkeypatch):
+    # the step's beta residual measures only g's distance from range(H_beta),
+    # so Q_tilde's own error is checked once, at construction: the plant
+    # above steers, and the projector-form Q_tilde put back is refused by
+    # that check. (This record's steady-state set has dimension m = 2, so
+    # the target is a real equilibrium: g_norm 2.8e-2.)
+    import ddcontrol.controller as ctrl_module
+
     n = mu = 5
     data = _record(*POORLY_OBSERVABLE[0])
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity")
@@ -172,14 +175,15 @@ def test_residual_map_keeps_a_broken_steering_map_loud():
     assert ctrl.last.g_norm > 0
     assert ctrl.last.beta_residual <= 1e-8
 
-    broken = Controller(cfg, data)
-    Q_tilde = _projector_q_tilde(broken.pre, cfg.q_mode)
-    broken.pre = dataclasses.replace(
-        broken.pre, Q_tilde=Q_tilde,
-        E_beta=broken.pre.H_beta @ Q_tilde - np.eye(broken.pre.H_beta.shape[0]))
-    with pytest.raises(FeasibilityError, match="steering correction infeasible"):
-        two_steps(broken)
-    assert broken.t == 1
+    ctrl_module.check_steering_map(ctrl.pre)
+    broken = dataclasses.replace(
+        ctrl.pre, Q_tilde=_projector_q_tilde(ctrl.pre, cfg.q_mode))
+    with pytest.raises(FeasibilityError, match="steering map misses its targets"):
+        ctrl_module.check_steering_map(broken)
+    # and construction runs the check
+    monkeypatch.setattr(ctrl_module, "STEER_RTOL", 0.0)
+    with pytest.raises(FeasibilityError, match="steering map misses its targets"):
+        precompute(data, n, mu, cfg.q_mode)
 
 
 @pytest.mark.parametrize("mode", Q_MODES)
@@ -250,9 +254,9 @@ def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
         seed=config.offline.seed)
     real_factor, calls = linalg_module.factor, []
 
-    def counted_factor(M):
+    def counted_factor(M, *args, **kwargs):
         calls.append(np.shape(M))
-        return real_factor(M)
+        return real_factor(M, *args, **kwargs)
 
     monkeypatch.setattr(linalg_module, "factor", counted_factor)
     pre = precompute(data, cc.n, cc.mu, cc.q_mode)
@@ -260,20 +264,18 @@ def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
     assert [pre.H_beta.shape, pre.H_alpha.shape] == [(85, 380), (120, 380)]
 
 
-@pytest.mark.parametrize("n, m, p", [(2, 1, 2), (3, 2, 2), (4, 1, 3), (5, 2, 2)])
-def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
-    # each logged residual, taken through an offline map, equals the norm of
-    # the solve's own H x - rhs. The stored outputs are nudged by 1e-9 each
-    # step, which lifts the alpha residual above round-off; every plant has
-    # more than one output, since n outputs of one channel fit some state
+def _logged_and_fresh_residuals(monkeypatch, rng, model, data, n):
+    """Each solve's logged residual, a fresh ``|H x - rhs|`` and ``|rhs|``.
+
+    Runs 20 closed-loop steps at mu = n; rows alternate alpha and beta
+    solves. The stored outputs are nudged by 1e-9 each step, which lifts
+    the alpha residual above round-off.
+    """
     import ddcontrol.controller as ctrl_module
 
-    rng = np.random.default_rng(70 + n)
-    model = random_system(rng, n, m, p)
-    order = 3 * n + n + 1                      # excitation order at mu = n
-    data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
     ctrl = Controller(ControllerConfig(gamma=0.2, mu=n, n=n, q_mode="identity"), data)
-    cost = QuadraticTrackingCost(H=np.eye(m + p), target=rng.normal(size=m + p))
+    cost = QuadraticTrackingCost(H=np.eye(model.m + model.p),
+                                 target=rng.normal(size=model.m + model.p))
     real_solve_alpha, real_solve_beta = ctrl_module.solve_alpha, ctrl_module.solve_beta
     fresh = []
 
@@ -286,17 +288,77 @@ def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
         return alpha, res
 
     def recording_solve_beta(alpha, z_s, pre):
-        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        beta, g, g_norm, res = real_solve_beta(alpha, z_s, pre)
         fresh.append([res, np.linalg.norm(pre.H_beta @ beta - g), np.linalg.norm(g)])
-        return beta, g, res
+        return beta, g, g_norm, res
 
     monkeypatch.setattr(ctrl_module, "solve_alpha", nudged_solve_alpha)
     monkeypatch.setattr(ctrl_module, "solve_beta", recording_solve_beta)
     run_closed_loop(model, ctrl, cost, 20, rng.normal(size=n))
-    logged, want, scale = np.array(fresh).T
+    return ctrl.pre, *np.array(fresh).T
+
+
+@pytest.mark.parametrize("n, m, p", [(2, 1, 2), (3, 2, 2), (4, 1, 3), (5, 2, 2)])
+def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
+    # each logged residual, taken through an offline basis, equals the norm
+    # of the solve's own H x - rhs; every plant has more than one output,
+    # since n outputs of one channel fit some state
+    rng = np.random.default_rng(70 + n)
+    model = random_system(rng, n, m, p)
+    order = 3 * n + n + 1                      # excitation order at mu = n
+    data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+    _, logged, want, scale = _logged_and_fresh_residuals(monkeypatch, rng, model, data, n)
     assert len(logged) == 2 * 21
     assert logged[0::2].max() > 1e-11
     assert np.all(np.abs(logged - want) <= 1e-12 * (1.0 + scale))
+
+
+def test_residuals_on_a_tall_record_take_the_whole_complement(monkeypatch):
+    # with p > m + 1 and the shortest record, H_alpha (25x21) and H_beta
+    # (33x21) are tall, both of rank 17: their complements have dimension 8
+    # and 16, of which an economy SVD holds only 4, so precompute takes the
+    # full SVD, and the logged residuals still equal fresh ones
+    n, m, p = 4, 1, 3
+    rng = np.random.default_rng(0)
+    model = random_system(rng, n, m, p)
+    order = 3 * n + n + 1
+    data = collect_offline_data(model, (m + 1) * order - 1, pe_order=order, seed=n)
+    pre, logged, want, scale = _logged_and_fresh_residuals(monkeypatch, rng, model, data, n)
+    for H, L in ((pre.H_alpha, pre.left_null_alpha), (pre.H_beta, pre.left_null_beta)):
+        assert H.shape[0] > H.shape[1] and rank_by_svd(H) == 17
+        assert L.shape == (H.shape[0] - rank_by_svd(H), H.shape[0])
+        assert L.flags.c_contiguous
+        assert_allclose(L @ L.T, np.eye(L.shape[0]), atol=1e-12)
+        assert np.abs(L @ H).max() <= 1e-12 * np.abs(H).max()
+    assert logged[0::2].max() > 1e-11
+    assert np.all(np.abs(logged - want) <= 1e-12 * (1.0 + scale))
+
+
+@pytest.mark.parametrize("record, mu, dims", [
+    ("thermal", 10, (10, 20)), ("thermal", 30, (10, 20)), ("scalar", 2, (0, 0))])
+def test_complement_dimensions_on_the_benchmark_records(record, mu, dims):
+    # rows minus rank of H_alpha and H_beta: on the shipped thermal record
+    # pn - n_true = 15 - 5 and twice that, at either sweep horizon; the
+    # scalar record's matrices have full row rank, so its per-step checks
+    # test finiteness only
+    from ddcontrol.harness import ExperimentConfig, shipped_config_path
+
+    if record == "thermal":
+        config = ExperimentConfig.from_json(shipped_config_path())
+        n, q_mode = config.controller.n, config.controller.q_mode
+        model, _ = config.plant.build()
+        offline = config.offline
+    else:
+        n, q_mode = 1, "identity"
+        model = PlantModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+        offline = OfflineSpec(N=60, seed=3)
+    data = collect_offline_data(model, offline.N, pe_order=3 * n + mu + 1,
+                                input_box=(offline.input_low, offline.input_high),
+                                seed=offline.seed)
+    pre = precompute(data, n, mu, q_mode)
+    assert (pre.left_null_alpha.shape[0], pre.left_null_beta.shape[0]) == dims
+    for H, L in ((pre.H_alpha, pre.left_null_alpha), (pre.H_beta, pre.left_null_beta)):
+        assert L.shape == (H.shape[0] - rank_by_svd(H), H.shape[0])
 
 
 #: round-off allowance of the membership bound below. The two residuals
@@ -517,7 +579,7 @@ def test_solve_beta_zero_mismatch(siso_setup):
     cfg, _, pre, proj = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     alpha, _ = solve_alpha(state, pre)
-    beta, g, _ = solve_beta(alpha, np.zeros(2), pre)
+    beta, g, *_ = solve_beta(alpha, np.zeros(2), pre)
     assert_allclose(g, np.zeros_like(g), atol=1e-12)
     assert_allclose(beta, np.zeros_like(beta), atol=1e-12)
 
@@ -530,7 +592,7 @@ def test_solve_beta_optimality_against_oracle(mimo_setup):
     Q = q_weight(hankels, cfg.q_mode)
     for _ in range(20):
         z_s = proj.basis @ rng.normal(size=proj.dim)
-        beta, g, _ = solve_beta(alpha, z_s, pre)
+        beta, g, *_ = solve_beta(alpha, z_s, pre)
         beta_star = min_seminorm_qp(hankels.H_beta, g, Q)
         assert np.linalg.norm(Q @ beta) \
             <= np.linalg.norm(Q @ beta_star) + 1e-9
@@ -586,11 +648,11 @@ def test_gathers_match_a_tiled_assembly(monkeypatch, n, m, p):
         return rhs
 
     def checked_solve_beta(alpha, z_s, pre):
-        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        beta, g, g_norm, res = real_solve_beta(alpha, z_s, pre)
         want = np.concatenate([np.zeros(n * m), np.tile(z_s[:m], n + 1) - pre.U_tail @ alpha,
                                np.zeros(n * p), np.tile(z_s[m:], n) - pre.Y_tail @ alpha])
         assert np.array_equal(g, want)
-        return beta, g, res
+        return beta, g, g_norm, res
 
     monkeypatch.setattr(ctrl_module, "alpha_rhs", checked_alpha_rhs)
     monkeypatch.setattr(ctrl_module, "solve_beta", checked_solve_beta)
@@ -821,6 +883,35 @@ def test_non_finite_measurement_raises_and_leaves_the_controller_unchanged(
     np.testing.assert_array_equal(ctrl.last.z_s, twin.last.z_s)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_measurement_raises_where_the_complements_are_empty(
+        siso_model, siso_data, bad):
+    # on the README quick-start plant H_alpha and H_beta have full row rank,
+    # so both residuals read 0 whatever the operands; the bound, taken at
+    # every step, still fails a non-finite measurement before ``advance``
+    # commits the step, and a non-finite target before the steering solve
+    # returns
+    cfg = ControllerConfig(gamma=0.3, mu=2, n=1)
+    ctrl, twin = Controller(cfg, siso_data), Controller(cfg, siso_data)
+    assert ctrl.pre.left_null_alpha.shape[0] == ctrl.pre.left_null_beta.shape[0] == 0
+    cost = QuadraticTrackingCost(H=np.diag([2.0, 1.0]), target=np.array([0.0, 1.0]))
+    _, _, ymeas, _ = run_closed_loop(siso_model, ctrl, cost, 10, np.zeros(1))
+    run_closed_loop(siso_model, twin, cost, 10, np.zeros(1))
+    before, last = copy.deepcopy(ctrl.state), ctrl.last
+    with pytest.raises(FeasibilityError, match="prediction coefficients infeasible"), \
+            np.errstate(invalid="ignore"):
+        ctrl.step(y_meas=np.array([bad]), prev_cost=cost)
+    for field in ("u_hist", "y_den_hist", "u_pred", "z_s_prev", "coeff_prev"):
+        np.testing.assert_array_equal(getattr(ctrl.state, field), getattr(before, field))
+    assert ctrl.t == twin.t and ctrl.last is last
+    np.testing.assert_array_equal(ctrl.step(y_meas=ymeas[-1], prev_cost=cost),
+                                  twin.step(y_meas=ymeas[-1], prev_cost=cost))
+    alpha, _ = solve_alpha(ctrl.state, ctrl.pre, ymeas[-1])
+    with pytest.raises(FeasibilityError, match="steering correction infeasible"), \
+            np.errstate(invalid="ignore"):
+        solve_beta(alpha, np.array([bad, 0.0]), ctrl.pre)
+
+
 @pytest.mark.parametrize("init_mode", ["zero", "regularized"])
 def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     # the diagnostics record the residuals the solves computed for their
@@ -839,9 +930,9 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     real_solve_beta = ctrl_module.solve_beta
 
     def recording_solve_beta(alpha, z_s, pre):
-        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        beta, g, g_norm, res = real_solve_beta(alpha, z_s, pre)
         solved.append((alpha, beta, g))
-        return beta, g, res
+        return beta, g, g_norm, res
 
     monkeypatch.setattr(ctrl_module, "solve_beta", recording_solve_beta)
     cost = QuadraticTrackingCost(H=np.eye(4), target=np.array([0.3, -0.2, 0.5, 0.1]))
@@ -985,7 +1076,7 @@ def test_equal_record_reuses_the_factors(monkeypatch, factor_cache, siso_data):
     import ddcontrol.steady_state as ss_module
 
     calls = []
-    for module, name in ((linalg_module, "pinv"), (ctrl_module, "precompute"),
+    for module, name in ((linalg_module, "factor"), (ctrl_module, "precompute"),
                          (ss_module, "build_projector")):
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
@@ -993,7 +1084,7 @@ def test_equal_record_reuses_the_factors(monkeypatch, factor_cache, siso_data):
         monkeypatch.setattr(module, name, counting)
     cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
     first = Controller(cfg, siso_data)
-    assert {"pinv", "precompute", "build_projector"} <= set(calls)
+    assert {"factor", "precompute", "build_projector"} <= set(calls)
     calls.clear()
     equal = Trajectory(siso_data.inputs.copy(), siso_data.outputs.copy())
     second = Controller(cfg, equal)

@@ -505,10 +505,10 @@ def test_trace_telemetry_matches_recomputation(monkeypatch, tmp_path, small_conf
         return alpha, res
 
     def recording_solve_beta(alpha, z_s, pre):
-        beta, g, res = real_solve_beta(alpha, z_s, pre)
+        beta, g, g_norm, res = real_solve_beta(alpha, z_s, pre)
         fresh[-1]["g_norm"] = np.linalg.norm(g)
         fresh[-1]["beta_residual"] = np.linalg.norm(pre.H_beta @ beta - g)
-        return beta, g, res
+        return beta, g, g_norm, res
 
     monkeypatch.setattr(ctrl_module, "solve_alpha", recording_solve_alpha)
     monkeypatch.setattr(ctrl_module, "solve_beta", recording_solve_beta)

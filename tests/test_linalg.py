@@ -107,7 +107,7 @@ def test_pinv_is_bit_identical_to_numpy(offline_matrices):
 
 def test_factor_rank_and_null_basis_follow_the_one_rule(offline_matrices):
     for name, M in offline_matrices.items():
-        rank, _, Z, V_r, _ = factor(M)
+        rank, _, Z, V_r, _, _ = factor(M)
         assert rank == numerical_rank(M), name
         assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
         scale = 1.0 + np.abs(M).max(initial=0.0)

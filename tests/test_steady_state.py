@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose
 from ddcontrol.behavioral import Trajectory, build_hankel
 from ddcontrol.costs import (QuadraticSoftplusCost, QuadraticTrackingCost,
                              hvac_cost_schedule)
-from ddcontrol.errors import PersistencyError
+from ddcontrol.errors import NonConvergenceError, PersistencyError
 from ddcontrol.plant import collect_offline_data, simulate
 from ddcontrol.steady_state import (SteadyStateProjector, build_projector,
                                     optimal_steady_state, project)
@@ -230,6 +232,23 @@ def test_optimal_steady_state_iterative_path(siso_proj):
                    x0=np.zeros(B.shape[1]), method="BFGS",
                    options={"gtol": 1e-12})
     assert_allclose(zeta, B @ res.x, atol=1e-6)
+
+
+@pytest.mark.parametrize("field", ["target", "a", "c"])
+def test_iterative_oracle_stops_at_an_overflowing_gradient(siso_proj, field):
+    # a 1e300 entry in any softplus parameter makes the first projected
+    # gradient's norm inf; the solver stops there instead of iterating to
+    # its cap, which took 10-12 s per cost
+    params = dict(H=np.diag([3.0, 1.0]), target=np.array([0.3, 1.2]),
+                  a=np.array([0.5, -0.4]), c=2.0)
+    params[field] = 1e300 if field == "c" else np.array([1e300, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = QuadraticSoftplusCost(**params)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError,
+                           match="projected gradient norm is inf at iteration 0"):
+            optimal_steady_state(siso_proj, cost)
+    assert time.perf_counter() - start < 0.1
 
 
 ORACLE_COSTS = {
