@@ -25,7 +25,7 @@ print(f"input persistently exciting of order 10: "
       f"{persistency_check(data.inputs, 10)}")
 
 H = build_hankel(data.inputs, 4)
-print(f"depth-4 input Hankel matrix: {H.entries.shape[0]} x {H.entries.shape[1]}")
+print(f"depth-4 input Hankel matrix: {H.shape[0]} x {H.shape[1]}")
 
 print("\n== certifying candidate trajectories ==")
 fresh = simulate(plant, rng.normal(size=2), rng.uniform(-1, 1, (6, 1)))

@@ -42,8 +42,7 @@ class SwitchingCost(CostFunction):
 
     def stacked_quadratic_terms(self, times):
         x = self.targets[self._segment(times)]
-        Hx = x @ self.H             # H is symmetric
-        return np.repeat(self.H[None], len(x), axis=0), -Hx, 0.5 * (x * Hx).sum(axis=1)
+        return np.repeat(self.H[None], len(x), axis=0), -(x @ self.H)    # H is symmetric
 
 
 base = dict(

@@ -10,9 +10,8 @@ synthesizes the input that steers there, all without ever identifying a
 model.
 """
 
-from .behavioral import (HankelMatrix, Trajectory, block_rows, build_hankel,
-                         build_hankel_set, membership_residual,
-                         persistency_check)
+from .behavioral import (Trajectory, block_rows, build_hankel, build_hankel_set,
+                         membership_residual, persistency_check)
 from .controller import (Controller, ControllerConfig, ControllerState,
                          Precomputed, advance, estimate_noise, initialize,
                          precompute, predict_and_descend, solve_alpha,

@@ -3,12 +3,12 @@
 A length-N input-output record of a linear system, arranged into Hankel
 matrices, spans every trajectory of that system once the input is
 persistently exciting of sufficient order. This module provides the
-containers (Trajectory, HankelMatrix), the excitation check, and a
-least-squares membership test certifying whether a candidate window
-could have been produced by the same system.
+record container (Trajectory), Hankel matrices as plain arrays, the
+excitation check, and a least-squares membership test certifying whether
+a candidate window could have been produced by the same system.
 
 Indexing conventions: sequence time indices are 0-based everywhere;
-block rows of a Hankel matrix are 1-based (``block_rows(H, a, b)``
+block rows of a Hankel matrix are 1-based (``block_rows(H, q, a, b)``
 selects blocks a..b inclusive), matching the standard superscript
 notation H^{a:b}. The two conventions meet only inside ``block_rows``.
 """
@@ -64,24 +64,7 @@ class Trajectory:
         return self.outputs.shape[1]
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """Dense Hankel matrix of a vector sequence.
-
-    ``entries`` has shape (q*L, N-L+1); column j stacks the signal values
-    at times j .. j+L-1. ``depth`` is L and ``block_size`` is q.
-    """
-
-    entries: np.ndarray
-    depth: int
-    block_size: int
-
-    @property
-    def columns(self) -> int:
-        return self.entries.shape[1]
-
-
-def build_hankel(z: np.ndarray, L: int) -> HankelMatrix:
+def build_hankel(z: np.ndarray, L: int) -> np.ndarray:
     """Hankel matrix of depth L from a sequence of N vectors.
 
     Args:
@@ -89,7 +72,8 @@ def build_hankel(z: np.ndarray, L: int) -> HankelMatrix:
         L: depth, 1 <= L <= N.
 
     Returns:
-        HankelMatrix with entries of shape (q*L, N-L+1).
+        Array of shape (q*L, N-L+1) whose column j stacks the values at
+        times j .. j+L-1; block row i holds the q channels at offset i-1.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
@@ -101,15 +85,18 @@ def build_hankel(z: np.ndarray, L: int) -> HankelMatrix:
     H = np.empty((q * L, cols))
     for i in range(L):
         H[i * q:(i + 1) * q, :] = z[i:i + cols, :].T
-    return HankelMatrix(H, depth=L, block_size=q)
+    return H
 
 
-def block_rows(H: HankelMatrix, a: int, b: int) -> np.ndarray:
-    """Rows of block rows a..b (1-based, inclusive) of a Hankel matrix."""
-    if not (1 <= a <= b <= H.depth):
-        raise IndexError(f"block rows [{a}:{b}] out of range for depth {H.depth}")
-    q = H.block_size
-    return H.entries[(a - 1) * q:b * q, :]
+def block_rows(H: np.ndarray, q: int, a: int, b: int) -> np.ndarray:
+    """Block rows a..b (1-based, inclusive) of a Hankel matrix of block size q.
+
+    Returns a view of the rows, not a copy.
+    """
+    depth = H.shape[0] // q
+    if not (1 <= a <= b <= depth):
+        raise IndexError(f"block rows [{a}:{b}] out of range for depth {depth}")
+    return H[(a - 1) * q:b * q, :]
 
 
 def persistency_check(u: np.ndarray, L: int) -> bool:
@@ -125,7 +112,7 @@ def persistency_check(u: np.ndarray, L: int) -> bool:
     N, m = u.shape
     if L < 1 or N < L:
         return False
-    return numerical_rank(build_hankel(u, L).entries) == m * L
+    return numerical_rank(build_hankel(u, L)) == m * L
 
 
 def membership_residual(data: Trajectory, candidate: Trajectory,
@@ -148,8 +135,7 @@ def membership_residual(data: Trajectory, candidate: Trajectory,
         raise PersistencyError(
             f"data input is not persistently exciting of order L+n = {L + n}"
         )
-    H = np.vstack([build_hankel(data.inputs, L).entries,
-                   build_hankel(data.outputs, L).entries])
+    H = np.vstack([build_hankel(data.inputs, L), build_hankel(data.outputs, L)])
     rhs = np.concatenate([candidate.inputs.ravel(), candidate.outputs.ravel()])
     return float(np.linalg.norm(H @ (pinv(H) @ rhs) - rhs))
 

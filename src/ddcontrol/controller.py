@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import linalg
-from .behavioral import HankelMatrix, Trajectory, block_rows, persistency_check
+from .behavioral import Trajectory, block_rows, persistency_check
 from .costs import CostFunction
 from .errors import FeasibilityError, PersistencyError
 from .steady_state import SteadyStateProjector
@@ -99,12 +99,15 @@ Q_MODES = ("identity", "identity+future_inputs")
 
 @dataclass(frozen=True)
 class Precomputed:
-    """A record's Hankel matrices plus everything the per-step loop multiplies by.
+    """The factors of a data record, holding only what a run reads.
 
-    ``U`` and ``Y`` have depth 2n+mu+1; ``m`` and ``p`` are the record's
-    input and output widths, plain fields because the loop reads them.
-    ``H_alpha`` and ``H_beta`` stack the row blocks ``precompute`` names,
-    in the row orders of ``alpha_rhs`` and of ``solve_beta``'s g.
+    ``m`` and ``p`` are the record's input and output widths, plain fields
+    because the loop reads them. ``U`` is the record's depth-(2n+mu+1)
+    input Hankel matrix, which the regularized start constrains. The
+    coefficient systems stack row blocks of the data Hankel matrices:
+    ``H_alpha`` = [U^{1:n}; U^{n+1:2n+mu+1}; Y^{1:n}] in the row order of
+    ``alpha_rhs``, ``H_beta`` = [U^{1:n}; U_tail; Y^{1:n}; Y_tail] in that
+    of ``solve_beta``'s g. Neither is kept; their factors are.
     ``H_alpha_pinv`` solves the prediction-coefficient system and
     ``Q_tilde`` maps a steering target mismatch g to the solution of
     ``H_beta beta = g`` of least ``q_mode`` seminorm, in closed form from
@@ -112,20 +115,15 @@ class Precomputed:
     as orthonormal rows, the left singular vectors of ``H_alpha`` and
     ``H_beta`` past their ranks: they span the complement of each range,
     so a right-hand side's solve residual is the norm of its product with
-    them, and the per-step feasibility checks multiply by these short, wide
-    bases instead of by ``H_alpha`` and ``H_beta``. Where a matrix has full
-    row rank the basis is empty and its check tests finiteness only.
-    ``precompute`` checks ``Q_tilde``'s own error once
-    (``check_steering_map``). The named row blocks of the data Hankel
-    matrices are the ones the loop reads out every step.
+    them. Where a matrix has full row rank the basis is empty and its
+    check tests finiteness only. ``precompute`` checks ``Q_tilde``'s own
+    error once (``check_steering_map``). The named row blocks are views of
+    the data Hankel matrices that the loop reads out every step.
     ``steady_index`` gathers a steady state (u_s, y_s) into the terminal
     window's layout: u_s n+1 times, then y_s n times.
     """
 
-    U: HankelMatrix
-    Y: HankelMatrix
-    H_alpha: np.ndarray
-    H_beta: np.ndarray
+    U: np.ndarray
     n: int
     mu: int
     m: int
@@ -142,10 +140,6 @@ class Precomputed:
     Y_tail: np.ndarray      # Y^{n+mu+1:2n+mu}: terminal output window
     steady_index: np.ndarray
 
-    @property
-    def columns(self) -> int:
-        return self.U.columns
-
 
 def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     """Factor an offline data record once; the loop then only multiplies.
@@ -155,9 +149,10 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
     stacks ``H_alpha`` and ``H_beta`` from them, then factors the two by
     one SVD each: ``H_alpha`` into its pseudoinverse, ``H_beta`` into
     ``Q_tilde`` in closed form (``notes/decisions.md``, "Q̃ in closed form"),
-    and each into the basis of its range's complement. Raises
-    ``FeasibilityError`` through ``check_steering_map`` when ``Q_tilde``
-    misses its targets.
+    and each into the basis of its range's complement. The stacked
+    matrices and the output Hankel matrix are not returned; the row blocks
+    the loop reads stay as views of them. Raises ``FeasibilityError``
+    through ``check_steering_map`` when ``Q_tilde`` misses its targets.
     """
     # looked up at call time, so a timing wrapper on the module attribute sees it
     from .behavioral import build_hankel_set
@@ -174,14 +169,15 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
             f"data input is not persistently exciting of order 3n+mu+1 = {order}"
         )
     U, Y = build_hankel_set(data, n, mu)
+    m, p = data.m, data.p
     # each row block the factors or the loop read, cut once; U_f holds the
     # future inputs
-    U_past, U_f = block_rows(U, 1, n), block_rows(U, n + 1, 2 * n + mu + 1)
-    U_plan = block_rows(U, n + 1, n + mu + 1)
-    U_tail = block_rows(U, n + mu + 1, 2 * n + mu + 1)
-    Y_past, Y_next = block_rows(Y, 1, n), block_rows(Y, n + 1, n + 1)
-    Y_ahead = block_rows(Y, n + mu + 1, n + mu + 1)
-    Y_tail = block_rows(Y, n + mu + 1, 2 * n + mu)
+    U_past, U_f = block_rows(U, m, 1, n), block_rows(U, m, n + 1, 2 * n + mu + 1)
+    U_plan = block_rows(U, m, n + 1, n + mu + 1)
+    U_tail = block_rows(U, m, n + mu + 1, 2 * n + mu + 1)
+    Y_past, Y_next = block_rows(Y, p, 1, n), block_rows(Y, p, n + 1, n + 1)
+    Y_ahead = block_rows(Y, p, n + mu + 1, n + mu + 1)
+    Y_tail = block_rows(Y, p, n + mu + 1, 2 * n + mu)
     H_alpha = np.vstack([U_past, U_f, Y_past])
     H_beta = np.vstack([U_past, U_tail, Y_past, Y_tail])
     # "identity" mode takes H_beta^+ alone; future inputs also need the
@@ -195,21 +191,18 @@ def precompute(data: Trajectory, n: int, mu: int, q_mode: str) -> Precomputed:
         Q_tilde = Q_tilde - K @ np.linalg.solve(np.eye(U_f.shape[0]) + U_f @ K,
                                                 U_f @ Q_tilde)
     _, H_alpha_pinv, _, _, _, left_null_alpha = linalg.factor(H_alpha, complete=True)
-    m, p = data.m, data.p
-    pre = Precomputed(
-        U=U, Y=Y, H_alpha=H_alpha, H_beta=H_beta, n=n, mu=mu, m=m, p=p,
-        H_alpha_pinv=H_alpha_pinv, Q_tilde=Q_tilde,
+    check_steering_map(H_beta, Q_tilde, left_null_beta)
+    return Precomputed(
+        U=U, n=n, mu=mu, m=m, p=p, H_alpha_pinv=H_alpha_pinv, Q_tilde=Q_tilde,
         left_null_alpha=left_null_alpha, left_null_beta=left_null_beta,
         U_plan=U_plan, U_tail=U_tail, Y_past=Y_past, Y_next=Y_next,
         Y_ahead=Y_ahead, Y_tail=Y_tail,
         steady_index=np.concatenate([np.tile(np.arange(m), n + 1),
                                      m + np.tile(np.arange(p), n)]),
     )
-    check_steering_map(pre)
-    return pre
 
 
-def check_steering_map(pre: Precomputed) -> None:
+def check_steering_map(H_beta: np.ndarray, Q_tilde: np.ndarray, L: np.ndarray) -> None:
     """Refuse a ``Q_tilde`` whose error on consistent targets exceeds ``STEER_RTOL``.
 
     ``H_beta Q_tilde`` should be the projector onto range(H_beta), which
@@ -219,8 +212,7 @@ def check_steering_map(pre: Precomputed) -> None:
     and the per-step check on ``|L g|`` completes the bound. Raises
     ``FeasibilityError``.
     """
-    L = pre.left_null_beta
-    D = pre.H_beta @ pre.Q_tilde + L.T @ L - np.eye(pre.H_beta.shape[0])
+    D = H_beta @ Q_tilde + L.T @ L - np.eye(H_beta.shape[0])
     err = float(np.linalg.norm(D))
     if not err <= STEER_RTOL:
         raise FeasibilityError(
@@ -347,12 +339,12 @@ def regularized_init_solution(pre: Precomputed, y_meas: np.ndarray,
     feasible pair. Returns the coefficients ``alpha0``.
     """
     n, p = pre.n, pre.p
-    U_full = pre.U.entries
-    E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
+    rows, columns = pre.U.shape
+    E = np.hstack([pre.U, np.zeros((rows, n * p))])
     M = np.hstack([pre.Y_past, np.eye(n * p)])
     w = linalg.constrained_ridge_lstsq(M, np.asarray(y_meas, dtype=float).ravel(),
                                        E, lam=lam)
-    return w[:pre.columns]
+    return w[:columns]
 
 
 def estimate_noise(state: ControllerState, y_meas: np.ndarray,
@@ -412,12 +404,24 @@ def solve_alpha(state: ControllerState, pre: Precomputed,
     # comparison rejects, and a bound that overflowed to inf passes nothing
     res, rhs_norm = math.sqrt(r.dot(r)), math.sqrt(rhs.dot(rhs))
     if not res <= FEAS_RTOL * (1.0 + rhs_norm) < math.inf:
-        raise FeasibilityError(
-            f"prediction coefficients infeasible (residual {res:.3e}) for a "
-            f"right-hand side of norm {rhs_norm:.3e}; controller state is "
-            "corrupted or the data assumptions fail"
-        )
+        raise _infeasible("prediction coefficients", res, "right-hand side", rhs_norm,
+                          "controller state is corrupted or the data assumptions fail")
     return alpha, res
+
+
+def _infeasible(what: str, res: float, operand: str, norm: float,
+                cause: str) -> FeasibilityError:
+    """The error of a failed feasibility check, built on the error path only.
+
+    An operand whose norm overflowed to inf says so, since a diverging loop
+    fails this way, and not ``cause``.
+    """
+    if math.isinf(norm):
+        cause = (f"the {operand} overflowed: the loop diverged, for example "
+                 "under a step size gamma above 2/(alpha_z + l_z), or a "
+                 "measurement or cost parameter is too large")
+    return FeasibilityError(f"{what} infeasible (residual {res:.3e}) for a "
+                            f"{operand} of norm {norm:.3e}; {cause}")
 
 
 def predict_and_descend(state: ControllerState, alpha: np.ndarray,
@@ -463,12 +467,9 @@ def solve_beta(alpha: np.ndarray, z_s: np.ndarray, pre: Precomputed) -> tuple:
     # the norms and the test as in ``solve_alpha``
     res, g_norm = math.sqrt(r.dot(r)), math.sqrt(g.dot(g))
     if not res <= FEAS_RTOL * (1.0 + g_norm) < math.inf:
-        raise FeasibilityError(
-            f"steering correction infeasible (residual {res:.3e}) for a "
-            f"target mismatch of norm {g_norm:.3e}; the prediction horizon "
-            "may be shorter than the controllability index, or the data is "
-            "corrupted"
-        )
+        raise _infeasible("steering correction", res, "target mismatch", g_norm,
+                          "the prediction horizon may be shorter than the "
+                          "controllability index, or the data is corrupted")
     return beta, g, g_norm, res
 
 

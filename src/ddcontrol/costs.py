@@ -25,10 +25,11 @@ class CostFunction:
       equal cost parameters starts. Times in one run must give equal
       values and gradients: the oracle solves each run once and evaluates
       its cost once. The default makes every time its own run.
-    - ``stacked_quadratic_terms(times)``: ``(H, g, c)`` with
-      L_t(z) = 0.5 z'Hz + g'z + c at each time, shapes (k, d, d), (k, d)
-      and (k,), which the oracle solves in closed form. The default, None,
-      says the cost is not quadratic, and the oracle iterates.
+    - ``stacked_quadratic_terms(times)``: ``(H, g)`` with
+      L_t(z) = 0.5 z'Hz + g'z plus a constant at each time, shapes
+      (k, d, d) and (k, d), which the oracle solves in closed form; the
+      constant moves no minimizer, so it is not returned. The default,
+      None, says the cost is not quadratic, and the oracle iterates.
     - ``stacked_eval(times, points)``: ``eval`` at each time and the
       matching row of ``points``; the default loops ``eval``.
     """
@@ -105,8 +106,7 @@ class QuadraticTrackingCost(CostFunction):
         # np.repeat copies H, so a caller that edits it cannot alter the cost
         k = len(times)
         return (np.repeat(self.H[None], k, axis=0),
-                np.repeat((-self.H @ self.target)[None], k, axis=0),
-                np.repeat(0.5 * float(self.target @ self.H @ self.target), k))
+                np.repeat((-self.H @ self.target)[None], k, axis=0))
 
 
 def _logistic(x):
@@ -193,7 +193,7 @@ class QuadraticScheduledCost(CostFunction):
         self._starts = starts
         p = self.segments[0].setpoint.size
         self.p = p
-        H_seg, g_seg, c_seg = [], [], []    # H without its input block, g, c
+        H_seg, g_seg = [], []    # H without its input block, g
         lo, hi = np.inf, 0.0
         # a positive weight keeps the prices' order, so a segment's extreme
         # weighted prices are its weight times the extreme prices
@@ -218,9 +218,8 @@ class QuadraticScheduledCost(CostFunction):
             H_seg.append(H)
             g_seg.append(np.concatenate([np.zeros(self.m),
                                          -seg.output_weight @ seg.setpoint]))
-            c_seg.append(0.5 * float(seg.setpoint @ seg.output_weight @ seg.setpoint))
         # per segment, stacked, so that fancy indexing hands out copies
-        self._H, self._g, self._c = np.array(H_seg), np.array(g_seg), np.array(c_seg)
+        self._H, self._g = np.array(H_seg), np.array(g_seg)
         self._input_weights = np.array([seg.input_weight for seg in self.segments],
                                        dtype=float)
         self._setpoints = np.array([seg.setpoint for seg in self.segments], dtype=float)
@@ -288,7 +287,7 @@ class QuadraticScheduledCost(CostFunction):
         H = self._H[k]
         diag = np.arange(self.m)
         H[:, diag, diag] = (self._input_weights[k] * self.price_series[times])[:, None]
-        return H, self._g[k], self._c[k]
+        return H, self._g[k]
 
 
 def piecewise_linear_profile(knots: list[tuple[float, float]], steps: int,

@@ -393,7 +393,10 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     y_meas_prev = None
     revealed = None                      # cost revealed so far (one-step delay)
     for t in range(T + 1):
-        u_t = controller.step(y_meas=y_meas_prev, prev_cost=revealed)
+        try:
+            u_t = controller.step(y_meas=y_meas_prev, prev_cost=revealed)
+        except FeasibilityError as exc:
+            raise FeasibilityError(f"step {t}: {exc}") from exc
         d = controller.last
         if t > 0:
             # the estimate for the measurement taken after step t-1

@@ -38,7 +38,6 @@ class SteadyStateProjector:
     basis: np.ndarray
     m: int
     p: int
-    n: int
 
     @property
     def dim(self) -> int:
@@ -70,8 +69,7 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
         raise PersistencyError(
             f"data input is not persistently exciting of order 2n+1 = {2 * n + 1}"
         )
-    H = np.vstack([build_hankel(data.inputs, n + 1).entries,
-                   build_hankel(data.outputs, n + 1).entries])
+    H = np.vstack([build_hankel(data.inputs, n + 1), build_hankel(data.outputs, n + 1)])
     rank, H_pinv, _, _, sigma, _ = linalg.factor(H)
     bound = m * (n + 1) + n
     if rank > bound:
@@ -94,7 +92,7 @@ def build_projector(data: Trajectory, n: int) -> SteadyStateProjector:
     rtol = max(linalg.RANK_RTOL, np.finfo(float).eps * sigma[0] / sigma[rank - 1])
     _, S_pinv, basis, _, _, _ = linalg.factor(S, rtol)
     P = np.eye(m + p) - S_pinv @ S
-    return SteadyStateProjector(S=S, P=P, basis=basis, m=m, p=p, n=n)
+    return SteadyStateProjector(S=S, P=P, basis=basis, m=m, p=p)
 
 
 def project(proj: SteadyStateProjector, z: np.ndarray) -> np.ndarray:
@@ -114,8 +112,8 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     solve, so a sequence gives ``(starts, zeta)``: the position in ``t``
     where each run starts, and one minimizer row per run. One time is the
     length-one case of the same computation. A cost whose
-    ``stacked_quadratic_terms`` gives terms is reduced to the normal
-    equations B'HB w = -B'g in the null-space basis B, all formed by
+    ``stacked_quadratic_terms`` gives terms ``(H, g)`` is reduced to the
+    normal equations B'HB w = -B'g in the null-space basis B, all formed by
     stacked products and solved in one batched call; B'HB >= alpha_z I, so
     every system is nonsingular. Any other cost falls back to projected
     gradient iteration driven to a projected-gradient norm of 1e-10, once
@@ -134,7 +132,7 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     else:
         # every product is one per run, so a run's row does not depend
         # on how many others share the call
-        H, g, _ = terms
+        H, g = terms
         w = np.linalg.solve(B.T @ H @ B, -(B.T @ g[..., None]))
         zeta = (B @ w)[..., 0]
     return (starts, zeta) if np.ndim(t) else zeta[0]

@@ -19,7 +19,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ddcontrol.behavioral import Trajectory, block_rows, membership_residual
+from ddcontrol.behavioral import (Trajectory, block_rows, build_hankel,
+                                  membership_residual)
 from ddcontrol.controller import Controller
 from ddcontrol.costs import (CostFunction, QuadraticScheduledCost,
                              QuadraticSoftplusCost, _logistic)
@@ -48,6 +49,18 @@ def rank_by_svd(M, rtol=1e-12):
     return int(np.sum(s > max(M.shape) * s[0] * rtol))
 
 
+def coefficient_matrices(pre):
+    """``(H_alpha, H_beta)`` of a ``Precomputed``, which keeps only their factors.
+
+    Restacked from the named row blocks with ``precompute``'s own ``vstack``,
+    so the two are the matrices it factored, bit for bit.
+    """
+    n, mu, m = pre.n, pre.mu, pre.m
+    U_past, U_f = block_rows(pre.U, m, 1, n), block_rows(pre.U, m, n + 1, 2 * n + mu + 1)
+    return (np.vstack([U_past, U_f, pre.Y_past]),
+            np.vstack([U_past, pre.U_tail, pre.Y_past, pre.Y_tail]))
+
+
 def q_weight(hankels, mode):
     """The weight Q whose seminorm |Q beta| the steering correction minimizes.
 
@@ -56,11 +69,11 @@ def q_weight(hankels, mode):
     forms it; its ``Q_tilde`` minimizes the same seminorm in closed form.
     """
     n, mu, m = hankels.n, hankels.mu, hankels.m
-    Q = np.eye(hankels.columns)
+    Q = np.eye(hankels.U.shape[1])
     if mode == "identity":
         return Q
     assert mode == "identity+future_inputs", mode
-    U_f = hankels.U.entries[n * m:(2 * n + mu + 1) * m]
+    U_f = hankels.U[n * m:(2 * n + mu + 1) * m]
     return np.vstack([Q, U_f])
 
 
@@ -73,8 +86,8 @@ def kernel_basis_q_tilde(hankels):
     basis the package no longer forms, and serves as the reference.
     """
     n, mu, m = hankels.n, hankels.mu, hankels.m
-    Hb = hankels.H_beta
-    U_f = hankels.U.entries[n * m:(2 * n + mu + 1) * m]
+    _, Hb = coefficient_matrices(hankels)
+    U_f = hankels.U[n * m:(2 * n + mu + 1) * m]
     _, _, Vt = np.linalg.svd(Hb)
     N = Vt[rank_by_svd(Hb):].T
     Hb_pinv = np.linalg.pinv(Hb, rcond=max(Hb.shape) * 1e-12)
@@ -220,8 +233,7 @@ class SwitchingQuadraticCost(CostFunction):
 
     def stacked_quadratic_terms(self, times):
         x = self.targets[self._segment(times)]
-        Hx = x @ self.H             # H is symmetric
-        return np.repeat(self.H[None], len(x), axis=0), -Hx, 0.5 * (x * Hx).sum(axis=1)
+        return np.repeat(self.H[None], len(x), axis=0), -(x @ self.H)    # H is symmetric
 
 
 def reference_cost(cost, t, z):
@@ -305,25 +317,26 @@ def reference_step(state, pre, proj, gamma, t, y_meas, prev_cost):
     return u, e_hat, z_s, math.sqrt(g @ g), alpha_res, beta_res
 
 
-def step_identities(pre, alpha, coeff_prev, coeff_new, z_s):
+def step_identities(pre, Y, alpha, coeff_prev, coeff_new, z_s):
     """Largest violation of the four cross-step identities of the step's algebra.
 
     Consecutive coefficient vectors agree on the shifted initialization
     window, on the shifted input plan and on the overlapping output
     predictions, and the committed coefficients hold the terminal window
-    at the new equilibrium.
+    at the new equilibrium. ``Y`` is the record's output Hankel matrix of
+    depth 2n+mu+1, which ``pre`` keeps only in row blocks.
     """
-    U, Y, n, mu, m = pre.U, pre.Y, pre.n, pre.mu, pre.m
+    U, n, mu, m, p = pre.U, pre.n, pre.mu, pre.m, pre.p
 
-    def shifted(H, a, b):
+    def shifted(H, q, a, b):
         # blocks a..b of alpha against blocks a+1..b+1 of the last coefficients
-        return np.abs(block_rows(H, a, b) @ alpha
-                      - block_rows(H, a + 1, b + 1) @ coeff_prev).max()
+        return np.abs(block_rows(H, q, a, b) @ alpha
+                      - block_rows(H, q, a + 1, b + 1) @ coeff_prev).max()
 
-    terminal = np.abs(block_rows(Y, n + mu + 1, 2 * n + mu + 1) @ coeff_new
+    terminal = np.abs(block_rows(Y, p, n + mu + 1, 2 * n + mu + 1) @ coeff_new
                       - np.tile(z_s[m:], n + 1)).max()
-    return float(max(shifted(U, 1, n), shifted(Y, 1, n),
-                     shifted(U, n + 1, 2 * n + mu), shifted(Y, n + 1, 2 * n + mu),
+    return float(max(shifted(U, m, 1, n), shifted(Y, p, 1, n),
+                     shifted(U, m, n + 1, 2 * n + mu), shifted(Y, p, n + 1, 2 * n + mu),
                      terminal))
 
 
@@ -335,7 +348,7 @@ def identity_bound(pre):
     eps cond_r of the right-hand side's size; cond_r = sigma_1/sigma_r is
     taken of H_alpha or H_beta, whichever is the larger.
     """
-    return 1000 * np.finfo(float).eps * max(_cond_r(pre.H_alpha), _cond_r(pre.H_beta))
+    return 1000 * np.finfo(float).eps * max(map(_cond_r, coefficient_matrices(pre)))
 
 
 def _cond_r(M):
@@ -369,6 +382,7 @@ def checked_run(config):
         x, _, first[k] = step(model, x, np.zeros(model.m), e, q)
     ctrl.start(first)
     ref = copy.deepcopy(ctrl.state)
+    Y = build_hankel(data.outputs, 2 * cc.n + cc.mu + 1)
     violation = membership = 0.0
     y_meas = revealed = None
     for t in range(config.horizon + 1):
@@ -382,7 +396,7 @@ def checked_run(config):
             ref, ctrl.pre, ctrl.projector, cc.gamma, t, y_meas, revealed)
         if coeff_prev is not None:
             violation = max(violation, step_identities(
-                ctrl.pre, alpha, coeff_prev, alpha + beta, z_s))
+                ctrl.pre, Y, alpha, coeff_prev, alpha + beta, z_s))
         reference_commit(ref, ctrl.pre, y_den, alpha + beta, z_s)
         assert np.array_equal(ref.coeff_prev, ctrl.state.coeff_prev), \
             f"step {t} left the reference algebra"

@@ -23,9 +23,9 @@ from ddcontrol.metrics import regret
 from ddcontrol.plant import collect_offline_data, simulate
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import (SwitchingQuadraticCost, checked_run, min_seminorm_qp,
-                     model_steady_state, noise_error_series, q_weight,
-                     random_system)
+from helpers import (SwitchingQuadraticCost, checked_run, coefficient_matrices,
+                     min_seminorm_qp, model_steady_state, noise_error_series,
+                     q_weight, random_system)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -298,6 +298,7 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=8)
     pre = precompute(data, n, mu, "identity+future_inputs")
     hankels = pre
+    _, H_beta = coefficient_matrices(pre)
     Q = q_weight(hankels, "identity+future_inputs")
     proj = build_projector(data, n)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n)
@@ -307,9 +308,9 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     for _ in range(50):
         z_s = proj.basis @ rng.normal(size=proj.dim)
         beta, g, *_ = solve_beta(alpha, z_s, pre)
-        beta_star = min_seminorm_qp(hankels.H_beta, g, Q)
+        beta_star = min_seminorm_qp(H_beta, g, Q)
         gap = np.linalg.norm(Q @ beta) - np.linalg.norm(Q @ beta_star)
-        res = np.linalg.norm(hankels.H_beta @ beta - g)
+        res = np.linalg.norm(H_beta @ beta - g)
         worst_gap = max(worst_gap, float(gap))
         worst_res = max(worst_res, float(res))
     ok = worst_gap <= 1e-9 and worst_res <= 1e-8

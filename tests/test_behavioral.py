@@ -10,7 +10,7 @@ from ddcontrol.controller import precompute
 from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import simulate
 
-from helpers import hankel_by_index, rank_by_svd
+from helpers import coefficient_matrices, hankel_by_index, rank_by_svd
 
 
 # ---------------------------------------------------------------- containers
@@ -28,16 +28,16 @@ def test_trajectory_validation():
 
 def test_hankel_scalar_examples():
     H = build_hankel([1.0, 2.0, 3.0, 4.0], 2)
-    assert_allclose(H.entries, [[1, 2, 3], [2, 3, 4]])
+    assert_allclose(H, [[1, 2, 3], [2, 3, 4]])
     single = build_hankel([1.0, 2.0, 3.0], 3)
-    assert_allclose(single.entries, [[1], [2], [3]])
+    assert_allclose(single, [[1], [2], [3]])
 
 
 def test_hankel_vector_example_against_index_oracle():
     z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     H = build_hankel(z, 2)
-    assert_allclose(H.entries, [[1, 0], [0, 1], [0, 1], [1, 1]])
-    assert_allclose(H.entries, hankel_by_index(z, 2))
+    assert_allclose(H, [[1, 0], [0, 1], [0, 1], [1, 1]])
+    assert_allclose(H, hankel_by_index(z, 2))
 
 
 def test_hankel_depth_out_of_range():
@@ -53,10 +53,10 @@ def test_hankel_structure_property(N, q, seed):
     z = rng.normal(size=(N, q))
     L = int(rng.integers(1, N + 1))
     H = build_hankel(z, L)
-    assert H.entries.shape == (q * L, N - L + 1)
+    assert H.shape == (q * L, N - L + 1)
     for i in range(L):
         for j in range(N - L + 1):
-            assert_allclose(H.entries[i * q:(i + 1) * q, j], z[i + j])
+            assert_allclose(H[i * q:(i + 1) * q, j], z[i + j])
 
 
 def test_hankel_shift_consistency():
@@ -65,17 +65,17 @@ def test_hankel_shift_consistency():
     L = 4
     shifted = build_hankel(z[1:], L)
     deeper = build_hankel(z, L + 1)
-    assert_allclose(shifted.entries, deeper.entries[2:, :])
+    assert_allclose(shifted, deeper[2:, :])
 
 
 # ---------------------------------------------------------------- block_rows
 
 def test_block_rows_examples():
     H = build_hankel([1.0, 2.0, 3.0, 4.0], 2)
-    assert_allclose(block_rows(H, 2, 2), [[2, 3, 4]])
-    assert_allclose(block_rows(H, 1, H.depth), H.entries)
+    assert_allclose(block_rows(H, 1, 2, 2), [[2, 3, 4]])
+    assert_allclose(block_rows(H, 1, 1, 2), H)
     Hv = build_hankel(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 2)
-    assert_allclose(block_rows(Hv, 2, 2), hankel_by_index(
+    assert_allclose(block_rows(Hv, 2, 2, 2), hankel_by_index(
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 2)[2:4])
 
 
@@ -83,7 +83,7 @@ def test_block_rows_out_of_range():
     H = build_hankel([1.0, 2.0, 3.0, 4.0], 2)
     for a, b in [(0, 1), (1, 3), (2, 1)]:
         with pytest.raises(IndexError):
-            block_rows(H, a, b)
+            block_rows(H, 1, a, b)
 
 
 # ---------------------------------------------------------------- persistency
@@ -176,26 +176,27 @@ def test_hankel_set_shapes_and_blocks():
     U, Y = build_hankel_set(data, n, mu)
     depth = 2 * n + mu + 1
     cols = N - 2 * n - mu
-    assert U.entries.shape == (m * depth, cols) and U.depth == depth
-    assert Y.entries.shape == (p * depth, cols) and Y.depth == depth
+    assert U.shape == (m * depth, cols)
+    assert Y.shape == (p * depth, cols)
     # the controller stacks its two systems from these blocks
     hs = precompute(data, n, mu, "identity")
-    assert_allclose(hs.U.entries, U.entries)
-    assert_allclose(hs.Y.entries, Y.entries)
-    assert hs.H_alpha.shape == (m * depth + p * n, cols)
-    assert hs.H_beta.shape == (m * (2 * n + 1) + p * 2 * n, cols)
+    H_alpha, H_beta = coefficient_matrices(hs)
+    assert_allclose(hs.U, U)
+    assert_allclose(hs.Y_next, block_rows(Y, p, n + 1, n + 1))
+    assert H_alpha.shape == (m * depth + p * n, cols)
+    assert H_beta.shape == (m * (2 * n + 1) + p * 2 * n, cols)
     # row blocks are literal copies of the Hankel block rows
-    assert_allclose(hs.H_alpha[:m * n], block_rows(hs.U, 1, n))
-    assert_allclose(hs.H_alpha[m * n:m * depth],
-                    block_rows(hs.U, n + 1, depth))
-    assert_allclose(hs.H_alpha[m * depth:], block_rows(hs.Y, 1, n))
-    assert_allclose(hs.H_beta[:m * n], block_rows(hs.U, 1, n))
-    assert_allclose(hs.H_beta[m * n:m * (2 * n + 1)],
-                    block_rows(hs.U, n + mu + 1, depth))
-    assert_allclose(hs.H_beta[m * (2 * n + 1):m * (2 * n + 1) + p * n],
-                    block_rows(hs.Y, 1, n))
-    assert_allclose(hs.H_beta[m * (2 * n + 1) + p * n:],
-                    block_rows(hs.Y, n + mu + 1, 2 * n + mu))
+    assert_allclose(H_alpha[:m * n], block_rows(hs.U, m, 1, n))
+    assert_allclose(H_alpha[m * n:m * depth],
+                    block_rows(hs.U, m, n + 1, depth))
+    assert_allclose(H_alpha[m * depth:], block_rows(Y, p, 1, n))
+    assert_allclose(H_beta[:m * n], block_rows(hs.U, m, 1, n))
+    assert_allclose(H_beta[m * n:m * (2 * n + 1)],
+                    block_rows(hs.U, m, n + mu + 1, depth))
+    assert_allclose(H_beta[m * (2 * n + 1):m * (2 * n + 1) + p * n],
+                    block_rows(Y, p, 1, n))
+    assert_allclose(H_beta[m * (2 * n + 1) + p * n:],
+                    block_rows(Y, p, n + mu + 1, 2 * n + mu))
 
 
 def test_hankel_set_too_short():

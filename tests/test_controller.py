@@ -18,8 +18,9 @@ from ddcontrol.harness import OfflineSpec
 from ddcontrol.plant import PlantModel, collect_offline_data, simulate, step
 from ddcontrol.steady_state import build_projector, optimal_steady_state
 
-from helpers import (checked_run, constrained_ls_kkt, kernel_basis_q_tilde,
-                     min_seminorm_qp, q_weight, random_system, rank_by_svd)
+from helpers import (checked_run, coefficient_matrices, constrained_ls_kkt,
+                     kernel_basis_q_tilde, min_seminorm_qp, q_weight,
+                     random_system, rank_by_svd)
 
 
 @pytest.fixture(scope="module")
@@ -75,28 +76,30 @@ def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
 
 def test_precompute_pseudoinverse_identities(mimo_setup):
     _, _, _, hankels, pre, _ = mimo_setup
-    Ha = hankels.H_alpha
+    Ha, H_beta = coefficient_matrices(pre)
+    columns = pre.U.shape[1]
     assert np.linalg.norm(Ha @ pre.H_alpha_pinv @ Ha - Ha) \
         <= 1e-8 * np.linalg.norm(Ha)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        g = hankels.H_beta @ rng.normal(size=hankels.columns)
-        back = hankels.H_beta @ (pre.Q_tilde @ g)
+        g = H_beta @ rng.normal(size=columns)
+        back = H_beta @ (pre.Q_tilde @ g)
         assert np.linalg.norm(back - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
-    assert_allclose(pre.Q_tilde @ np.zeros(pre.H_beta.shape[0]),
-                    np.zeros(hankels.columns), atol=1e-15)
+    assert_allclose(pre.Q_tilde @ np.zeros(H_beta.shape[0]),
+                    np.zeros(columns), atol=1e-15)
 
 
 def test_precompute_min_norm_against_qp_oracle(mimo_setup):
     _, _, _, hankels, pre, _ = mimo_setup
     rng = np.random.default_rng(1)
-    Hb = hankels.H_beta
+    _, Hb = coefficient_matrices(pre)
+    columns = pre.U.shape[1]
     kernel = np.linalg.svd(Hb)[2][rank_by_svd(Hb):].T
     for _ in range(50):
-        g = Hb @ rng.normal(size=hankels.columns)
+        g = Hb @ rng.normal(size=columns)
         beta = pre.Q_tilde @ g
         # oracle solution of the same program
-        beta_star = min_seminorm_qp(Hb, g, np.eye(hankels.columns))
+        beta_star = min_seminorm_qp(Hb, g, np.eye(columns))
         assert np.linalg.norm(beta) <= np.linalg.norm(beta_star) + 1e-9
         # random feasible alternatives cannot do better
         alt = beta + kernel @ rng.normal(size=kernel.shape[1])
@@ -131,9 +134,9 @@ def test_steering_map_on_poorly_observable_plant():
     # takes the kernel from the SVD of H_beta
     n = mu = 5
     pre = precompute(_record(*POORLY_OBSERVABLE[0]), n, mu, "identity")
-    hankels = pre
-    g = hankels.H_beta @ np.random.default_rng(0).normal(size=hankels.columns)
-    back = hankels.H_beta @ (pre.Q_tilde @ g)
+    _, H_beta = coefficient_matrices(pre)
+    g = H_beta @ np.random.default_rng(0).normal(size=pre.U.shape[1])
+    back = H_beta @ (pre.Q_tilde @ g)
     assert np.linalg.norm(back - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
 
 
@@ -146,10 +149,11 @@ def _projector_q_tilde(pre, mode):
     """
     from ddcontrol.linalg import pinv
 
-    H_beta_pinv = pinv(pre.H_beta)
-    I = np.eye(pre.columns)
+    _, H_beta = coefficient_matrices(pre)
+    H_beta_pinv = pinv(H_beta)
+    I = np.eye(pre.U.shape[1])
     Q = q_weight(pre, mode)
-    return (I - pinv(Q @ (I - H_beta_pinv @ pre.H_beta)) @ Q) @ H_beta_pinv
+    return (I - pinv(Q @ (I - H_beta_pinv @ H_beta)) @ Q) @ H_beta_pinv
 
 
 def test_residual_map_keeps_a_broken_steering_map_loud(monkeypatch):
@@ -175,11 +179,12 @@ def test_residual_map_keeps_a_broken_steering_map_loud(monkeypatch):
     assert ctrl.last.g_norm > 0
     assert ctrl.last.beta_residual <= 1e-8
 
-    ctrl_module.check_steering_map(ctrl.pre)
-    broken = dataclasses.replace(
-        ctrl.pre, Q_tilde=_projector_q_tilde(ctrl.pre, cfg.q_mode))
+    _, H_beta = coefficient_matrices(ctrl.pre)
+    L = ctrl.pre.left_null_beta
+    ctrl_module.check_steering_map(H_beta, ctrl.pre.Q_tilde, L)
+    broken = _projector_q_tilde(ctrl.pre, cfg.q_mode)
     with pytest.raises(FeasibilityError, match="steering map misses its targets"):
-        ctrl_module.check_steering_map(broken)
+        ctrl_module.check_steering_map(H_beta, broken, L)
     # and construction runs the check
     monkeypatch.setattr(ctrl_module, "STEER_RTOL", 0.0)
     with pytest.raises(FeasibilityError, match="steering map misses its targets"):
@@ -202,7 +207,7 @@ def test_q_tilde_is_the_least_seminorm_solution(mode, n, m, p, seed):
     pre = precompute(_record(n, m, p, seed), n, n, mode)
     Q = q_weight(pre, mode)
     W = Q.T @ Q
-    Hb = pre.H_beta
+    _, Hb = coefficient_matrices(pre)
     _, s, Vt = np.linalg.svd(Hb)
     rank = rank_by_svd(Hb)
     kernel = Vt[rank:].T
@@ -210,7 +215,7 @@ def test_q_tilde_is_the_least_seminorm_solution(mode, n, m, p, seed):
     floor = 100 * np.finfo(float).eps * s[0] / s[rank - 1]
     rng = np.random.default_rng(2)
     for _ in range(10):
-        g = Hb @ rng.normal(size=pre.columns)
+        g = Hb @ rng.normal(size=pre.U.shape[1])
         beta = pre.Q_tilde @ g
         assert np.linalg.norm(Hb @ beta - g) <= (1e-10 + floor) * (1.0 + np.linalg.norm(g))
         Wb = W @ beta
@@ -232,7 +237,7 @@ def test_q_tilde_agrees_with_the_kernel_basis_form(n, m, p, seed):
     pre = precompute(data, n, n, "identity+future_inputs")
     ref = kernel_basis_q_tilde(pre)
     assert np.linalg.norm(pre.Q_tilde - ref) <= 1e-11 * np.linalg.norm(ref)
-    Hb = pre.H_beta
+    _, Hb = coefficient_matrices(pre)
     assert np.array_equal(precompute(data, n, n, "identity").Q_tilde,
                           np.linalg.pinv(Hb, rcond=max(Hb.shape) * RANK_RTOL))
 
@@ -261,7 +266,8 @@ def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(linalg_module, "factor", counted_factor)
     pre = precompute(data, cc.n, cc.mu, cc.q_mode)
     assert sorted(calls) == [(85, 380), (120, 380)]
-    assert [pre.H_beta.shape, pre.H_alpha.shape] == [(85, 380), (120, 380)]
+    H_alpha, H_beta = coefficient_matrices(pre)
+    assert [H_beta.shape, H_alpha.shape] == [(85, 380), (120, 380)]
 
 
 def _logged_and_fresh_residuals(monkeypatch, rng, model, data, n):
@@ -283,13 +289,14 @@ def _logged_and_fresh_residuals(monkeypatch, rng, model, data, n):
         state.y_den_hist += 1e-9 * rng.normal(size=state.y_den_hist.shape)
         alpha, res = real_solve_alpha(state, pre, y_latest)
         rhs = ctrl_module.alpha_rhs(state, pre, y_latest)
-        fresh.append([res, np.linalg.norm(pre.H_alpha @ alpha - rhs),
+        fresh.append([res, np.linalg.norm(coefficient_matrices(pre)[0] @ alpha - rhs),
                       np.linalg.norm(rhs)])
         return alpha, res
 
     def recording_solve_beta(alpha, z_s, pre):
         beta, g, g_norm, res = real_solve_beta(alpha, z_s, pre)
-        fresh.append([res, np.linalg.norm(pre.H_beta @ beta - g), np.linalg.norm(g)])
+        fresh.append([res, np.linalg.norm(coefficient_matrices(pre)[1] @ beta - g),
+                      np.linalg.norm(g)])
         return beta, g, g_norm, res
 
     monkeypatch.setattr(ctrl_module, "solve_alpha", nudged_solve_alpha)
@@ -324,7 +331,7 @@ def test_residuals_on_a_tall_record_take_the_whole_complement(monkeypatch):
     order = 3 * n + n + 1
     data = collect_offline_data(model, (m + 1) * order - 1, pe_order=order, seed=n)
     pre, logged, want, scale = _logged_and_fresh_residuals(monkeypatch, rng, model, data, n)
-    for H, L in ((pre.H_alpha, pre.left_null_alpha), (pre.H_beta, pre.left_null_beta)):
+    for H, L in zip(coefficient_matrices(pre), (pre.left_null_alpha, pre.left_null_beta)):
         assert H.shape[0] > H.shape[1] and rank_by_svd(H) == 17
         assert L.shape == (H.shape[0] - rank_by_svd(H), H.shape[0])
         assert L.flags.c_contiguous
@@ -357,7 +364,7 @@ def test_complement_dimensions_on_the_benchmark_records(record, mu, dims):
                                 seed=offline.seed)
     pre = precompute(data, n, mu, q_mode)
     assert (pre.left_null_alpha.shape[0], pre.left_null_beta.shape[0]) == dims
-    for H, L in ((pre.H_alpha, pre.left_null_alpha), (pre.H_beta, pre.left_null_beta)):
+    for H, L in zip(coefficient_matrices(pre), (pre.left_null_alpha, pre.left_null_beta)):
         assert L.shape == (H.shape[0] - rank_by_svd(H), H.shape[0])
 
 
@@ -482,7 +489,7 @@ def test_solve_alpha_zero_state(siso_setup):
     cfg, hankels, pre, _ = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     alpha, _ = solve_alpha(state, pre)
-    assert np.linalg.norm(hankels.U.entries @ alpha) <= 1e-10
+    assert np.linalg.norm(hankels.U @ alpha) <= 1e-10
     assert np.linalg.norm(pre.Y_past @ alpha) <= 1e-10
     assert np.linalg.norm(pre.Y_ahead @ alpha) <= 1e-10
 
@@ -590,13 +597,14 @@ def test_solve_beta_optimality_against_oracle(mimo_setup):
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     alpha, _ = solve_alpha(state, pre)
     Q = q_weight(hankels, cfg.q_mode)
+    _, H_beta = coefficient_matrices(pre)
     for _ in range(20):
         z_s = proj.basis @ rng.normal(size=proj.dim)
         beta, g, *_ = solve_beta(alpha, z_s, pre)
-        beta_star = min_seminorm_qp(hankels.H_beta, g, Q)
+        beta_star = min_seminorm_qp(H_beta, g, Q)
         assert np.linalg.norm(Q @ beta) \
             <= np.linalg.norm(Q @ beta_star) + 1e-9
-        assert np.linalg.norm(hankels.H_beta @ beta - g) \
+        assert np.linalg.norm(H_beta @ beta - g) \
             <= 1e-8 * (1.0 + np.linalg.norm(g))
 
 
@@ -619,6 +627,11 @@ def test_solve_beta_refuses_a_target_whose_squared_norm_overflows(mimo_setup):
     alpha, _ = solve_alpha(state, pre)
     z_huge = 1e160 * np.concatenate([np.ones(model.m), 37.0 * np.ones(model.p)])
     with np.errstate(over="ignore"), pytest.raises(FeasibilityError, match="steering"):
+        solve_beta(alpha, z_huge, pre)
+    # and the message names the overflow, not the horizon or the data
+    with np.errstate(over="ignore"), pytest.raises(
+            FeasibilityError, match=r"norm inf; the target mismatch overflowed: the loop "
+                                    r"diverged, .* above 2/\(alpha_z \+ l_z\)"):
         solve_beta(alpha, z_huge, pre)
 
 
@@ -769,9 +782,9 @@ def test_regularized_solution_matches_kkt_oracle_and_monotone(mimo_setup):
     rng = np.random.default_rng(13)
     n, p = cfg0.n, model.p
     y_meas = rng.normal(size=(n, p))
-    U_full = hankels.U.entries
+    U_full = hankels.U
     E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
-    M = np.hstack([hankels.H_alpha[-p * n:], np.eye(n * p)])
+    M = np.hstack([coefficient_matrices(pre)[0][-p * n:], np.eye(n * p)])
     norms = []
     for lam in (0.01, 1.0, 100.0):
         alpha0 = regularized_init_solution(pre, y_meas, lam)
@@ -922,6 +935,7 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     import ddcontrol.controller as ctrl_module
 
     model, data, cfg0, hankels, _, _ = mimo_setup
+    H_alpha, H_beta = coefficient_matrices(hankels)
     n, m = cfg0.n, model.m
     cfg = ControllerConfig(gamma=0.1, mu=cfg0.mu, n=n, q_mode="identity",
                            init_mode=init_mode, lambda_init=0.5)
@@ -955,9 +969,9 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
         d = ctrl.last
         assert d.alpha_residual > 1e-11
         assert abs(d.alpha_residual
-                   - np.linalg.norm(hankels.H_alpha @ alpha - rhs)) <= 1e-12
+                   - np.linalg.norm(H_alpha @ alpha - rhs)) <= 1e-12
         assert abs(d.beta_residual
-                   - np.linalg.norm(hankels.H_beta @ beta - g)) <= 1e-12
+                   - np.linalg.norm(H_beta @ beta - g)) <= 1e-12
         assert abs(d.g_norm - np.linalg.norm(g)) <= 1e-12
         x, _, prev = step(model, x, u, rng.uniform(-0.1, 0.1, model.p))
         revealed = cost
@@ -1221,7 +1235,7 @@ def test_parallel_constructions_share_a_consistent_cache(factor_cache):
                 data = records[(i + offset) % len(records)]
                 ctrl = Controller(cfg, data)
                 seen.append(len(factor_cache))
-                assert ctrl.pre.U.entries[0, 0] == data.inputs[0, 0]
+                assert ctrl.pre.U[0, 0] == data.inputs[0, 0]
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 

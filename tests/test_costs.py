@@ -169,7 +169,7 @@ def test_schedule_rejects_non_finite_segment(field, bad):
 
 def test_schedule_hessians_within_moduli():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
-    H, _, _ = cost.stacked_quadratic_terms(np.array([0, 30, 50, 95]))
+    H, _ = cost.stacked_quadratic_terms(np.array([0, 30, 50, 95]))
     for w in np.linalg.eigvalsh(H):
         assert cost.alpha_z - 1e-12 <= w[0]
         assert w[-1] <= cost.l_z + 1e-12
@@ -183,13 +183,12 @@ def assert_array_forms_match_params_at(cost, times):
                for i in range(len(times))]
     np.testing.assert_array_equal(cost.run_starts(times), np.flatnonzero(changed))
     m = cost.m
-    for (W, iw, sp), H, g, c in zip(params, *cost.stacked_quadratic_terms(times)):
+    for (W, iw, sp), H, g in zip(params, *cost.stacked_quadratic_terms(times)):
         H_ref = np.zeros((m + cost.p, m + cost.p))
         H_ref[:m, :m] = iw * np.eye(m)
         H_ref[m:, m:] = W
         np.testing.assert_array_equal(H, H_ref)
         np.testing.assert_array_equal(g, np.concatenate([np.zeros(m), -W @ sp]))
-        assert c == 0.5 * float(sp @ W @ sp)
 
 
 def test_schedule_quadratic_terms_match_parameters():
@@ -201,12 +200,11 @@ def test_schedule_quadratic_terms_match_parameters():
 def test_schedule_quadratic_terms_survive_caller_mutation():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
     times = np.array([40, 41])           # same segment, other price
-    H0, g0, c0 = (np.copy(x) for x in cost.stacked_quadratic_terms(times))
-    H, g, c = cost.stacked_quadratic_terms(times)
+    H0, g0 = (np.copy(x) for x in cost.stacked_quadratic_terms(times))
+    H, g = cost.stacked_quadratic_terms(times)
     H += 1.0
     g += 1.0
-    c += 1.0
-    for got, want in zip(cost.stacked_quadratic_terms(times), (H0, g0, c0)):
+    for got, want in zip(cost.stacked_quadratic_terms(times), (H0, g0)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -219,7 +217,7 @@ def test_quadratic_terms_hessian_is_the_callers_copy(make):
     # editing the returned Hessian must leave the cost as it was
     cost = make()
     before = cost.eval(0, np.zeros(2))
-    H, _, _ = cost.stacked_quadratic_terms(np.array([0, 7]))
+    H, _ = cost.stacked_quadratic_terms(np.array([0, 7]))
     H *= 3.0
     assert cost.eval(0, np.zeros(2)) == before
     np.testing.assert_array_equal(cost.stacked_quadratic_terms(np.array([0]))[0],
@@ -293,7 +291,7 @@ def test_default_array_forms_make_every_time_its_own_run():
 ], ids=["tracking", "switching", "softplus"])
 def test_other_costs_array_forms_equal_scalar_forms(make, starts, quadratic):
     # a static cost is one run, and a switching cost one run per target;
-    # the quadratic terms give eval and grad at every time
+    # the quadratic terms give eval, up to its value at 0, and grad at every time
     cost = make()
     times = np.arange(120)
     np.testing.assert_array_equal(cost.run_starts(times), starts)
@@ -301,7 +299,8 @@ def test_other_costs_array_forms_equal_scalar_forms(make, starts, quadratic):
     terms = cost.stacked_quadratic_terms(times)
     assert (terms is not None) == quadratic
     if quadratic:
-        for t, z, H, g, c in zip(times, points, *terms):
+        for t, z, H, g in zip(times, points, *terms):
+            c = cost.eval(int(t), np.zeros(2))
             assert_allclose(0.5 * z @ H @ z + g @ z + c, cost.eval(int(t), z), rtol=1e-12)
             assert_allclose(H @ z + g, cost.grad(int(t), z), rtol=1e-12, atol=1e-12)
     assert type(cost).stacked_eval is CostFunction.stacked_eval

@@ -24,8 +24,8 @@ from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
 from ddcontrol.errors import FeasibilityError, PersistencyError
 from ddcontrol.plant import NoiseModel, collect_offline_data, step
 
-from helpers import (checked_run, random_system, reference_cost, reference_plant_step,
-                     reference_step)
+from helpers import (checked_run, coefficient_matrices, random_system, reference_cost,
+                     reference_plant_step, reference_step)
 
 
 @pytest.fixture()
@@ -501,13 +501,13 @@ def test_trace_telemetry_matches_recomputation(monkeypatch, tmp_path, small_conf
         alpha, res = real_solve_alpha(state, pre, y_latest)
         rhs = ctrl_module.alpha_rhs(state, pre, y_latest)
         fresh.append({"alpha_residual":
-                      np.linalg.norm(pre.H_alpha @ alpha - rhs)})
+                      np.linalg.norm(coefficient_matrices(pre)[0] @ alpha - rhs)})
         return alpha, res
 
     def recording_solve_beta(alpha, z_s, pre):
         beta, g, g_norm, res = real_solve_beta(alpha, z_s, pre)
         fresh[-1]["g_norm"] = np.linalg.norm(g)
-        fresh[-1]["beta_residual"] = np.linalg.norm(pre.H_beta @ beta - g)
+        fresh[-1]["beta_residual"] = np.linalg.norm(coefficient_matrices(pre)[1] @ beta - g)
         return beta, g, g_norm, res
 
     monkeypatch.setattr(ctrl_module, "solve_alpha", recording_solve_alpha)
@@ -707,6 +707,18 @@ def test_cli_run_and_demo(tmp_path, small_config):
     assert cli_main(["demo-siso", "--out", str(tmp_path / "demo")]) == 0
     demo_header = (tmp_path / "demo" / "trace.csv").read_text().splitlines()[0]
     assert demo_header.startswith("t,u_1,y_1,ytilde_1,ehat_1,us_1,ys_1")
+
+
+def test_cli_names_the_step_of_a_diverged_run(capsys):
+    # gamma = 0.3 is above the shipped day's 2/(alpha_z + l_z) = 0.155: the
+    # loop diverges until the coefficient solve's right-hand side overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli_main(["run", "--config", str(shipped_config_path()), "--gamma", "0.3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FeasibilityError: step 678: prediction coefficients infeasible" in err
+    assert "right-hand side overflowed" in err
 
 
 def test_cli_rejects_unknown_q_mode(tmp_path, capsys):

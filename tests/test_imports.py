@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +45,30 @@ def test_package_never_imports_scipy():
         assert not statement.search(path.read_text()), path.name
 
 
+def _read_outside_tests():
+    """``(names, attributes)`` read under src/, demos/ or perfbench/.
+
+    Outside __init__.py, and outside the definition of the name itself.
+    """
+    names, attributes = set(), set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            attributes.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    paths = [path for folder in (SRC / "ddcontrol", ROOT / "demos", ROOT / "perfbench")
+             for path in folder.rglob("*.py") if path != SRC / "ddcontrol" / "__init__.py"]
+    for path in paths:
+        visit(ast.parse(path.read_text()), frozenset())
+    return names, attributes
+
+
 def test_every_export_has_a_caller_outside_tests():
     # the package exports what a run, a demo or the benchmark uses, not
     # helpers for its tests: each exported name is read somewhere under
@@ -52,24 +77,23 @@ def test_every_export_has_a_caller_outside_tests():
     init = ast.parse((SRC / "ddcontrol" / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    read = set()
-
-    def visit(node, defining):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defining = defining | {node.name}
-        if isinstance(node, ast.Name) and node.id not in defining:
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in defining:
-            read.add(node.attr)
-        for child in ast.iter_child_nodes(node):
-            visit(child, defining)
-
-    paths = [path for folder in (SRC / "ddcontrol", ROOT / "demos", ROOT / "perfbench")
-             for path in folder.rglob("*.py") if path != SRC / "ddcontrol" / "__init__.py"]
-    for path in paths:
-        visit(ast.parse(path.read_text()), frozenset())
+    names, attributes = _read_outside_tests()
     assert len(exported) > 50
-    assert exported <= read, sorted(exported - read)
+    assert exported <= names | attributes, sorted(exported - names - attributes)
+
+
+def test_every_offline_field_has_a_reader_outside_tests():
+    # the offline factors hold what a run reads: each field of Precomputed
+    # and SteadyStateProjector is read as an attribute under src/, demos/ or
+    # perfbench/, so a matrix kept only for tests fails here. Short names
+    # (n, m, p, S, P) are read off other objects too, so this is a floor
+    from ddcontrol.controller import Precomputed
+    from ddcontrol.steady_state import SteadyStateProjector
+
+    _, attributes = _read_outside_tests()
+    for cls in (Precomputed, SteadyStateProjector):
+        unread = {f.name for f in fields(cls)} - attributes
+        assert not unread, f"{cls.__name__}: {sorted(unread)}"
 
 
 def test_no_class_defines_the_scalar_oracle_forms():

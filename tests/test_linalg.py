@@ -15,7 +15,7 @@ from ddcontrol.linalg import (RANK_RTOL, constrained_ridge_lstsq, factor,
                               numerical_rank, pinv)
 from ddcontrol.plant import collect_offline_data
 
-from helpers import constrained_ls_kkt, rank_by_svd
+from helpers import coefficient_matrices, constrained_ls_kkt, rank_by_svd
 
 
 def test_numerical_rank_against_svd_oracle():
@@ -80,14 +80,14 @@ def offline_matrices() -> dict:
         model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
-    hankels = precompute(data, cc.n, cc.mu, cc.q_mode)
+    H_alpha, H_beta = coefficient_matrices(precompute(data, cc.n, cc.mu, cc.q_mode))
     rng = np.random.default_rng(6)
     deficient = rng.normal(size=(9, 4)) @ rng.normal(size=(4, 12))
     return {
-        "H_alpha": hankels.H_alpha,
-        "H_beta": hankels.H_beta,
-        "H": np.vstack([build_hankel(data.inputs, cc.n + 1).entries,
-                        build_hankel(data.outputs, cc.n + 1).entries]),
+        "H_alpha": H_alpha,
+        "H_beta": H_beta,
+        "H": np.vstack([build_hankel(data.inputs, cc.n + 1),
+                        build_hankel(data.outputs, cc.n + 1)]),
         "tall": rng.normal(size=(11, 4)),
         "wide": rng.normal(size=(4, 11)),
         "rank-deficient": deficient,

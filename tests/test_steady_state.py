@@ -170,8 +170,7 @@ def test_projector_factors_each_matrix_once(monkeypatch, random_plants):
     model, data = random_plants[0]
     n = model.n
     proj = build_projector(data, n)
-    H = np.vstack([build_hankel(data.inputs, n + 1).entries,
-                   build_hankel(data.outputs, n + 1).entries])
+    H = np.vstack([build_hankel(data.inputs, n + 1), build_hankel(data.outputs, n + 1)])
     assert len(factored) == 2
     assert np.array_equal(factored[0], H)
     assert np.array_equal(factored[1], proj.S)
@@ -316,7 +315,7 @@ def test_oracle_shapes_follow_the_time_argument(siso_proj):
 def test_oracle_on_zero_dimensional_set_gives_zeros(name):
     # a set holding only the origin, as when the data admit no equilibrium
     proj = SteadyStateProjector(S=np.eye(2), P=np.zeros((2, 2)),
-                                basis=np.zeros((2, 0)), m=1, p=1, n=1)
+                                basis=np.zeros((2, 0)), m=1, p=1)
     zeta = oracle_rows(proj, ORACLE_COSTS[name](), np.arange(5))
     np.testing.assert_array_equal(zeta, np.zeros((5, 2)))
 
