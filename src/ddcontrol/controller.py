@@ -77,13 +77,18 @@ class ControllerConfig:
                              f"got {self.lambda_init}")
 
 
+def step_size_limit(alpha_z: float, l_z: float) -> float:
+    """The largest step size with the tracking guarantee, 2/(alpha_z + l_z)."""
+    return 2.0 / (alpha_z + l_z)
+
+
 def check_step_size(gamma: float, alpha_z: float, l_z: float) -> bool:
-    """Warn when the step size exceeds 2/(alpha_z + l_z).
+    """Warn when the step size exceeds ``step_size_limit``.
 
     A large step only voids the tracking guarantee, it does not break the
     per-step algebra, so this is a warning rather than an error.
     """
-    limit = 2.0 / (alpha_z + l_z)
+    limit = step_size_limit(alpha_z, l_z)
     if gamma > limit * (1 + 1e-12):
         warnings.warn(
             f"step size gamma={gamma:.4g} exceeds 2/(alpha_z+l_z)={limit:.4g}; "

@@ -18,11 +18,11 @@ from typing import Callable
 import numpy as np
 
 from . import metrics
-from .controller import Controller, ControllerConfig, check_step_size
+from .controller import Controller, ControllerConfig, check_step_size, step_size_limit
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                     QuadraticSoftplusCost, QuadraticTrackingCost,
                     hvac_cost_schedule)
-from .errors import FeasibilityError
+from .errors import FeasibilityError, NonConvergenceError
 from .metrics import RunRecord
 from .plant import (NoiseModel, PlantModel, ThermalZoneParams, build_hvac,
                     collect_offline_data, step)
@@ -352,6 +352,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     and ``stacked_eval`` evaluates each run of equal parameters once. A
     summary value that is not finite raises ``FeasibilityError``, naming
     the first step whose u, y, e_hat, cost or opt_cost is not finite.
+    A step that raises ``FeasibilityError`` at t ends the run: the t rows before
+    it still go to ``trace.csv``, with no summary, and it raises ``step t: ...``.
 
     Returns ``(record, summary)``.
     """
@@ -365,7 +367,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         seed=config.offline.seed)
 
     cost = cost if cost is not None else config_cost
-    check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
+    step_size_ok = check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
     controller = Controller(cc, data)
 
     # warmup: the plant runs uncontrolled (zero input) for the first n
@@ -392,11 +394,13 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
 
     y_meas_prev = None
     revealed = None                      # cost revealed so far (one-step delay)
+    failure = None
     for t in range(T + 1):
         try:
             u_t = controller.step(y_meas=y_meas_prev, prev_cost=revealed)
         except FeasibilityError as exc:
-            raise FeasibilityError(f"step {t}: {exc}") from exc
+            failure = exc
+            break
         d = controller.last
         if t > 0:
             # the estimate for the measurement taken after step t-1
@@ -413,25 +417,43 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
             d.g_norm, d.alpha_residual, d.beta_residual)
         cost_log[t] = cost.eval(t, uy)
         y_meas_prev = y_meas
-    ehat_log[T] = controller.noise_estimate(y_meas_prev)
+    # a failed step t leaves t rows; its noise estimate is the last row's
+    done = T + 1 if failure is None else t
+    if done:
+        ehat_log[done - 1] = controller.noise_estimate(y_meas_prev)
     # the last draws are views of the run's noise blocks; dropping them
     # frees the blocks before the oracle and the summary allocate
     del draw_noise, e, q
 
     # within a run of equal cost parameters the minimizer and its cost are
     # the same, so each is computed once per run and repeated
-    starts, zeta_runs = optimal_steady_state(
-        controller.projector, cost, np.arange(T + 1))
-    lengths = np.diff(starts, append=T + 1)
+    try:
+        starts, zeta_runs = optimal_steady_state(
+            controller.projector, cost, np.arange(done))
+    except NonConvergenceError:  # a failed step's costs can break the oracle too
+        if failure is None:
+            raise
+        starts, zeta_runs = np.zeros(1, int), np.full((1, m + model.p), np.nan)
+    lengths = np.diff(starts, append=done)
     zeta_log = np.repeat(zeta_runs, lengths, axis=0)
-    # the times are 0..T, so each run's start is also its time
+    # the times are 0..done-1, so each run's start is also its time
     opt_log = np.repeat(cost.stacked_eval(starts, zeta_runs), lengths)
 
-    record = RunRecord(u=uy_log[:, :m], y=uy_log[:, m:], y_meas=ymeas_log,
-                       e_hat=ehat_log, z_s=zs_log, zeta=zeta_log, cost=cost_log,
-                       opt_cost=opt_log, z_s_init=z_s_init, e_true=etrue_log,
-                       g_norm=gnorm_log, alpha_residual=ares_log,
-                       beta_residual=bres_log)
+    k = slice(done)
+    record = RunRecord(u=uy_log[k, :m], y=uy_log[k, m:], y_meas=ymeas_log[k],
+                       e_hat=ehat_log[k], z_s=zs_log[k], zeta=zeta_log,
+                       cost=cost_log[k], opt_cost=opt_log, z_s_init=z_s_init,
+                       e_true=etrue_log[k], g_norm=gnorm_log[k],
+                       alpha_residual=ares_log[k], beta_residual=bres_log[k])
+    target_dir = out_dir if out_dir is not None else config.output_dir
+    if target_dir is not None:
+        target_dir = Path(target_dir)
+        target_dir.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(target_dir / "trace.csv", record)
+    if failure is not None:
+        bound = "" if step_size_ok else (f"; gamma={cc.gamma:.3g} exceeds 2/(alpha_z + l_z)="
+                                         f"{step_size_limit(cost.alpha_z, cost.l_z):.3g}")
+        raise FeasibilityError(f"step {done}: {failure}{bound}") from failure
     summary = metrics.summarize(record, seed=run_seed, gamma=cc.gamma, mu=cc.mu)
     summary["accumulated_cost"] = float(cost_log.sum())
     # one check after the loop, so that no step pays for it: a finite
@@ -443,12 +465,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         where = f"step {steps[0]} has" if steps.size else "no step has"
         raise FeasibilityError(f"the run's {bad[0]} is not finite: {where} a "
                                "non-finite u, y, e_hat, cost or opt_cost")
-
-    target_dir = out_dir if out_dir is not None else config.output_dir
     if target_dir is not None:
-        target_dir = Path(target_dir)
-        target_dir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(target_dir / "trace.csv", record)
         metrics.write_summary_csv(target_dir / "summary.csv", [summary])
     return record, summary
 

@@ -117,8 +117,8 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     stacked products and solved in one batched call; B'HB >= alpha_z I, so
     every system is nonsingular. Any other cost falls back to projected
     gradient iteration driven to a projected-gradient norm of 1e-10, once
-    per run; that solver raises ``NonConvergenceError`` at the first
-    projected gradient whose norm is not finite.
+    per run; that solver raises ``NonConvergenceError`` at the first non-finite
+    projected gradient or update too small to move the iterate (l_z = inf).
     """
     times = np.atleast_1d(t)
     starts = cost.run_starts(times)
@@ -152,7 +152,10 @@ def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:
             raise NonConvergenceError(
                 f"projected gradient norm is {norm} at iteration {k}: the "
                 "cost's parameters overflow its gradient")
-        z = proj.P @ (z - step * grad)
+        if np.array_equal(z_next := proj.P @ (z - step * grad), z):
+            raise NonConvergenceError(f"step 2/(alpha_z + l_z) = {step:.3g} with l_z = "
+                                      f"{cost.l_z:.3g} cannot move the iterate at iteration {k}")
+        z = z_next
     raise NonConvergenceError(
         f"projected gradient did not reach tolerance {_GRAD_TOL} "
         f"within {_MAX_ITERS} iterations"

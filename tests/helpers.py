@@ -61,23 +61,23 @@ def coefficient_matrices(pre):
             np.vstack([U_past, pre.U_tail, pre.Y_past, pre.Y_tail]))
 
 
-def q_weight(hankels, mode):
+def q_weight(pre, mode):
     """The weight Q whose seminorm |Q beta| the steering correction minimizes.
 
     The identity, stacked on the future-input rows U^{n+1:2n+mu+1} of the
     data Hankel matrix in "identity+future_inputs" mode. The package never
     forms it; its ``Q_tilde`` minimizes the same seminorm in closed form.
     """
-    n, mu, m = hankels.n, hankels.mu, hankels.m
-    Q = np.eye(hankels.U.shape[1])
+    n, mu, m = pre.n, pre.mu, pre.m
+    Q = np.eye(pre.U.shape[1])
     if mode == "identity":
         return Q
     assert mode == "identity+future_inputs", mode
-    U_f = hankels.U[n * m:(2 * n + mu + 1) * m]
+    U_f = pre.U[n * m:(2 * n + mu + 1) * m]
     return np.vstack([Q, U_f])
 
 
-def kernel_basis_q_tilde(hankels):
+def kernel_basis_q_tilde(pre):
     """``Q_tilde`` of "identity+future_inputs" mode through a kernel basis.
 
     The form before the push-through identity: N from numpy's full SVD of
@@ -85,9 +85,9 @@ def kernel_basis_q_tilde(hankels):
     H_beta^+ - N (R - M'(I + MM')^-1 M R). It materializes the kernel
     basis the package no longer forms, and serves as the reference.
     """
-    n, mu, m = hankels.n, hankels.mu, hankels.m
-    _, Hb = coefficient_matrices(hankels)
-    U_f = hankels.U[n * m:(2 * n + mu + 1) * m]
+    n, mu, m = pre.n, pre.mu, pre.m
+    _, Hb = coefficient_matrices(pre)
+    U_f = pre.U[n * m:(2 * n + mu + 1) * m]
     _, _, Vt = np.linalg.svd(Hb)
     N = Vt[rank_by_svd(Hb):].T
     Hb_pinv = np.linalg.pinv(Hb, rcond=max(Hb.shape) * 1e-12)

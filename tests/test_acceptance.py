@@ -297,9 +297,8 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     n, mu = 3, 4
     data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=8)
     pre = precompute(data, n, mu, "identity+future_inputs")
-    hankels = pre
     _, H_beta = coefficient_matrices(pre)
-    Q = q_weight(hankels, "identity+future_inputs")
+    Q = q_weight(pre, "identity+future_inputs")
     proj = build_projector(data, n)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n)
     state = initialize(cfg, pre, np.zeros((n, model.p)))

@@ -28,7 +28,7 @@ def siso_setup(siso_data):
     cfg = ControllerConfig(gamma=0.15, mu=2, n=1, q_mode="identity")
     pre = precompute(siso_data, cfg.n, cfg.mu, cfg.q_mode)
     proj = build_projector(siso_data, cfg.n)
-    return cfg, pre, pre, proj
+    return cfg, pre, proj
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def mimo_setup():
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity")
     pre = precompute(data, n, mu, cfg.q_mode)
     proj = build_projector(data, n)
-    return model, data, cfg, pre, pre, proj
+    return model, data, cfg, pre, proj
 
 
 def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
@@ -75,7 +75,7 @@ def run_closed_loop(model, ctrl, cost, T, x0, e_seq=None, q_seq=None):
 # ---------------------------------------------------------------- precompute
 
 def test_precompute_pseudoinverse_identities(mimo_setup):
-    _, _, _, hankels, pre, _ = mimo_setup
+    _, _, _, pre, _ = mimo_setup
     Ha, H_beta = coefficient_matrices(pre)
     columns = pre.U.shape[1]
     assert np.linalg.norm(Ha @ pre.H_alpha_pinv @ Ha - Ha) \
@@ -90,7 +90,7 @@ def test_precompute_pseudoinverse_identities(mimo_setup):
 
 
 def test_precompute_min_norm_against_qp_oracle(mimo_setup):
-    _, _, _, hankels, pre, _ = mimo_setup
+    _, _, _, pre, _ = mimo_setup
     rng = np.random.default_rng(1)
     _, Hb = coefficient_matrices(pre)
     columns = pre.U.shape[1]
@@ -436,7 +436,7 @@ def test_precompute_refuses_unknown_q_mode(siso_data):
 # ---------------------------------------------------------------- noise estimate
 
 def test_estimate_noise_requires_previous_step(siso_setup, siso_data):
-    cfg, _, pre, _ = siso_setup
+    cfg, pre, _ = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     with pytest.raises(RuntimeError, match=r"call step\(\)"):
         estimate_noise(state, np.zeros(1), pre)
@@ -456,7 +456,7 @@ def test_estimate_noise_exact_when_noise_free(siso_model, siso_data):
 
 
 def test_estimate_noise_affine_shift(siso_setup, siso_data, siso_model):
-    cfg, _, pre, _ = siso_setup
+    cfg, pre, _ = siso_setup
     ctrl = Controller(cfg, siso_data)
     cost = QuadraticTrackingCost(H=np.eye(2), target=np.array([0.2, 0.4]))
     run_closed_loop(siso_model, ctrl, cost, 5, np.zeros(1))
@@ -486,16 +486,16 @@ def test_estimate_noise_error_follows_plant_decay(siso_model, siso_data):
 # ---------------------------------------------------------------- alpha solve
 
 def test_solve_alpha_zero_state(siso_setup):
-    cfg, hankels, pre, _ = siso_setup
+    cfg, pre, _ = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     alpha, _ = solve_alpha(state, pre)
-    assert np.linalg.norm(hankels.U @ alpha) <= 1e-10
+    assert np.linalg.norm(pre.U @ alpha) <= 1e-10
     assert np.linalg.norm(pre.Y_past @ alpha) <= 1e-10
     assert np.linalg.norm(pre.Y_ahead @ alpha) <= 1e-10
 
 
 def test_solve_alpha_held_at_steady_state(siso_setup):
-    cfg, _, pre, _ = siso_setup
+    cfg, pre, _ = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     # overwrite the memory as if the loop had been parked at (u, y) = (1, 2)
     state.u_hist[:] = 1.0
@@ -509,7 +509,7 @@ def test_solve_alpha_held_at_steady_state(siso_setup):
 def test_solve_alpha_detects_corrupted_state(mimo_setup):
     # two output channels over three steps over-determine the initial
     # state, so an arbitrary output history is not a trajectory
-    model, _, cfg, _, pre, _ = mimo_setup
+    model, _, cfg, pre, _ = mimo_setup
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     rng = np.random.default_rng(77)
     state.y_den_hist[:] = rng.normal(size=state.y_den_hist.shape) * 5
@@ -520,7 +520,7 @@ def test_solve_alpha_detects_corrupted_state(mimo_setup):
 # ---------------------------------------------------------------- gradient step
 
 def test_predict_and_descend_fixed_point(siso_setup):
-    cfg, _, pre, proj = siso_setup
+    cfg, pre, proj = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     z_on = proj.basis[:, 0] * 1.3
     state.u_hist[:] = z_on[0]
@@ -537,7 +537,7 @@ def test_predict_and_descend_fixed_point(siso_setup):
 def test_predict_and_descend_hand_example(siso_setup):
     # at the origin with L = 0.5 (y-1)^2 + 5 u^2 the gradient is (0, -1)
     # and one step of size 0.15 lands on P (0, 0.15) = (0.06, 0.12)
-    cfg, _, pre, proj = siso_setup
+    cfg, pre, proj = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     alpha, _ = solve_alpha(state, pre)
     cost = QuadraticTrackingCost(H=np.diag([10.0, 1.0]), target=np.array([0.0, 1.0]))
@@ -552,7 +552,7 @@ def test_predict_and_descend_hand_example(siso_setup):
 def test_gradient_step_contracts_toward_manifold_optimum(siso_setup):
     # one projected gradient step from a manifold point lands closer to the
     # constrained minimizer by the factor 1 - alpha_z * gamma
-    cfg, _, pre, proj = siso_setup
+    cfg, pre, proj = siso_setup
     rng = np.random.default_rng(8)
     for _ in range(100):
         M = rng.normal(size=(2, 2))
@@ -570,7 +570,7 @@ def test_gradient_step_contracts_toward_manifold_optimum(siso_setup):
 def test_gradient_step_spec_instance_step_bound(siso_setup):
     # the hand example instance also satisfies the step-length form
     # |z1 - z0| <= (1 - alpha gamma) |z0 - zstar| at gamma = 0.15
-    cfg, _, pre, proj = siso_setup
+    cfg, pre, proj = siso_setup
     cost = QuadraticTrackingCost(H=np.diag([10.0, 1.0]), target=np.array([0.0, 1.0]))
     gamma = 0.15
     z0 = np.zeros(2)
@@ -583,7 +583,7 @@ def test_gradient_step_spec_instance_step_bound(siso_setup):
 # ---------------------------------------------------------------- beta solve
 
 def test_solve_beta_zero_mismatch(siso_setup):
-    cfg, _, pre, proj = siso_setup
+    cfg, pre, proj = siso_setup
     state = initialize(cfg, pre, np.zeros((1, 1)))
     alpha, _ = solve_alpha(state, pre)
     beta, g, *_ = solve_beta(alpha, np.zeros(2), pre)
@@ -592,11 +592,11 @@ def test_solve_beta_zero_mismatch(siso_setup):
 
 
 def test_solve_beta_optimality_against_oracle(mimo_setup):
-    model, data, cfg, hankels, pre, proj = mimo_setup
+    model, data, cfg, pre, proj = mimo_setup
     rng = np.random.default_rng(3)
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     alpha, _ = solve_alpha(state, pre)
-    Q = q_weight(hankels, cfg.q_mode)
+    Q = q_weight(pre, cfg.q_mode)
     _, H_beta = coefficient_matrices(pre)
     for _ in range(20):
         z_s = proj.basis @ rng.normal(size=proj.dim)
@@ -611,7 +611,7 @@ def test_solve_beta_optimality_against_oracle(mimo_setup):
 def test_solve_beta_infeasible_target(mimo_setup):
     # holding an off-manifold pair for n >= 2 terminal steps is not a
     # trajectory, so the steering solve must flag it
-    model, _, cfg, _, pre, proj = mimo_setup
+    model, _, cfg, pre, proj = mimo_setup
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     alpha, _ = solve_alpha(state, pre)
     z_bad = np.concatenate([np.ones(model.m), 37.0 * np.ones(model.p)])
@@ -622,7 +622,7 @@ def test_solve_beta_infeasible_target(mimo_setup):
 
 def test_solve_beta_refuses_a_target_whose_squared_norm_overflows(mimo_setup):
     # |g|^2 overflows to inf, and a bound of inf once passed any residual
-    model, _, cfg, _, pre, proj = mimo_setup
+    model, _, cfg, pre, proj = mimo_setup
     state = initialize(cfg, pre, np.zeros((cfg.n, model.p)))
     alpha, _ = solve_alpha(state, pre)
     z_huge = 1e160 * np.concatenate([np.ones(model.m), 37.0 * np.ones(model.p)])
@@ -735,7 +735,7 @@ def test_controller_converges_to_optimum(siso_model, siso_data):
 # ---------------------------------------------------------------- initialization
 
 def test_initialize_zero_mode_state_is_valid_trajectory(siso_setup, siso_data):
-    cfg, _, pre, _ = siso_setup
+    cfg, pre, _ = siso_setup
     y_meas = np.array([[0.83]])
     state = initialize(cfg, pre, y_meas)
     from ddcontrol.behavioral import membership_residual
@@ -757,7 +757,7 @@ def test_initialize_at_rest_no_noise_gives_zero_estimates(siso_model, siso_data)
 
 
 def test_initialize_regularized_feasible_and_consistent(mimo_setup):
-    model, data, cfg0, hankels, pre, proj = mimo_setup
+    model, data, cfg0, pre, proj = mimo_setup
     rng = np.random.default_rng(10)
     cfg = ControllerConfig(gamma=0.1, mu=cfg0.mu, n=cfg0.n,
                            q_mode="identity", init_mode="regularized",
@@ -778,11 +778,11 @@ def test_initialize_regularized_feasible_and_consistent(mimo_setup):
 
 
 def test_regularized_solution_matches_kkt_oracle_and_monotone(mimo_setup):
-    model, data, cfg0, hankels, pre, proj = mimo_setup
+    model, data, cfg0, pre, proj = mimo_setup
     rng = np.random.default_rng(13)
     n, p = cfg0.n, model.p
     y_meas = rng.normal(size=(n, p))
-    U_full = hankels.U
+    U_full = pre.U
     E = np.hstack([U_full, np.zeros((U_full.shape[0], n * p))])
     M = np.hstack([coefficient_matrices(pre)[0][-p * n:], np.eye(n * p)])
     norms = []
@@ -790,7 +790,7 @@ def test_regularized_solution_matches_kkt_oracle_and_monotone(mimo_setup):
         alpha0 = regularized_init_solution(pre, y_meas, lam)
         # the noise estimates are unconstrained, so given alpha0 they
         # minimize |Y_past alpha0 + e - y|^2 + lam |e|^2 in closed form
-        e_hat = (y_meas.ravel() - hankels.Y_past @ alpha0) / (1.0 + lam)
+        e_hat = (y_meas.ravel() - pre.Y_past @ alpha0) / (1.0 + lam)
         w = np.concatenate([alpha0, e_hat])
         w_star = constrained_ls_kkt(M, y_meas.ravel(), E, np.zeros(E.shape[0]), lam)
         assert_allclose(w, w_star, atol=1e-7)
@@ -934,8 +934,8 @@ def test_step_residuals_match_recomputation(mimo_setup, monkeypatch, init_mode):
     # round-off, yet far below the feasibility threshold.
     import ddcontrol.controller as ctrl_module
 
-    model, data, cfg0, hankels, _, _ = mimo_setup
-    H_alpha, H_beta = coefficient_matrices(hankels)
+    model, data, cfg0, pre, _ = mimo_setup
+    H_alpha, H_beta = coefficient_matrices(pre)
     n, m = cfg0.n, model.m
     cfg = ControllerConfig(gamma=0.1, mu=cfg0.mu, n=n, q_mode="identity",
                            init_mode=init_mode, lambda_init=0.5)

@@ -709,16 +709,68 @@ def test_cli_run_and_demo(tmp_path, small_config):
     assert demo_header.startswith("t,u_1,y_1,ytilde_1,ehat_1,us_1,ys_1")
 
 
-def test_cli_names_the_step_of_a_diverged_run(capsys):
+def test_cli_names_the_step_of_a_diverged_run(tmp_path, capsys):
     # gamma = 0.3 is above the shipped day's 2/(alpha_z + l_z) = 0.155: the
-    # loop diverges until the coefficient solve's right-hand side overflows
+    # loop diverges until the coefficient solve's right-hand side overflows.
+    # The step it fails at depends on how the offline SVDs round, which
+    # differs with the BLAS thread count (678 at two threads, 679 at one)
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = cli_main(["run", "--config", str(shipped_config_path()), "--gamma", "0.3"])
+        code = cli_main(["run", "--config", str(shipped_config_path()),
+                         "--gamma", "0.3", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "FeasibilityError: step 678: prediction coefficients infeasible" in err
+    match = re.search(r"FeasibilityError: step (\d+): prediction coefficients "
+                      "infeasible", err)
+    assert match
     assert "right-hand side overflowed" in err
+    assert "gamma=0.3 exceeds 2/(alpha_z + l_z)=0.155" in err
+    # the run leaves the rows of the steps that completed, and no summary
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert int(match.group(1)) == len(rows)
+    assert 670 <= len(rows) <= 690
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 25])
+def test_failed_run_leaves_the_rows_of_the_completed_steps(
+        tmp_path, small_config, monkeypatch, fail_at):
+    # the trace of a run that fails at step t is the first t rows of the
+    # trace the run would have written, opt_cost and the last e_hat included
+    run_experiment(small_config, out_dir=tmp_path / "full")
+    real_step = Controller.step
+
+    def failing_step(self, *args, **kwargs):
+        if self.t == fail_at:
+            raise FeasibilityError("injected")
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Controller, "step", failing_step)
+    with pytest.raises(FeasibilityError) as info:
+        run_experiment(small_config, out_dir=tmp_path / "failed")
+    # the step size is within its bound, so the message names no gamma
+    assert str(info.value) == f"step {fail_at}: injected"
+    full = (tmp_path / "full" / "trace.csv").read_text().splitlines()
+    failed = (tmp_path / "failed" / "trace.csv").read_text().splitlines()
+    assert failed == full[:fail_at + 1]
+    assert not (tmp_path / "failed" / "summary.csv").exists()
+
+
+def test_failed_run_whose_oracle_fails_too_raises_the_step_error(tmp_path):
+    # a softplus c of 1e300 overflows the steering target at step 1 and the
+    # oracle's gradient alike: the run raises the step's error, and its
+    # trace shows the optimum the oracle could not find as nan
+    params = {"H": [[1, 0], [0, 1]], "target": [0.5, 1.0], "a": [1.0, -1.0], "c": 1e300}
+    cfg = replace(demo_siso_config(), horizon=30,
+                  cost=CostSpec(type="softplus", params=params))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        with pytest.raises(FeasibilityError, match=r"^step 1: steering correction"):
+            run_experiment(cfg, out_dir=tmp_path)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["opt_cost"] == "nan"
 
 
 def test_cli_rejects_unknown_q_mode(tmp_path, capsys):

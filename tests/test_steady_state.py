@@ -250,6 +250,21 @@ def test_iterative_oracle_stops_at_an_overflowing_gradient(siso_proj, field):
     assert time.perf_counter() - start < 0.1
 
 
+def test_iterative_oracle_refuses_a_step_that_cannot_move(siso_proj):
+    # |a|^2 overflows, so l_z is inf and the step 2/(alpha_z + l_z) is 0:
+    # the solver stops at once instead of spinning to its iteration cap,
+    # which took 9 s
+    with np.errstate(over="ignore"):
+        cost = QuadraticSoftplusCost(H=np.eye(2), target=np.array([0.5, 1.0]),
+                                     a=np.array([1e160, 0.0]), c=1e-10)
+    assert cost.l_z == np.inf
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError,
+                       match="l_z = inf cannot move the iterate at iteration 0"):
+        optimal_steady_state(siso_proj, cost)
+    assert time.perf_counter() - start < 0.1
+
+
 ORACLE_COSTS = {
     "scheduled": lambda: hvac_cost_schedule(p=1, m=1, day_steps=200),
     "static": lambda: QuadraticTrackingCost(H=np.diag([10.0, 1.0]),
