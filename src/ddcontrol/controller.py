@@ -227,17 +227,16 @@ def check_steering_map(H_beta: np.ndarray, Q_tilde: np.ndarray, L: np.ndarray) -
 
 
 #: offline factors ``(pre, projector)`` of the data records used last,
-#: least recently used first; two entries let a sweep alternate two
-#: horizons on one record (``notes/decisions.md``)
+#: least recently used first (``_memoized``)
 _FACTORS: OrderedDict = OrderedDict()
-_FACTORS_KEPT = 2
-#: held for a whole lookup or build, so controllers constructed in
-#: parallel threads see a consistent cache
-_FACTORS_LOCK = threading.Lock()
+#: entries an offline cache keeps; two let a sweep alternate two horizons
+#: on one record (``notes/decisions.md``)
+_CACHE_KEPT = 2
+_CACHE_LOCK = threading.Lock()
 
 
 def _freeze(obj) -> None:
-    """Make every array reachable through dataclass fields read-only.
+    """Make every array reachable through tuples and dataclass fields read-only.
 
     A view keeps its own writeable flag, so each view and its bases are
     frozen one by one.
@@ -246,9 +245,30 @@ def _freeze(obj) -> None:
         while isinstance(obj, np.ndarray):
             obj.flags.writeable = False
             obj = obj.base
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _freeze(item)
     elif is_dataclass(obj):
         for f in fields(obj):
             _freeze(getattr(obj, f.name))
+
+
+def _memoized(cache: OrderedDict, key, build):
+    """``cache[key]``, or ``build()`` made read-only and stored under ``key``.
+
+    The one policy of the offline caches: the least recently used entry is
+    evicted before a build, a build that raises caches nothing, and
+    parallel threads take turns (``notes/decisions.md``).
+    """
+    with _CACHE_LOCK:
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+        while len(cache) >= _CACHE_KEPT:
+            cache.popitem(last=False)
+        _freeze(value := build())
+        cache[key] = value
+        return value
 
 
 def _offline_factors(config: ControllerConfig, data: Trajectory) -> tuple:
@@ -256,30 +276,16 @@ def _offline_factors(config: ControllerConfig, data: Trajectory) -> tuple:
 
     The key is what ``precompute`` and ``build_projector`` read: the data
     bytes, their (N, m) and (N, p) split, ``n``, ``mu`` and ``q_mode``, so
-    controllers on an equal record share the factors; they are read-only
-    for that reason. A miss evicts the least recently used entries before
-    it builds, so a build never runs beside a full cache of stale factors,
-    and a build that raises caches nothing. Constructions in parallel
-    threads take turns.
+    controllers on an equal record share the factors (``_memoized``).
     """
     # looked up at call time for the reason given in ``precompute``
     from .steady_state import build_projector
 
     key = (data.inputs.shape, data.outputs.shape, data.inputs.tobytes(),
            data.outputs.tobytes(), config.n, config.mu, config.q_mode)
-    with _FACTORS_LOCK:
-        factors = _FACTORS.get(key)
-        if factors is not None:
-            _FACTORS.move_to_end(key)
-            return factors
-        while len(_FACTORS) >= _FACTORS_KEPT:
-            _FACTORS.popitem(last=False)
-        pre = precompute(data, config.n, config.mu, config.q_mode)
-        projector = build_projector(data, config.n)
-        _freeze(pre)
-        _freeze(projector)
-        _FACTORS[key] = factors = (pre, projector)
-        return factors
+    return _memoized(_FACTORS, key, lambda: (
+        precompute(data, config.n, config.mu, config.q_mode),
+        build_projector(data, config.n)))
 
 
 @dataclass

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -18,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import metrics
-from .controller import Controller, ControllerConfig, check_step_size, step_size_limit
+from .behavioral import Trajectory
+from .controller import Controller, ControllerConfig, _memoized, check_step_size, step_size_limit
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                     QuadraticSoftplusCost, QuadraticTrackingCost,
                     hvac_cost_schedule)
@@ -331,6 +333,23 @@ def shipped_config_path() -> Path:
 # closed-loop runner
 # --------------------------------------------------------------------------
 
+#: checked offline records of the recipes used last (``_offline_record``)
+_RECORDS: OrderedDict = OrderedDict()
+
+
+def _offline_record(model: PlantModel, spec: OfflineSpec, pe_order: int) -> Trajectory:
+    """The checked offline record of a recipe, collected once per recipe.
+
+    The key is the plant's matrices and every argument of
+    ``collect_offline_data``; only the runner sees both (``plant``'s boundary).
+    """
+    recipe = {"N": spec.N, "pe_order": pe_order,
+              "input_box": (spec.input_low, spec.input_high), "seed": spec.seed}
+    key = (tuple((M.shape, M.tobytes()) for M in (model.A, model.B, model.C, model.D)),
+           tuple(recipe.items()))
+    return _memoized(_RECORDS, key, lambda: collect_offline_data(model, **recipe))
+
+
 def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                    out_dir=None, mu: int | None = None,
                    gamma: float | None = None,
@@ -361,10 +380,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         seed=seed, mu=mu, gamma=gamma)
     T = config.horizon
 
-    data = collect_offline_data(
-        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
-        input_box=(config.offline.input_low, config.offline.input_high),
-        seed=config.offline.seed)
+    data = _offline_record(model, config.offline, pe_order=3 * cc.n + cc.mu + 1)
 
     cost = cost if cost is not None else config_cost
     step_size_ok = check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
@@ -560,15 +576,18 @@ def cli_main(argv: list[str] | None = None) -> int:
             ExperimentConfig.from_json(args.config)
             print(f"config ok: {args.config}")
             return 0
+        # a run raises on a non-finite result; numpy's warnings would bury it
+        quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
         if args.command == "run":
             config = ExperimentConfig.from_json(args.config)
-            _, summary = run_experiment(config, seed=args.seed, out_dir=args.out,
-                                        mu=args.mu, gamma=args.gamma)
+            with quiet:
+                _, summary = run_experiment(config, seed=args.seed, out_dir=args.out,
+                                            mu=args.mu, gamma=args.gamma)
             _print_summary(summary)
             return 0
         if args.command == "demo-siso":
-            config = demo_siso_config()
-            _, summary = run_experiment(config, out_dir=args.out)
+            with quiet:
+                _, summary = run_experiment(demo_siso_config(), out_dir=args.out)
             _print_summary(summary)
             print(f"trace written to {Path(args.out) / 'trace.csv'}")
             return 0

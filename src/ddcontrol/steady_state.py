@@ -118,7 +118,8 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     every system is nonsingular. Any other cost falls back to projected
     gradient iteration driven to a projected-gradient norm of 1e-10, once
     per run; that solver raises ``NonConvergenceError`` at the first non-finite
-    projected gradient or update too small to move the iterate (l_z = inf).
+    projected gradient or update too small to move the iterate (l_z = inf),
+    and before its first update when its rate cannot reach the tolerance.
     """
     times = np.atleast_1d(t)
     starts = cost.run_starts(times)
@@ -155,6 +156,10 @@ def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:
         if np.array_equal(z_next := proj.P @ (z - step * grad), z):
             raise NonConvergenceError(f"step 2/(alpha_z + l_z) = {step:.3g} with l_z = "
                                       f"{cost.l_z:.3g} cannot move the iterate at iteration {k}")
+        # the step's guaranteed rate, 1 - 2 alpha_z/(alpha_z + l_z), against the cap
+        if k == 0 and _MAX_ITERS * math.log1p(-step * cost.alpha_z) > math.log(_GRAD_TOL / norm):
+            raise NonConvergenceError(f"l_z/alpha_z = {cost.l_z / cost.alpha_z:.3g}: its rate "
+                                      f"cannot reach {_GRAD_TOL} in {_MAX_ITERS} iterations")
         z = z_next
     raise NonConvergenceError(
         f"projected gradient did not reach tolerance {_GRAD_TOL} "

@@ -26,3 +26,13 @@ def factor_cache(monkeypatch):
     cache = OrderedDict()
     monkeypatch.setattr(ctrl_module, "_FACTORS", cache)
     return cache
+
+
+@pytest.fixture()
+def record_cache(monkeypatch):
+    """An empty cache of checked offline records for one test, restored after it."""
+    import ddcontrol.harness as harness_module
+
+    cache = OrderedDict()
+    monkeypatch.setattr(harness_module, "_RECORDS", cache)
+    return cache

@@ -2,10 +2,11 @@ import ast
 import copy
 import csv
 import importlib.util
+import inspect
 import json
 import re
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,11 @@ from ddcontrol.controller import Controller, ControllerConfig
 from ddcontrol.costs import (CostFunction, QuadraticSoftplusCost,
                              QuadraticTrackingCost, hvac_cost_schedule)
 from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
-                               NoiseSpec, OfflineSpec, PlantSpec, cli_main,
-                               demo_siso_config, run_experiment,
+                               NoiseSpec, OfflineSpec, PlantSpec, _offline_record,
+                               cli_main, demo_siso_config, run_experiment,
                                shipped_config_path)
 from ddcontrol.errors import FeasibilityError, PersistencyError
-from ddcontrol.plant import NoiseModel, collect_offline_data, step
+from ddcontrol.plant import NoiseModel, PlantModel, collect_offline_data, step
 
 from helpers import (checked_run, coefficient_matrices, random_system, reference_cost,
                      reference_plant_step, reference_step)
@@ -131,10 +132,11 @@ def test_large_step_size_warns(small_config):
 
 
 @pytest.mark.parametrize("plant", ["scalar", "thermal"])
-def test_noisy_offline_record_is_refused_or_controls(monkeypatch, plant):
+def test_noisy_offline_record_is_refused_or_controls(monkeypatch, record_cache, plant):
     # noisy offline outputs are no trajectory of the plant; a run must
     # refuse them when the controller is built (the only place that raises
-    # PersistencyError) or control the plant, never run on with zero input
+    # PersistencyError) or control the plant, never run on with zero input;
+    # each noise level collects its own record, past the record cache
     import ddcontrol.harness as harness_module
 
     config = demo_siso_config() if plant == "scalar" \
@@ -149,6 +151,7 @@ def test_noisy_offline_record_is_refused_or_controls(monkeypatch, plant):
             return Trajectory(data.inputs, data.outputs + _sigma * noise)
 
         monkeypatch.setattr(harness_module, "collect_offline_data", noisy_collect)
+        record_cache.clear()
         try:
             record, _ = run_experiment(config)
         except PersistencyError:
@@ -676,6 +679,131 @@ def test_warm_run_matches_cold_run(monkeypatch, tmp_path, small_config,
             == (tmp_path / "cold" / name).read_bytes()
 
 
+def test_repeated_recipe_collects_and_checks_its_record_once(
+        monkeypatch, tmp_path, small_config, record_cache, factor_cache):
+    # a second run on the same offline recipe reuses the checked record:
+    # no collection, no simulation of the record and no excitation check
+    import ddcontrol.behavioral as behavioral_module
+    import ddcontrol.controller as ctrl_module
+    import ddcontrol.harness as harness_module
+    import ddcontrol.plant as plant_module
+    import ddcontrol.steady_state as ss_module
+
+    run_experiment(small_config, out_dir=tmp_path / "cold")
+    assert len(record_cache) == 1
+    calls = []
+    for module, name in ((harness_module, "collect_offline_data"),
+                         (plant_module, "simulate"),
+                         *[(mod, "persistency_check") for mod in (
+                             behavioral_module, ctrl_module, ss_module, plant_module)]):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    run_experiment(small_config, out_dir=tmp_path / "warm")
+    assert calls == []
+    for name in ("trace.csv", "summary.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() \
+            == (tmp_path / "cold" / name).read_bytes()
+    # the noise seed is no part of the recipe
+    run_experiment(small_config, seed=small_config.noise.seed + 1)
+    assert calls == [] and len(record_cache) == 1
+
+
+def test_every_recipe_input_misses_the_record_cache(record_cache):
+    A, B, C, D = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0], [0.5]]),
+                  np.array([[1.0, 0.0]]), np.array([[0.0]]))
+    model = PlantModel(A, B, C, D)
+    spec = OfflineSpec(N=60, input_low=-1.0, input_high=1.0, seed=3)
+    base = _offline_record(model, spec, pe_order=6)
+    variants = {
+        "A": (PlantModel(0.9 * A, B, C, D), spec, 6),
+        "B": (PlantModel(A, 1.1 * B, C, D), spec, 6),
+        "C": (PlantModel(A, B, 1.1 * C, D), spec, 6),
+        "D": (PlantModel(A, B, C, D + 0.1), spec, 6),
+        "N": (model, replace(spec, N=61), 6),
+        # a run's excitation order is 3n + mu + 1
+        "mu": (model, spec, 7),
+        "input_low": (model, replace(spec, input_low=-0.5), 6),
+        "input_high": (model, replace(spec, input_high=0.5), 6),
+        "seed": (model, replace(spec, seed=4), 6),
+    }
+    for name, (changed_model, changed, pe_order) in variants.items():
+        # the base recipe, rebuilt from equal values, hits each time, so it
+        # is the most recently used entry when the variant misses
+        assert _offline_record(PlantModel(A, B, C, D), replace(spec), 6) is base
+        record = _offline_record(changed_model, changed, pe_order)
+        assert record is not base, name
+        # mu changes the order checked, every other input the record itself
+        assert name == "mu" or not (np.array_equal(record.inputs, base.inputs)
+                                    and np.array_equal(record.outputs, base.outputs)), name
+    assert len(record_cache) == 2
+
+
+def test_record_key_covers_every_argument_and_offline_field(record_cache, siso_model):
+    # a parameter or field added later must enter the key, or two different
+    # records would share one entry
+    spec = OfflineSpec(N=60, seed=3)
+    _offline_record(siso_model, spec, pe_order=6)
+    (matrices, recipe), = record_cache
+    assert [name for name, _ in recipe] == [
+        name for name in inspect.signature(collect_offline_data).parameters
+        if name != "model"]
+    assert matrices == tuple((M.shape, M.tobytes()) for M in
+                             (siso_model.A, siso_model.B, siso_model.C, siso_model.D))
+    for f in fields(OfflineSpec):
+        record_cache.clear()
+        _offline_record(siso_model, spec, pe_order=6)
+        _offline_record(siso_model, replace(spec, **{f.name: getattr(spec, f.name) + 1}),
+                        pe_order=6)
+        assert len(record_cache) == 2, f.name
+
+
+def test_refused_record_caches_nothing(record_cache, siso_model):
+    spec = OfflineSpec(N=60, seed=3)
+    kept = _offline_record(siso_model, spec, pe_order=6)
+    # a zero-width box draws a constant input, which excites nothing, and
+    # five steps are too short for order 6
+    for refused, error in ((replace(spec, input_low=0.5, input_high=0.5), PersistencyError),
+                           (replace(spec, N=5), ValueError)):
+        with pytest.raises(error):
+            _offline_record(siso_model, refused, pe_order=6)
+        assert list(record_cache.values()) == [kept]
+
+
+def test_cached_record_is_read_only_and_collection_stays_writable(record_cache,
+                                                                 siso_model):
+    record = _offline_record(siso_model, OfflineSpec(N=60, seed=3), pe_order=6)
+    for array in (record.inputs, record.outputs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    fresh = collect_offline_data(siso_model, 60, pe_order=6, seed=3)
+    assert fresh.inputs.flags.writeable and fresh.outputs.flags.writeable
+    np.testing.assert_array_equal(fresh.inputs, record.inputs)
+    np.testing.assert_array_equal(fresh.outputs, record.outputs)
+
+
+def test_record_cache_is_bounded(monkeypatch, record_cache, small_config):
+    # two entries at most, and a miss evicts before it collects
+    import ddcontrol.harness as harness_module
+
+    held_during_collect = []
+    real_collect = harness_module.collect_offline_data
+
+    def recording_collect(*args, **kwargs):
+        held_during_collect.append(len(record_cache))
+        return real_collect(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "collect_offline_data", recording_collect)
+    small_config.horizon = 5
+    for seed in range(5):
+        small_config.offline.seed = seed
+        run_experiment(small_config)
+        assert len(record_cache) <= 2
+    assert held_during_collect == [0, 1, 1, 1, 1]
+
+
 # ---------------------------------------------------------------- cli
 
 def test_cli_validate_shipped_config():
@@ -1080,9 +1208,14 @@ def test_cli_run_with_a_non_finite_summary_is_exit_one(tmp_path, capsys):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(spec))
     assert cli_main(["validate", "--config", str(path)]) == 0
-    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert ("FeasibilityError: the run's regret is not finite: step 0 has a "
-            "non-finite u, y, e_hat, cost or opt_cost") in capsys.readouterr().err
+    # the one line names the cause, with no numpy warning ahead of it; a
+    # warning raised as an error would end the run with another line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "runtime failure: FeasibilityError: the run's regret is not finite: step 0 "
+        "has a non-finite u, y, e_hat, cost or opt_cost\n")
 
 
 #: what the probe below puts in place of one leaf of a config

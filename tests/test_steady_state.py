@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -261,6 +262,18 @@ def test_iterative_oracle_refuses_a_step_that_cannot_move(siso_proj):
     start = time.perf_counter()
     with pytest.raises(NonConvergenceError,
                        match="l_z = inf cannot move the iterate at iteration 0"):
+        optimal_steady_state(siso_proj, cost)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_iterative_oracle_refuses_a_rate_that_cannot_reach_its_tolerance(siso_proj):
+    # l_z = 2.5e299 is finite, so each step moves the iterate, by about
+    # 1e-155: the solver crept to its iteration cap for 11-12 s
+    cost = QuadraticSoftplusCost(H=np.eye(2), target=np.array([0.5, 1.0]),
+                                 a=np.array([1e155, 0.0]), c=1e-10)
+    assert math.isfinite(cost.l_z) and cost.alpha_z == 1.0
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match=r"l_z/alpha_z = 2\.5e\+299"):
         optimal_steady_state(siso_proj, cost)
     assert time.perf_counter() - start < 0.1
 
