@@ -227,7 +227,7 @@ def check_steering_map(H_beta: np.ndarray, Q_tilde: np.ndarray, L: np.ndarray) -
 
 
 #: offline factors ``(pre, projector)`` of the data records used last,
-#: least recently used first (``_memoized``)
+#: least recently used first (``memoized``)
 _FACTORS: OrderedDict = OrderedDict()
 #: entries an offline cache keeps; two let a sweep alternate two horizons
 #: on one record (``notes/decisions.md``)
@@ -253,12 +253,12 @@ def _freeze(obj) -> None:
             _freeze(getattr(obj, f.name))
 
 
-def _memoized(cache: OrderedDict, key, build):
+def memoized(cache: OrderedDict, key, build):
     """``cache[key]``, or ``build()`` made read-only and stored under ``key``.
 
-    The one policy of the offline caches: the least recently used entry is
-    evicted before a build, a build that raises caches nothing, and
-    parallel threads take turns (``notes/decisions.md``).
+    The one policy of the factor and record caches: the least recently
+    used entry is evicted before a build, a build that raises caches
+    nothing, and parallel threads take turns (``notes/decisions.md``).
     """
     with _CACHE_LOCK:
         if key in cache:
@@ -276,14 +276,14 @@ def _offline_factors(config: ControllerConfig, data: Trajectory) -> tuple:
 
     The key is what ``precompute`` and ``build_projector`` read: the data
     bytes, their (N, m) and (N, p) split, ``n``, ``mu`` and ``q_mode``, so
-    controllers on an equal record share the factors (``_memoized``).
+    controllers on an equal record share the factors (``memoized``).
     """
     # looked up at call time for the reason given in ``precompute``
     from .steady_state import build_projector
 
     key = (data.inputs.shape, data.outputs.shape, data.inputs.tobytes(),
            data.outputs.tobytes(), config.n, config.mu, config.q_mode)
-    return _memoized(_FACTORS, key, lambda: (
+    return memoized(_FACTORS, key, lambda: (
         precompute(data, config.n, config.mu, config.q_mode),
         build_projector(data, config.n)))
 

@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics
-from .behavioral import Trajectory
-from .controller import Controller, ControllerConfig, _memoized, check_step_size, step_size_limit
+from .controller import Controller, ControllerConfig, check_step_size, memoized, step_size_limit
 from .costs import (CostFunction, CostSegment, QuadraticScheduledCost,
                     QuadraticSoftplusCost, QuadraticTrackingCost,
                     hvac_cost_schedule)
@@ -337,17 +336,13 @@ def shipped_config_path() -> Path:
 _RECORDS: OrderedDict = OrderedDict()
 
 
-def _offline_record(model: PlantModel, spec: OfflineSpec, pe_order: int) -> Trajectory:
-    """The checked offline record of a recipe, collected once per recipe.
-
-    The key is the plant's matrices and every argument of
-    ``collect_offline_data``; only the runner sees both (``plant``'s boundary).
-    """
+def _offline_record(model: PlantModel, spec: OfflineSpec, pe_order: int):
+    """The checked record of a recipe, keyed by the model, which only the runner sees."""
     recipe = {"N": spec.N, "pe_order": pe_order,
               "input_box": (spec.input_low, spec.input_high), "seed": spec.seed}
     key = (tuple((M.shape, M.tobytes()) for M in (model.A, model.B, model.C, model.D)),
            tuple(recipe.items()))
-    return _memoized(_RECORDS, key, lambda: collect_offline_data(model, **recipe))
+    return memoized(_RECORDS, key, lambda: collect_offline_data(model, **recipe))
 
 
 def run_experiment(config: ExperimentConfig, *, seed: int | None = None,

@@ -21,6 +21,8 @@ from .errors import NonConvergenceError, PersistencyError
 #: stop threshold on the projected gradient norm for the iterative solver
 _GRAD_TOL = 1e-10
 _MAX_ITERS = 10 ** 6
+#: iterations between the projected gradient solver's checks of its rate
+_PROBE = 128
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     gradient iteration driven to a projected-gradient norm of 1e-10, once
     per run; that solver raises ``NonConvergenceError`` at the first non-finite
     projected gradient or update too small to move the iterate (l_z = inf),
-    and before its first update when its rate cannot reach the tolerance.
+    and when the rate measured over its last ``_PROBE`` iterations cannot
+    reach the tolerance within its cap.
     """
     times = np.atleast_1d(t)
     starts = cost.run_starts(times)
@@ -156,10 +159,14 @@ def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:
         if np.array_equal(z_next := proj.P @ (z - step * grad), z):
             raise NonConvergenceError(f"step 2/(alpha_z + l_z) = {step:.3g} with l_z = "
                                       f"{cost.l_z:.3g} cannot move the iterate at iteration {k}")
-        # the step's guaranteed rate, 1 - 2 alpha_z/(alpha_z + l_z), against the cap
-        if k == 0 and _MAX_ITERS * math.log1p(-step * cost.alpha_z) > math.log(_GRAD_TOL / norm):
-            raise NonConvergenceError(f"l_z/alpha_z = {cost.l_z / cost.alpha_z:.3g}: its rate "
-                                      f"cannot reach {_GRAD_TOL} in {_MAX_ITERS} iterations")
+        if k % _PROBE == 0:
+            # the rate since the last check, held to the cap (a quadratic's only slows)
+            if k and ((_MAX_ITERS - k) * math.log(norm / probed)
+                      > _PROBE * math.log(_GRAD_TOL / norm)):
+                raise NonConvergenceError(
+                    f"l_z/alpha_z = {cost.l_z / cost.alpha_z:.3g}: the rate of iterations "
+                    f"{k - _PROBE}-{k} cannot reach {_GRAD_TOL} within {_MAX_ITERS} iterations")
+            probed = norm
         z = z_next
     raise NonConvergenceError(
         f"projected gradient did not reach tolerance {_GRAD_TOL} "

@@ -1125,7 +1125,9 @@ def test_miss_builds_hankels_through_the_module_attribute(monkeypatch,
 
 
 def test_cached_factors_are_read_only(factor_cache, siso_data):
-    cfg = ControllerConfig(gamma=0.15, mu=2, n=1)
+    # this test, the bound, the failed build and the threads test cover the
+    # one policy of ``memoized``, which the runner's record cache shares
+    cfg =ControllerConfig(gamma=0.15, mu=2, n=1)
     ctrl = Controller(cfg, siso_data)
     arrays = _factor_arrays(ctrl)
     assert len(arrays) > 10

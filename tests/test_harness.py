@@ -710,98 +710,44 @@ def test_repeated_recipe_collects_and_checks_its_record_once(
     assert calls == [] and len(record_cache) == 1
 
 
-def test_every_recipe_input_misses_the_record_cache(record_cache):
+def test_record_key_covers_every_argument_and_offline_field(record_cache):
+    # a parameter or field added later must enter the key, or two different
+    # records would share one entry
     A, B, C, D = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0], [0.5]]),
                   np.array([[1.0, 0.0]]), np.array([[0.0]]))
     model = PlantModel(A, B, C, D)
-    spec = OfflineSpec(N=60, input_low=-1.0, input_high=1.0, seed=3)
-    base = _offline_record(model, spec, pe_order=6)
+    spec = OfflineSpec(N=60, seed=3)
+    _offline_record(model, spec, pe_order=6)
+    (_, recipe), = record_cache
+    assert [name for name, _ in recipe] == [
+        name for name in inspect.signature(collect_offline_data).parameters
+        if name != "model"]
     variants = {
         "A": (PlantModel(0.9 * A, B, C, D), spec, 6),
         "B": (PlantModel(A, 1.1 * B, C, D), spec, 6),
         "C": (PlantModel(A, B, 1.1 * C, D), spec, 6),
         "D": (PlantModel(A, B, C, D + 0.1), spec, 6),
-        "N": (model, replace(spec, N=61), 6),
         # a run's excitation order is 3n + mu + 1
         "mu": (model, spec, 7),
-        "input_low": (model, replace(spec, input_low=-0.5), 6),
-        "input_high": (model, replace(spec, input_high=0.5), 6),
-        "seed": (model, replace(spec, seed=4), 6),
+        **{f.name: (model, replace(spec, **{f.name: getattr(spec, f.name) + 1}), 6)
+           for f in fields(OfflineSpec)},
     }
     for name, (changed_model, changed, pe_order) in variants.items():
-        # the base recipe, rebuilt from equal values, hits each time, so it
-        # is the most recently used entry when the variant misses
-        assert _offline_record(PlantModel(A, B, C, D), replace(spec), 6) is base
-        record = _offline_record(changed_model, changed, pe_order)
-        assert record is not base, name
-        # mu changes the order checked, every other input the record itself
-        assert name == "mu" or not (np.array_equal(record.inputs, base.inputs)
-                                    and np.array_equal(record.outputs, base.outputs)), name
-    assert len(record_cache) == 2
-
-
-def test_record_key_covers_every_argument_and_offline_field(record_cache, siso_model):
-    # a parameter or field added later must enter the key, or two different
-    # records would share one entry
-    spec = OfflineSpec(N=60, seed=3)
-    _offline_record(siso_model, spec, pe_order=6)
-    (matrices, recipe), = record_cache
-    assert [name for name, _ in recipe] == [
-        name for name in inspect.signature(collect_offline_data).parameters
-        if name != "model"]
-    assert matrices == tuple((M.shape, M.tobytes()) for M in
-                             (siso_model.A, siso_model.B, siso_model.C, siso_model.D))
-    for f in fields(OfflineSpec):
         record_cache.clear()
-        _offline_record(siso_model, spec, pe_order=6)
-        _offline_record(siso_model, replace(spec, **{f.name: getattr(spec, f.name) + 1}),
-                        pe_order=6)
-        assert len(record_cache) == 2, f.name
+        # the base recipe, rebuilt from equal values, hits
+        base = _offline_record(model, spec, pe_order=6)
+        assert _offline_record(PlantModel(A, B, C, D), replace(spec), 6) is base
+        assert _offline_record(changed_model, changed, pe_order) is not base, name
+        assert len(record_cache) == 2, name
 
 
-def test_refused_record_caches_nothing(record_cache, siso_model):
-    spec = OfflineSpec(N=60, seed=3)
-    kept = _offline_record(siso_model, spec, pe_order=6)
-    # a zero-width box draws a constant input, which excites nothing, and
-    # five steps are too short for order 6
-    for refused, error in ((replace(spec, input_low=0.5, input_high=0.5), PersistencyError),
-                           (replace(spec, N=5), ValueError)):
-        with pytest.raises(error):
-            _offline_record(siso_model, refused, pe_order=6)
-        assert list(record_cache.values()) == [kept]
-
-
-def test_cached_record_is_read_only_and_collection_stays_writable(record_cache,
-                                                                 siso_model):
+def test_collection_stays_writable_beside_the_cached_record(record_cache, siso_model):
+    # the cache's read-only policy is tested once, on the factor cache
     record = _offline_record(siso_model, OfflineSpec(N=60, seed=3), pe_order=6)
-    for array in (record.inputs, record.outputs):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1.0
     fresh = collect_offline_data(siso_model, 60, pe_order=6, seed=3)
     assert fresh.inputs.flags.writeable and fresh.outputs.flags.writeable
     np.testing.assert_array_equal(fresh.inputs, record.inputs)
     np.testing.assert_array_equal(fresh.outputs, record.outputs)
-
-
-def test_record_cache_is_bounded(monkeypatch, record_cache, small_config):
-    # two entries at most, and a miss evicts before it collects
-    import ddcontrol.harness as harness_module
-
-    held_during_collect = []
-    real_collect = harness_module.collect_offline_data
-
-    def recording_collect(*args, **kwargs):
-        held_during_collect.append(len(record_cache))
-        return real_collect(*args, **kwargs)
-
-    monkeypatch.setattr(harness_module, "collect_offline_data", recording_collect)
-    small_config.horizon = 5
-    for seed in range(5):
-        small_config.offline.seed = seed
-        run_experiment(small_config)
-        assert len(record_cache) <= 2
-    assert held_during_collect == [0, 1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------- cli

@@ -268,7 +268,9 @@ def test_iterative_oracle_refuses_a_step_that_cannot_move(siso_proj):
 
 def test_iterative_oracle_refuses_a_rate_that_cannot_reach_its_tolerance(siso_proj):
     # l_z = 2.5e299 is finite, so each step moves the iterate, by about
-    # 1e-155: the solver crept to its iteration cap for 11-12 s
+    # 1e-155: the solver crept to its iteration cap for 11-12 s. Its
+    # projected gradient norm falls like 1/k from 2e144, so a probe's rate
+    # refuses it after about 3000 iterations
     cost = QuadraticSoftplusCost(H=np.eye(2), target=np.array([0.5, 1.0]),
                                  a=np.array([1e155, 0.0]), c=1e-10)
     assert math.isfinite(cost.l_z) and cost.alpha_z == 1.0
@@ -276,6 +278,20 @@ def test_iterative_oracle_refuses_a_rate_that_cannot_reach_its_tolerance(siso_pr
     with pytest.raises(NonConvergenceError, match=r"l_z/alpha_z = 2\.5e\+299"):
         optimal_steady_state(siso_proj, cost)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("params", [
+    # alpha_z = l_z: the step 2/(alpha_z + l_z) lands on the minimizer at once
+    dict(H=np.eye(2), a=np.array([0.5, -1.0]), c=0.0),
+    dict(H=np.eye(2), a=np.array([1e-9, 0.0]), c=1.0),
+    # a cheap input: l_z/alpha_z = 1.2e7 over R^2, yet the steady states
+    # y = 2u weigh the output, so the solver converges in a few dozen steps
+    dict(H=np.diag([1e-7, 1.0]), a=np.array([0.5, -0.4]), c=2.0),
+], ids=["equal-moduli", "tiny-a", "cheap-input"])
+def test_iterative_oracle_converges_whatever_its_global_moduli(siso_proj, params):
+    cost = QuadraticSoftplusCost(target=np.array([0.3, 1.2]), **params)
+    zeta = optimal_steady_state(siso_proj, cost)
+    assert np.linalg.norm(siso_proj.P @ cost.grad(0, zeta)) <= 1e-10
 
 
 ORACLE_COSTS = {
