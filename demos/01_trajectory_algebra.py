@@ -19,7 +19,7 @@ plant = PlantModel(A=[[0.6, 0.2], [0.0, 0.4]], B=[[1.0], [0.5]],
                    C=[[1.0, 0.0]])
 
 print("== recording one excited experiment ==")
-data = collect_offline_data(plant, N=80, pe_order=10, seed=1)
+data = collect_offline_data(plant, N=80, seed=1)
 print(f"recorded {data.N} steps, {data.m} input / {data.p} output channels")
 print(f"input persistently exciting of order 10: "
       f"{persistency_check(data.inputs, 10)}")

@@ -14,7 +14,7 @@ from ddcontrol import (PlantModel, QuadraticTrackingCost, build_projector,
 
 # scalar reference plant x+ = 0.5 x + u, y = x: steady states satisfy y = 2u
 plant = PlantModel([[0.5]], [[1.0]], [[1.0]])
-data = collect_offline_data(plant, N=60, pe_order=3, seed=3)
+data = collect_offline_data(plant, N=60, seed=3)
 
 proj = build_projector(data, n=1)
 print("S matrix (z is an equilibrium iff S z = 0):")

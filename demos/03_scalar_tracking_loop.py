@@ -13,7 +13,7 @@ from ddcontrol import (Controller, ControllerConfig, PlantModel,
                        optimal_steady_state, step)
 
 plant = PlantModel([[0.5]], [[1.0]], [[1.0]])
-data = collect_offline_data(plant, N=60, pe_order=6, seed=3)
+data = collect_offline_data(plant, N=60, seed=3)
 
 config = ControllerConfig(gamma=0.3, mu=2, n=1, q_mode="identity")
 ctrl = Controller(config, data)

@@ -66,7 +66,7 @@ for k in (1, 2, 4, 8):
     config = ExperimentConfig(horizon=4000, **base)
     record, _ = run_experiment(config, cost=cost)
     total, running = regret(record)
-    pl = path_length(record.zeta, record.z_s_init)
+    pl = path_length(record.zeta)
     print(f"{k:8d} | {pl:12.3f} | {total:8.3f} | {running[-1] / 4001:.2e}")
 
 print("\nregret grows with the path length, not with the horizon: with all")

@@ -242,7 +242,8 @@ class ExperimentConfig:
         with the overrides, the noise draw ``draw(t) -> (e, q)`` and the
         noise seed. This is the one check of a config: a problem found here
         raises ``ConfigError``. What needs the offline record (its length,
-        its excitation and its factors) is checked when the run collects it.
+        its excitation and its factors) is checked when the controller is
+        built on it.
         """
         try:
             for name, count, least in (("horizon", self.horizon, 0),
@@ -332,14 +333,14 @@ def shipped_config_path() -> Path:
 # closed-loop runner
 # --------------------------------------------------------------------------
 
-#: checked offline records of the recipes used last (``_offline_record``)
+#: offline records of the recipes used last (``_offline_record``)
 _RECORDS: OrderedDict = OrderedDict()
 
 
-def _offline_record(model: PlantModel, spec: OfflineSpec, pe_order: int):
-    """The checked record of a recipe, keyed by the model, which only the runner sees."""
-    recipe = {"N": spec.N, "pe_order": pe_order,
-              "input_box": (spec.input_low, spec.input_high), "seed": spec.seed}
+def _offline_record(model: PlantModel, spec: OfflineSpec):
+    """The record of a recipe, keyed by the model, which only the runner sees."""
+    recipe = {"N": spec.N, "input_box": (spec.input_low, spec.input_high),
+              "seed": spec.seed}
     key = (tuple((M.shape, M.tobytes()) for M in (model.A, model.B, model.C, model.D)),
            tuple(recipe.items()))
     return memoized(_RECORDS, key, lambda: collect_offline_data(model, **recipe))
@@ -375,7 +376,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
         seed=seed, mu=mu, gamma=gamma)
     T = config.horizon
 
-    data = _offline_record(model, config.offline, pe_order=3 * cc.n + cc.mu + 1)
+    data = _offline_record(model, config.offline)
 
     cost = cost if cost is not None else config_cost
     step_size_ok = check_step_size(cc.gamma, cost.alpha_z, cost.l_z)
@@ -401,7 +402,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     gnorm_log = np.empty(T + 1)
     ares_log = np.empty(T + 1)
     bres_log = np.empty(T + 1)
-    z_s_init = np.zeros(model.m + model.p)
 
     y_meas_prev = None
     revealed = None                      # cost revealed so far (one-step delay)
@@ -453,7 +453,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     k = slice(done)
     record = RunRecord(u=uy_log[k, :m], y=uy_log[k, m:], y_meas=ymeas_log[k],
                        e_hat=ehat_log[k], z_s=zs_log[k], zeta=zeta_log,
-                       cost=cost_log[k], opt_cost=opt_log, z_s_init=z_s_init,
+                       cost=cost_log[k], opt_cost=opt_log,
                        e_true=etrue_log[k], g_norm=gnorm_log[k],
                        alpha_residual=ares_log[k], beta_residual=bres_log[k])
     target_dir = out_dir if out_dir is not None else config.output_dir

@@ -18,11 +18,10 @@ class RunRecord:
     noisy measurements, ``e_hat`` the controller's noise estimates,
     ``z_s`` the controller's steady-state estimates, ``zeta`` the oracle
     optimal steady states, and ``cost``/``opt_cost`` the per-step cost
-    evaluated at the closed loop and at the oracle point. ``z_s_init`` is
-    the steady-state estimate the run started from (used as the path-length
-    base point). ``e_true`` is the injected measurement noise, and
-    ``g_norm``, ``alpha_residual`` and ``beta_residual`` are the
-    controller's per-step steering-target norm and solve residuals.
+    evaluated at the closed loop and at the oracle point. ``e_true`` is
+    the injected measurement noise, and ``g_norm``, ``alpha_residual`` and
+    ``beta_residual`` are the controller's per-step steering-target norm
+    and solve residuals.
     """
 
     u: np.ndarray
@@ -33,7 +32,6 @@ class RunRecord:
     zeta: np.ndarray
     cost: np.ndarray
     opt_cost: np.ndarray
-    z_s_init: np.ndarray
     e_true: np.ndarray
     g_norm: np.ndarray
     alpha_residual: np.ndarray
@@ -71,13 +69,16 @@ def regret(record: RunRecord) -> tuple[float, np.ndarray]:
     return float(running[-1]), running
 
 
-def path_length(zeta: np.ndarray, z_s_init: np.ndarray) -> float:
-    """Total variation of the oracle steady state, seeded at the start point."""
+def path_length(zeta: np.ndarray) -> float:
+    """Total variation of the oracle steady state, seeded at the origin.
+
+    Every run starts at the steady-state estimate z_s = 0 (``initialize``),
+    so the first term is the first oracle point's distance from it.
+    """
     zeta = np.atleast_2d(np.asarray(zeta, dtype=float))
     if len(zeta) == 0:
         raise ValueError("need at least one oracle point")
-    prev = np.vstack([np.asarray(z_s_init, dtype=float)[None, :], zeta[:-1]])
-    return float(np.linalg.norm(zeta - prev, axis=1).sum())
+    return float(np.linalg.norm(np.diff(zeta, axis=0, prepend=0.0), axis=1).sum())
 
 
 def steps_to_converge(record: RunRecord, tol: float = 1e-2) -> int:
@@ -102,7 +103,7 @@ def summarize(record: RunRecord, seed: int, gamma: float, mu: int) -> dict:
         "gamma": gamma,
         "mu": mu,
         "regret": total,
-        "path_length": path_length(record.zeta, record.z_s_init),
+        "path_length": path_length(record.zeta),
         "final_noise_error": float(noise_err[-1]),
         "steps_to_converge": steps_to_converge(record),
     }

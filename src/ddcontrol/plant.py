@@ -1,18 +1,19 @@
 """Ground-truth LTI simulation: the plant the controller never sees.
 
 Provides the discrete-time state-space simulator, seeded noise models,
-offline data collection with excitation verification, and a five-zone
-thermal model builder with exact zero-order-hold discretization. The
-controller consumes only recorded trajectories and per-step measurements;
-nothing in this module leaks model matrices across that boundary.
+offline data collection, and a five-zone thermal model builder with exact
+zero-order-hold discretization. The controller consumes only recorded
+trajectories and per-step measurements; nothing in this module leaks
+model matrices across that boundary.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behavioral import Trajectory, persistency_check
-from .errors import PersistencyError
+# persistency_check is unused here but stays importable: the benchmark's
+# timing spans patch it on this module (perfbench/spans.py)
+from .behavioral import Trajectory, persistency_check  # noqa: F401
 
 
 class PlantModel:
@@ -151,29 +152,19 @@ class NoiseModel:
         return self._rng_q.uniform(lo, hi, size=size)
 
 
-def collect_offline_data(model: PlantModel, N: int, pe_order: int,
+def collect_offline_data(model: PlantModel, N: int,
                          input_box: tuple[float, float] = (-1.0, 1.0),
                          seed: int = 0) -> Trajectory:
     """Record a noise-free excitation experiment of length N.
 
     Inputs are drawn i.i.d. uniform on ``input_box`` per channel from one
-    generator seeded with ``seed``, the model is simulated from rest without
-    measurement or process noise, and the recorded input is verified to be
-    persistently exciting of order ``pe_order``: a draw that is not, as any
-    draw from a zero-width box, raises ``PersistencyError``.
+    generator seeded with ``seed``, and the model is simulated from rest
+    without measurement or process noise. The record is not checked here:
+    the order it must be exciting of is its consumer's, and ``precompute``,
+    ``build_projector`` and ``membership_residual`` each check their own.
     """
-    if N < (model.m + 1) * pe_order - 1:
-        raise ValueError(
-            f"data too short: excitation of order {pe_order} needs "
-            f"N >= {(model.m + 1) * pe_order - 1}, got {N}"
-        )
     lo, hi = input_box
     u = np.random.default_rng(seed).uniform(lo, hi, size=(N, model.m))
-    if not persistency_check(u, pe_order):
-        raise PersistencyError(
-            f"the input drawn from box [{lo}, {hi}] is not persistently "
-            f"exciting of order {pe_order}"
-        )
     return simulate(model, np.zeros(model.n), u)
 
 

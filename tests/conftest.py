@@ -14,8 +14,8 @@ def siso_model():
 
 @pytest.fixture(scope="session")
 def siso_data(siso_model) -> Trajectory:
-    # excitation order covers n = 1 with horizons up to mu = 2
-    return collect_offline_data(siso_model, 60, pe_order=6, seed=3)
+    # exciting of order 6, the controller's 3n+mu+1 at n = 1 and mu up to 2
+    return collect_offline_data(siso_model, 60, seed=3)
 
 
 @pytest.fixture()
@@ -30,7 +30,7 @@ def factor_cache(monkeypatch):
 
 @pytest.fixture()
 def record_cache(monkeypatch):
-    """An empty cache of checked offline records for one test, restored after it."""
+    """An empty cache of offline records for one test, restored after it."""
     import ddcontrol.harness as harness_module
 
     cache = OrderedDict()

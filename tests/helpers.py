@@ -372,7 +372,7 @@ def checked_run(config):
     """
     model, x, cost, cc, draw, _ = config.build()
     data = collect_offline_data(
-        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        model, config.offline.N,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
     ctrl = Controller(cc, data)

@@ -45,7 +45,6 @@ def system_zoo():
         model = random_system(rng, n, m, p)
         L = n + 5
         data = collect_offline_data(model, 40 * (m + 1),
-                                    pe_order=max(L + n, 2 * n + 1),
                                     seed=int(rng.integers(10 ** 6)))
         zoo.append((model, data, L))
     return zoo
@@ -295,7 +294,7 @@ def test_criterion_8_weighted_pseudoinverse_optimality():
     rng = np.random.default_rng(88)
     model = random_system(rng, 3, 2, 2)
     n, mu = 3, 4
-    data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=8)
+    data = collect_offline_data(model, 120, seed=8)
     pre = precompute(data, n, mu, "identity+future_inputs")
     _, H_beta = coefficient_matrices(pre)
     Q = q_weight(pre, "identity+future_inputs")

@@ -36,7 +36,7 @@ def mimo_setup():
     rng = np.random.default_rng(91)
     model = random_system(rng, 3, 2, 2)
     n, mu = 3, 4
-    data = collect_offline_data(model, 120, pe_order=3 * n + mu + 1, seed=5)
+    data = collect_offline_data(model, 120, seed=5)
     cfg = ControllerConfig(gamma=0.1, mu=mu, n=n, q_mode="identity")
     pre = precompute(data, n, mu, cfg.q_mode)
     proj = build_projector(data, n)
@@ -120,7 +120,7 @@ def test_precompute_rejects_bad_inputs(siso_model):
 def _record(n, m, p, seed):
     """150 samples of a ``random_system`` plant, exciting enough for mu = n."""
     model = random_system(np.random.default_rng(seed), n, m, p)
-    return collect_offline_data(model, 150, pe_order=3 * n + n + 1, seed=seed)
+    return collect_offline_data(model, 150, seed=seed)
 
 
 #: Schur-stable n=5 plants with poles below 0.33 seen through one output;
@@ -254,7 +254,7 @@ def test_thermal_precompute_factors_each_matrix_once(monkeypatch):
     cc = config.controller
     model, _ = config.plant.build()
     data = collect_offline_data(
-        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        model, config.offline.N,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
     real_factor, calls = linalg_module.factor, []
@@ -313,7 +313,7 @@ def test_residual_maps_equal_fresh_residuals(monkeypatch, n, m, p):
     rng = np.random.default_rng(70 + n)
     model = random_system(rng, n, m, p)
     order = 3 * n + n + 1                      # excitation order at mu = n
-    data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+    data = collect_offline_data(model, (m + 1) * order + 20, seed=n)
     _, logged, want, scale = _logged_and_fresh_residuals(monkeypatch, rng, model, data, n)
     assert len(logged) == 2 * 21
     assert logged[0::2].max() > 1e-11
@@ -329,7 +329,7 @@ def test_residuals_on_a_tall_record_take_the_whole_complement(monkeypatch):
     rng = np.random.default_rng(0)
     model = random_system(rng, n, m, p)
     order = 3 * n + n + 1
-    data = collect_offline_data(model, (m + 1) * order - 1, pe_order=order, seed=n)
+    data = collect_offline_data(model, (m + 1) * order - 1, seed=n)
     pre, logged, want, scale = _logged_and_fresh_residuals(monkeypatch, rng, model, data, n)
     for H, L in zip(coefficient_matrices(pre), (pre.left_null_alpha, pre.left_null_beta)):
         assert H.shape[0] > H.shape[1] and rank_by_svd(H) == 17
@@ -359,7 +359,7 @@ def test_complement_dimensions_on_the_benchmark_records(record, mu, dims):
         n, q_mode = 1, "identity"
         model = PlantModel([[0.5]], [[1.0]], [[1.0]], [[0.0]])
         offline = OfflineSpec(N=60, seed=3)
-    data = collect_offline_data(model, offline.N, pe_order=3 * n + mu + 1,
+    data = collect_offline_data(model, offline.N,
                                 input_box=(offline.input_low, offline.input_high),
                                 seed=offline.seed)
     pre = precompute(data, n, mu, q_mode)
@@ -395,7 +395,7 @@ def test_window_membership_is_bounded_by_the_alpha_residual(monkeypatch, plant):
         cc = config.controller
         model, x0 = config.plant.build()
         data = collect_offline_data(
-            model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+            model, config.offline.N,
             input_box=(config.offline.input_low, config.offline.input_high),
             seed=config.offline.seed)
         cost = config.cost.build(model.m, model.p)
@@ -403,7 +403,7 @@ def test_window_membership_is_bounded_by_the_alpha_residual(monkeypatch, plant):
         n, m, p = plant
         model = random_system(rng, n, m, p)
         order = 3 * n + n + 1                  # excitation order at mu = n
-        data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+        data = collect_offline_data(model, (m + 1) * order + 20, seed=n)
         cc = ControllerConfig(gamma=0.2, mu=n, n=n, q_mode="identity")
         cost = QuadraticTrackingCost(H=np.eye(m + p), target=rng.normal(size=m + p))
         x0 = rng.normal(size=n)
@@ -644,7 +644,7 @@ def test_gathers_match_a_tiled_assembly(monkeypatch, n, m, p):
     rng = np.random.default_rng(60 + n)
     model = random_system(rng, n, m, p)
     order = 3 * n + n + 1                      # excitation order at mu = n
-    data = collect_offline_data(model, (m + 1) * order + 20, pe_order=order, seed=n)
+    data = collect_offline_data(model, (m + 1) * order + 20, seed=n)
     ctrl = Controller(ControllerConfig(gamma=0.2, mu=n, n=n, q_mode="identity"), data)
     cost = QuadraticTrackingCost(H=np.eye(m + p), target=rng.normal(size=m + p))
     real_alpha_rhs, real_solve_beta = ctrl_module.alpha_rhs, ctrl_module.solve_beta
@@ -1080,8 +1080,7 @@ def _factor_arrays(ctrl):
 def _random_record(rng, N, m, p):
     """A random order-1 plant and its noise-free record, excited for n <= 2."""
     model = random_system(rng, 1, m, p)
-    return model, collect_offline_data(model, N, pe_order=9,
-                                       seed=int(rng.integers(2 ** 32)))
+    return model, collect_offline_data(model, N, seed=int(rng.integers(2 ** 32)))
 
 
 def test_equal_record_reuses_the_factors(monkeypatch, factor_cache, siso_data):
@@ -1189,8 +1188,7 @@ def test_factor_cache_is_bounded(monkeypatch, factor_cache):
     cfg = ControllerConfig(gamma=0.1, mu=4, n=3, q_mode="identity")
 
     def record(seed):
-        return collect_offline_data(model, 200, pe_order=3 * cfg.n + cfg.mu + 1,
-                                    seed=seed)
+        return collect_offline_data(model, 200, seed=seed)
 
     tracemalloc.start()
     try:

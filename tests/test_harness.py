@@ -297,7 +297,7 @@ def _side_by_side(config, steps, cost=None):
     model, x0, config_cost, cc, draw, _ = config.build()
     cost = config_cost if cost is None else cost
     data = collect_offline_data(
-        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        model, config.offline.N,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
     ctrl = Controller(cc, data)
@@ -680,34 +680,48 @@ def test_warm_run_matches_cold_run(monkeypatch, tmp_path, small_config,
 
 
 def test_repeated_recipe_collects_and_checks_its_record_once(
-        monkeypatch, tmp_path, small_config, record_cache, factor_cache):
-    # a second run on the same offline recipe reuses the checked record:
-    # no collection, no simulation of the record and no excitation check
+        monkeypatch, tmp_path, record_cache, factor_cache):
+    # the record's excitation is checked by its consumers only: a cold run
+    # checks it at 3n+mu+1 (precompute) and 2n+1 (build_projector); a warm
+    # run collects, simulates and checks nothing; a run at another mu
+    # shares the record and refactors it
     import ddcontrol.behavioral as behavioral_module
     import ddcontrol.controller as ctrl_module
     import ddcontrol.harness as harness_module
     import ddcontrol.plant as plant_module
     import ddcontrol.steady_state as ss_module
 
-    run_experiment(small_config, out_dir=tmp_path / "cold")
-    assert len(record_cache) == 1
+    config = ExperimentConfig.from_json(shipped_config_path())
+    config.horizon = 5
+    n, mu = config.controller.n, config.controller.mu
     calls = []
+    # persistency_check through the four module attributes the benchmark patches
     for module, name in ((harness_module, "collect_offline_data"),
                          (plant_module, "simulate"),
                          *[(mod, "persistency_check") for mod in (
                              behavioral_module, ctrl_module, ss_module, plant_module)]):
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
+            calls.append((_name, args[1]) if _name == "persistency_check" else _name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    run_experiment(small_config, out_dir=tmp_path / "warm")
+    run_experiment(config, out_dir=tmp_path / "cold")
+    assert calls == ["collect_offline_data", "simulate",
+                     ("persistency_check", 3 * n + mu + 1),
+                     ("persistency_check", 2 * n + 1)]
+    calls.clear()
+    run_experiment(config, out_dir=tmp_path / "warm")
     assert calls == []
     for name in ("trace.csv", "summary.csv"):
         assert (tmp_path / "warm" / name).read_bytes() \
             == (tmp_path / "cold" / name).read_bytes()
     # the noise seed is no part of the recipe
-    run_experiment(small_config, seed=small_config.noise.seed + 1)
-    assert calls == [] and len(record_cache) == 1
+    run_experiment(config, seed=config.noise.seed + 1, out_dir=tmp_path / "seed")
+    assert calls == []
+    # nor is mu: the thermal recipe at mu 10 and 30 is one record, two factors
+    run_experiment(config, mu=30, out_dir=tmp_path / "mu30")
+    assert calls == [("persistency_check", 3 * n + 30 + 1),
+                     ("persistency_check", 2 * n + 1)]
+    assert mu == 10 and len(record_cache) == 1 and len(factor_cache) == 2
 
 
 def test_record_key_covers_every_argument_and_offline_field(record_cache):
@@ -717,34 +731,32 @@ def test_record_key_covers_every_argument_and_offline_field(record_cache):
                   np.array([[1.0, 0.0]]), np.array([[0.0]]))
     model = PlantModel(A, B, C, D)
     spec = OfflineSpec(N=60, seed=3)
-    _offline_record(model, spec, pe_order=6)
+    _offline_record(model, spec)
     (_, recipe), = record_cache
     assert [name for name, _ in recipe] == [
         name for name in inspect.signature(collect_offline_data).parameters
         if name != "model"]
     variants = {
-        "A": (PlantModel(0.9 * A, B, C, D), spec, 6),
-        "B": (PlantModel(A, 1.1 * B, C, D), spec, 6),
-        "C": (PlantModel(A, B, 1.1 * C, D), spec, 6),
-        "D": (PlantModel(A, B, C, D + 0.1), spec, 6),
-        # a run's excitation order is 3n + mu + 1
-        "mu": (model, spec, 7),
-        **{f.name: (model, replace(spec, **{f.name: getattr(spec, f.name) + 1}), 6)
+        "A": (PlantModel(0.9 * A, B, C, D), spec),
+        "B": (PlantModel(A, 1.1 * B, C, D), spec),
+        "C": (PlantModel(A, B, 1.1 * C, D), spec),
+        "D": (PlantModel(A, B, C, D + 0.1), spec),
+        **{f.name: (model, replace(spec, **{f.name: getattr(spec, f.name) + 1}))
            for f in fields(OfflineSpec)},
     }
-    for name, (changed_model, changed, pe_order) in variants.items():
+    for name, (changed_model, changed) in variants.items():
         record_cache.clear()
         # the base recipe, rebuilt from equal values, hits
-        base = _offline_record(model, spec, pe_order=6)
-        assert _offline_record(PlantModel(A, B, C, D), replace(spec), 6) is base
-        assert _offline_record(changed_model, changed, pe_order) is not base, name
+        base = _offline_record(model, spec)
+        assert _offline_record(PlantModel(A, B, C, D), replace(spec)) is base
+        assert _offline_record(changed_model, changed) is not base, name
         assert len(record_cache) == 2, name
 
 
 def test_collection_stays_writable_beside_the_cached_record(record_cache, siso_model):
     # the cache's read-only policy is tested once, on the factor cache
-    record = _offline_record(siso_model, OfflineSpec(N=60, seed=3), pe_order=6)
-    fresh = collect_offline_data(siso_model, 60, pe_order=6, seed=3)
+    record = _offline_record(siso_model, OfflineSpec(N=60, seed=3))
+    fresh = collect_offline_data(siso_model, 60, seed=3)
     assert fresh.inputs.flags.writeable and fresh.outputs.flags.writeable
     np.testing.assert_array_equal(fresh.inputs, record.inputs)
     np.testing.assert_array_equal(fresh.outputs, record.outputs)

@@ -82,17 +82,47 @@ def test_every_export_has_a_caller_outside_tests():
     assert exported <= names | attributes, sorted(exported - names - attributes)
 
 
-def test_every_offline_field_has_a_reader_outside_tests():
-    # the offline factors hold what a run reads: each field of Precomputed
-    # and SteadyStateProjector is read as an attribute under src/, demos/ or
-    # perfbench/, so a matrix kept only for tests fails here. Short names
-    # (n, m, p, S, P) are read off other objects too, so this is a floor
-    from ddcontrol.controller import Precomputed
+def test_every_offline_field_has_a_reader_outside_tests(monkeypatch, tmp_path,
+                                                        factor_cache):
+    # the offline factors hold what a run reads: while a shipped day, a
+    # regularized start, demo-siso and demos 01-03 run, each field of
+    # Precomputed and SteadyStateProjector is read off an instance of that
+    # class by code under src/ or demos/, so a matrix kept only for tests
+    # fails here. The probe sits on each class, so a short name (n, m, p,
+    # S, P) read off another object does not count, and nor do the reads of
+    # the cache's freeze, which walks every field
+    import runpy
+
+    from ddcontrol.controller import Precomputed, _freeze
+    from ddcontrol.harness import (ExperimentConfig, demo_siso_config, run_experiment,
+                                   shipped_config_path)
     from ddcontrol.steady_state import SteadyStateProjector
 
-    _, attributes = _read_outside_tests()
-    for cls in (Precomputed, SteadyStateProjector):
-        unread = {f.name for f in fields(cls)} - attributes
+    reads = {Precomputed: set(), SteadyStateProjector: set()}
+    for cls, seen in reads.items():
+        def probe(self, name, _seen=seen, _real=cls.__getattribute__):
+            caller = sys._getframe(1).f_code
+            if caller is not _freeze.__code__:
+                _seen.add((name, caller.co_filename))
+            return _real(self, name)
+        monkeypatch.setattr(cls, "__getattribute__", probe)
+
+    day = ExperimentConfig.from_json(shipped_config_path())
+    day.horizon = 20
+    run_experiment(day, out_dir=tmp_path / "day")
+    regularized = demo_siso_config()
+    regularized.controller.init_mode, regularized.horizon = "regularized", 20
+    run_experiment(regularized, out_dir=tmp_path / "regularized")
+    run_experiment(demo_siso_config(), out_dir=tmp_path / "siso")
+    monkeypatch.chdir(tmp_path)
+    for demo in sorted((ROOT / "demos").glob("0[1-3]_*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+
+    readers = (SRC, ROOT / "demos")
+    for cls, seen in reads.items():
+        read = {name for name, path in seen
+                if any(Path(path).resolve().is_relative_to(r) for r in readers)}
+        unread = {f.name for f in fields(cls)} - read
         assert not unread, f"{cls.__name__}: {sorted(unread)}"
 
 

@@ -77,7 +77,7 @@ def offline_matrices() -> dict:
     cc = config.controller
     model, _ = config.plant.build()
     data = collect_offline_data(
-        model, config.offline.N, pe_order=3 * cc.n + cc.mu + 1,
+        model, config.offline.N,
         input_box=(config.offline.input_low, config.offline.input_high),
         seed=config.offline.seed)
     H_alpha, H_beta = coefficient_matrices(precompute(data, cc.n, cc.mu, cc.q_mode))

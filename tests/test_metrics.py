@@ -23,7 +23,6 @@ def make_record(cost_vals, opt_vals, dim_u=1, dim_y=1, **overrides):
         zeta=np.zeros((T1, dim_u + dim_y)),
         cost=np.asarray(cost_vals, dtype=float),
         opt_cost=np.asarray(opt_vals, dtype=float),
-        z_s_init=np.zeros(dim_u + dim_y),
         e_true=np.zeros((T1, dim_y)),
         g_norm=np.zeros(T1),
         alpha_residual=np.zeros(T1),
@@ -78,14 +77,16 @@ def test_regret_can_be_transiently_negative(siso_data):
 # ---------------------------------------------------------------- path length
 
 def test_path_length_constant_series():
-    zeta = np.tile([1.0, 2.0], (5, 1))
-    assert path_length(zeta, np.array([1.0, 2.0])) == 0.0
+    # a run starts at z_s = 0, so only the first point's distance from it counts
+    zeta = np.tile([3.0, 4.0], (5, 1))
+    assert path_length(zeta) == 5.0
+    assert path_length(np.zeros((5, 2))) == 0.0
 
 
 def test_path_length_single_switch():
     a, b = np.array([0.0, 1.0]), np.array([3.0, 5.0])
     zeta = np.vstack([np.tile(a, (4, 1)), np.tile(b, (6, 1))])
-    assert_allclose(path_length(zeta, a), np.linalg.norm(b - a))
+    assert_allclose(path_length(zeta), 1.0 + np.linalg.norm(b - a))
 
 
 def test_path_length_random_switches_sum_of_jumps():
@@ -95,7 +96,7 @@ def test_path_length_random_switches_sum_of_jumps():
     zeta = np.vstack([np.tile(p, (r, 1)) for p, r in zip(points, reps)])
     expected = sum(np.linalg.norm(points[k + 1] - points[k]) for k in range(5))
     expected += np.linalg.norm(points[0] - np.zeros(3))
-    assert_allclose(path_length(zeta, np.zeros(3)), expected, atol=1e-12)
+    assert_allclose(path_length(zeta), expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------- noise error
@@ -224,7 +225,7 @@ def test_regret_grows_affinely_with_path_length():
         record, _ = run_experiment(config, cost=cost)
         total, _ = regret(record)
         regrets.append(total)
-        lengths.append(path_length(record.zeta, record.z_s_init))
+        lengths.append(path_length(record.zeta))
     regrets, lengths = np.array(regrets), np.array(lengths)
     slope, intercept = np.polyfit(lengths, regrets, 1)
     assert np.isfinite(slope) and slope > 0

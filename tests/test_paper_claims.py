@@ -99,7 +99,7 @@ def test_regret_is_proportional_to_path_length():
         cost = SwitchingQuadraticCost(np.diag([2.0, 1.0]), targets, times)
         record, _ = run_experiment(_scalar_config(2000, noise), cost=cost)
         total, _ = regret(record)
-        ratios.append(total / path_length(record.zeta, record.z_s_init))
+        ratios.append(total / path_length(record.zeta))
     assert all(4.0 <= r <= 4.25 for r in ratios), ratios
 
 

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from ddcontrol.behavioral import Trajectory, membership_residual, persistency_check
-from ddcontrol.errors import PersistencyError
 from ddcontrol.plant import (NoiseModel, PlantModel, ThermalZoneParams,
                              build_hvac, collect_offline_data, simulate, step,
                              thermal_coupling_matrices)
@@ -73,26 +72,16 @@ def test_superposition(siso_model):
 # ---------------------------------------------------------------- offline data
 
 def test_collect_offline_data_excitation(siso_model):
-    data = collect_offline_data(siso_model, 50, pe_order=6, seed=0)
+    data = collect_offline_data(siso_model, 50, seed=0)
     assert persistency_check(data.inputs, 6)
     # any window of the data is trivially a member of itself
     window = Trajectory(data.inputs[10:18], data.outputs[10:18])
     assert membership_residual(data, window) <= 1e-10
 
 
-def test_collect_offline_data_zero_width_box(siso_model):
-    with pytest.raises(PersistencyError, match="not persistently exciting"):
-        collect_offline_data(siso_model, 50, pe_order=6, input_box=(0.5, 0.5))
-
-
-def test_collect_offline_data_too_short(siso_model):
-    with pytest.raises(ValueError, match="too short"):
-        collect_offline_data(siso_model, 8, pe_order=6)
-
-
 def test_collect_offline_data_is_seeded(siso_model):
-    a = collect_offline_data(siso_model, 50, pe_order=6, seed=9)
-    b = collect_offline_data(siso_model, 50, pe_order=6, seed=9)
+    a = collect_offline_data(siso_model, 50, seed=9)
+    b = collect_offline_data(siso_model, 50, seed=9)
     assert_allclose(a.inputs, b.inputs)
     assert_allclose(a.outputs, b.outputs)
 

@@ -91,7 +91,6 @@ def random_plants():
         p = int(rng.integers(1, 3))
         model = random_system(rng, n, m, p)
         data = collect_offline_data(model, 30 * (m + 1) + 40,
-                                    pe_order=2 * n + 1,
                                     seed=int(rng.integers(10 ** 6)))
         plants.append((model, data))
     return plants
@@ -128,7 +127,7 @@ def test_steady_state_dimension_on_poorly_observable_plants():
     dims = []
     for seed in (889143, 969146):
         model = random_system(np.random.default_rng(seed), 5, 2, 1)
-        data = collect_offline_data(model, 150, pe_order=3 * 5 + 5 + 1, seed=seed)
+        data = collect_offline_data(model, 150, seed=seed)
         dims.append(build_projector(data, model.n).dim)
     assert dims == [2, 2]
 
@@ -143,7 +142,7 @@ def test_steady_state_dimension_is_input_dimension_across_shapes():
         n, m, p = (int(k) for k in rng.integers(1, [6, 4, 4]))
         model = random_system(rng, n, m, p)
         order = 4 * n + 1
-        data = collect_offline_data(model, (m + 1) * order + 10, pe_order=order,
+        data = collect_offline_data(model, (m + 1) * order + 10,
                                     seed=int(rng.integers(10 ** 6)))
         assert build_projector(data, n).dim == m, (n, m, p)
         shapes.append((n, m, p))
