@@ -2,9 +2,9 @@
 
 Costs are revealed to the controller with a one-step delay, so every cost
 object is indexed by time. All shipped families are smooth and strongly
-convex with known moduli (alpha_z, l_z); quadratics additionally expose
-their Hessian/linear terms so steady-state optimization can solve them in
-closed form.
+convex with known moduli (alpha_z, l_z), and each exposes the array
+form the steady-state oracle solves: quadratic terms, or quadratic terms
+plus a softplus term.
 """
 
 import bisect
@@ -19,7 +19,7 @@ class CostFunction:
     Subclasses must set ``alpha_z`` (strong convexity) and ``l_z``
     (smoothness) with 0 < alpha_z <= l_z, and implement ``eval`` and
     ``grad``. The regret oracle reads a cost over a 1-D array of times
-    through three array forms, which a cost may override:
+    through these array forms, and solves one that gives either terms form:
 
     - ``run_starts(times)``: the positions in ``times`` where a run of
       equal cost parameters starts. Times in one run must give equal
@@ -29,7 +29,10 @@ class CostFunction:
       L_t(z) = 0.5 z'Hz + g'z plus a constant at each time, shapes
       (k, d, d) and (k, d), which the oracle solves in closed form; the
       constant moves no minimizer, so it is not returned. The default,
-      None, says the cost is not quadratic, and the oracle iterates.
+      None, says the cost is not quadratic.
+    - ``stacked_softplus_terms(times)``: ``(H, g, a, c)``, shaped as the
+      quadratic terms plus (k, d) and (k,), for the quadratic plus
+      c log(1 + exp(a'z)). The default, None, says there is no such form.
     - ``stacked_eval(times, points)``: ``eval`` at each time and the
       matching row of ``points``; the default loops ``eval``.
     """
@@ -48,6 +51,8 @@ class CostFunction:
 
     def stacked_quadratic_terms(self, times: np.ndarray):
         return None
+
+    stacked_softplus_terms = stacked_quadratic_terms
 
     def stacked_eval(self, times: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.array([self.eval(t, z) for t, z in zip(map(int, times), points)],
@@ -99,8 +104,8 @@ class QuadraticTrackingCost(CostFunction):
         return self.H.dot(z - self.target)
 
     def run_starts(self, times: np.ndarray) -> np.ndarray:
-        # a static cost is one run
-        return np.zeros(1, dtype=np.intp)
+        # a static cost is one run, and no times are none
+        return np.zeros(min(len(times), 1), dtype=np.intp)
 
     def stacked_quadratic_terms(self, times: np.ndarray):
         # np.repeat copies H, so a caller that edits it cannot alter the cost
@@ -120,8 +125,8 @@ class QuadraticSoftplusCost(CostFunction):
     """Quadratic plus a softplus term: smooth, strongly convex, not quadratic.
 
     L(z) = 0.5 (z - target)' H (z - target) + c * log(1 + exp(a'z)).
-    Exercises the iterative steady-state solver; moduli follow from the
-    Hessian bounds H <= H + c/4 * a a'.
+    The oracle solves it through ``stacked_softplus_terms``; moduli follow
+    from the Hessian bounds H <= H + c/4 * a a'.
     """
 
     H: np.ndarray
@@ -153,6 +158,10 @@ class QuadraticSoftplusCost(CostFunction):
         return self.H.dot(z - self.target) + self.c * s * self.a
 
     run_starts = QuadraticTrackingCost.run_starts
+
+    def stacked_softplus_terms(self, times: np.ndarray):
+        H, g = QuadraticTrackingCost.stacked_quadratic_terms(self, times)
+        return H, g, np.repeat(self.a[None], len(times), axis=0), np.full(len(times), self.c)
 
 
 @dataclass(frozen=True)

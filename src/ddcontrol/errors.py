@@ -16,4 +16,4 @@ class FeasibilityError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solve exceeded its iteration cap."""
+    """The regret oracle cannot solve a cost in floating point."""

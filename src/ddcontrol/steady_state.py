@@ -9,20 +9,14 @@ controller's gradient step projects through, and minimizing a cost over
 null(S) gives the reference point regret is measured against.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .behavioral import Trajectory, build_hankel, persistency_check
+from .costs import _logistic
 from .errors import NonConvergenceError, PersistencyError
-
-#: stop threshold on the projected gradient norm for the iterative solver
-_GRAD_TOL = 1e-10
-_MAX_ITERS = 10 ** 6
-#: iterations between the projected gradient solver's checks of its rate
-_PROBE = 128
 
 
 @dataclass(frozen=True)
@@ -113,62 +107,44 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     splits the times into runs of equal parameters, and each run shares one
     solve, so a sequence gives ``(starts, zeta)``: the position in ``t``
     where each run starts, and one minimizer row per run. One time is the
-    length-one case of the same computation. A cost whose
-    ``stacked_quadratic_terms`` gives terms ``(H, g)`` is reduced to the
-    normal equations B'HB w = -B'g in the null-space basis B, all formed by
-    stacked products and solved in one batched call; B'HB >= alpha_z I, so
-    every system is nonsingular. Any other cost falls back to projected
-    gradient iteration driven to a projected-gradient norm of 1e-10, once
-    per run; that solver raises ``NonConvergenceError`` at the first non-finite
-    projected gradient or update too small to move the iterate (l_z = inf),
-    and when the rate measured over its last ``_PROBE`` iterations cannot
-    reach the tolerance within its cap.
+    length-one case of the same computation. In the null-space basis B, a
+    cost's ``stacked_quadratic_terms`` (H, g) give the normal equations
+    B'HB w = -B'g, formed by stacked products and solved in one batched
+    call; B'HB >= alpha_z I, so every system is nonsingular. Its
+    ``stacked_softplus_terms`` (H, g, a, c) add B'a as a second column,
+    which leaves one scalar equation per run; one that overflows raises
+    ``NonConvergenceError``, and a cost with neither form ``ValueError``.
     """
     times = np.atleast_1d(t)
     starts = cost.run_starts(times)
     run_times = times[starts]
-    terms = cost.stacked_quadratic_terms(run_times)
-    B = proj.basis
+    terms = cost.stacked_quadratic_terms(run_times) or cost.stacked_softplus_terms(run_times)
     if terms is None:
-        zeta = np.empty((len(starts), proj.m + proj.p))
-        for r, ti in enumerate(map(int, run_times)):
-            zeta[r] = _projected_gradient(proj, cost, ti)
-    else:
-        # every product is one per run, so a run's row does not depend
-        # on how many others share the call
-        H, g = terms
-        w = np.linalg.solve(B.T @ H @ B, -(B.T @ g[..., None]))
-        zeta = (B @ w)[..., 0]
+        raise ValueError(f"{type(cost).__name__} gives neither stacked_quadratic_terms "
+                         "nor stacked_softplus_terms, the two forms the oracle solves")
+    H, g, *softplus = terms
+    B = proj.basis
+    # every product is one per run, so a run's row does not depend
+    # on how many others share the call
+    rhs = -(B.T @ g[..., None])
+    if softplus:
+        a, c = softplus
+        rhs = np.concatenate([rhs, B.T @ a[..., None]], axis=-1)
+    w = np.linalg.solve(B.T @ H @ B, rhs)
+    if softplus:
+        # w = [w0 v]. Stationarity in s = a'Bw is phi(s) = s + ck sigma(s) - s0
+        # = 0, with s0 = a'Bw0, k = a'Bv >= 0 and phi' >= 1: its root lies in
+        # [s0 - ck, s0], bisected to the last bit (at most ~2100 halvings)
+        s0, k = (rhs[..., 1:] * w).sum(axis=-2).T
+        lo, hi = s0 - c * k, s0
+        if not np.isfinite(lo).all():      # lo is finite only if s0 and ck are
+            raise NonConvergenceError(f"the softplus bracket [s0 - ck, s0] = [{lo}, {hi}] "
+                                      "is not finite: the cost's parameters overflow it")
+        mid = 0.5 * lo + 0.5 * hi
+        while not ((mid == lo) | (mid == hi)).all():
+            below = mid + c * k * _logistic(mid) < s0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            mid = 0.5 * lo + 0.5 * hi
+        w = w[..., :1] - (c * _logistic(mid))[:, None, None] * w[..., 1:]
+    zeta = (B @ w)[..., 0]
     return (starts, zeta) if np.ndim(t) else zeta[0]
-
-
-def _projected_gradient(proj: SteadyStateProjector, cost, t: int) -> np.ndarray:
-    if cost.alpha_z <= 0:
-        raise ValueError("iterative steady-state solve needs a strongly convex cost")
-    step = 2.0 / (cost.alpha_z + cost.l_z)
-    z = np.zeros(proj.m + proj.p)
-    for k in range(_MAX_ITERS):
-        grad = cost.grad(t, z)
-        norm = np.linalg.norm(proj.P @ grad)
-        if norm <= _GRAD_TOL:
-            return z
-        if not math.isfinite(norm):
-            raise NonConvergenceError(
-                f"projected gradient norm is {norm} at iteration {k}: the "
-                "cost's parameters overflow its gradient")
-        if np.array_equal(z_next := proj.P @ (z - step * grad), z):
-            raise NonConvergenceError(f"step 2/(alpha_z + l_z) = {step:.3g} with l_z = "
-                                      f"{cost.l_z:.3g} cannot move the iterate at iteration {k}")
-        if k % _PROBE == 0:
-            # the rate since the last check, held to the cap (a quadratic's only slows)
-            if k and ((_MAX_ITERS - k) * math.log(norm / probed)
-                      > _PROBE * math.log(_GRAD_TOL / norm)):
-                raise NonConvergenceError(
-                    f"l_z/alpha_z = {cost.l_z / cost.alpha_z:.3g}: the rate of iterations "
-                    f"{k - _PROBE}-{k} cannot reach {_GRAD_TOL} within {_MAX_ITERS} iterations")
-            probed = norm
-        z = z_next
-    raise NonConvergenceError(
-        f"projected gradient did not reach tolerance {_GRAD_TOL} "
-        f"within {_MAX_ITERS} iterations"
-    )

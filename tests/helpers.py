@@ -147,6 +147,41 @@ def model_steady_state(model, u_s):
     return np.concatenate([u_s, model.C @ x + model.D @ u_s])
 
 
+def steady_state_constraint(model):
+    """E with {z : E z = 0} the model's equilibria: y = G u, G the DC gain."""
+    gain = model.C @ np.linalg.solve(np.eye(model.n) - model.A, model.B) + model.D
+    return np.hstack([gain, -np.eye(model.p)])
+
+
+def softplus_kkt_reference(cost, E):
+    """Minimizer of a ``QuadraticSoftplusCost`` subject to E z = 0.
+
+    Feasible-start Newton's method on the KKT system (Boyd & Vandenberghe,
+    "Convex Optimization", §10.2), from z = 0 with a backtracking line
+    search; once the Newton decrement is below 1e-8, three full steps
+    finish in the quadratically convergent phase.
+    """
+    d, r = cost.target.size, E.shape[0]
+    z, full_steps = np.zeros(d), 0
+    for _ in range(200):
+        value, grad = reference_cost(cost, 0, z)
+        s = _logistic(cost.a @ z)
+        hess = cost.H + cost.c * s * (1 - s) * np.outer(cost.a, cost.a)
+        kkt = np.block([[hess, E.T], [E, np.zeros((r, r))]])
+        dz = np.linalg.solve(kkt, np.concatenate([-grad, np.zeros(r)]))[:d]
+        decrement = -grad @ dz
+        t = 1.0
+        if decrement <= 1e-8:
+            if full_steps == 3:
+                return z
+            full_steps += 1
+        else:
+            while reference_cost(cost, 0, z + t * dz)[0] > value - t * decrement / 4:
+                t /= 2
+        z = z + t * dz
+    raise AssertionError("the Newton reference did not converge in 200 steps")
+
+
 def random_system(rng: np.random.Generator, n: int, m: int, p: int) -> PlantModel:
     """Random Schur-stable, controllable, observable system for experiments.
 

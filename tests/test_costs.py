@@ -274,11 +274,12 @@ def test_scalar_schedule_stacked_eval_is_eval_bit_for_bit():
 
 
 def test_default_array_forms_make_every_time_its_own_run():
-    # a cost that states no runs and no terms is solved once per time,
-    # by the iterative oracle
+    # a cost that states no runs is solved once per time, and one that
+    # states neither terms form is refused by the oracle
     times = np.array([3, 4, 4, 9])
     np.testing.assert_array_equal(CostFunction().run_starts(times), np.arange(4))
     assert CostFunction().stacked_quadratic_terms(times) is None
+    assert CostFunction().stacked_softplus_terms(times) is None
 
 
 @pytest.mark.parametrize("make, starts, quadratic", [
@@ -290,19 +291,28 @@ def test_default_array_forms_make_every_time_its_own_run():
                                    a=np.array([1.0, -1.0])), [0], False),
 ], ids=["tracking", "switching", "softplus"])
 def test_other_costs_array_forms_equal_scalar_forms(make, starts, quadratic):
-    # a static cost is one run, and a switching cost one run per target;
-    # the quadratic terms give eval, up to its value at 0, and grad at every time
+    # a static cost is one run, and a switching cost one run per target, and
+    # none over no times; the terms, quadratic or softplus, give eval, up to
+    # its value at 0, and grad at every time
     cost = make()
     times = np.arange(120)
     np.testing.assert_array_equal(cost.run_starts(times), starts)
+    assert cost.run_starts(times[:0]).size == 0
     points = np.random.default_rng(7).normal(size=(120, 2))
     terms = cost.stacked_quadratic_terms(times)
-    assert (terms is not None) == quadratic
-    if quadratic:
-        for t, z, H, g in zip(times, points, *terms):
-            c = cost.eval(int(t), np.zeros(2))
-            assert_allclose(0.5 * z @ H @ z + g @ z + c, cost.eval(int(t), z), rtol=1e-12)
-            assert_allclose(H @ z + g, cost.grad(int(t), z), rtol=1e-12, atol=1e-12)
+    softplus = cost.stacked_softplus_terms(times)
+    assert (terms is not None) == quadratic == (softplus is None)
+    if not quadratic:
+        terms = softplus
+    for t, z, H, g, *a_c in zip(times, points, *terms):
+        value, grad = 0.5 * z @ H @ z + g @ z, H @ z + g
+        if a_c:
+            a, c = a_c
+            value, grad = (value + c * (np.logaddexp(0.0, a @ z) - np.log(2.0)),
+                           grad + c * _logistic(a @ z) * a)
+        assert_allclose(value + cost.eval(int(t), np.zeros(2)), cost.eval(int(t), z),
+                        rtol=1e-12)
+        assert_allclose(grad, cost.grad(int(t), z), rtol=1e-12, atol=1e-12)
     assert type(cost).stacked_eval is CostFunction.stacked_eval
     np.testing.assert_array_equal(
         cost.stacked_eval(times, points),

@@ -819,11 +819,25 @@ def test_cli_names_the_step_of_a_diverged_run(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("fail_at", [0, 1, 25])
+def _static_cost(kind: str, **changes) -> dict:
+    """A ``quadratic`` or ``softplus`` cost section for demo-siso's z = (u, y)."""
+    params = {"H": [[1.0, 0.0], [0.0, 1.0]], "target": [0.5, 1.0]}
+    if kind == "softplus":
+        params.update(a=[1.0, -1.0], c=0.5)
+    return {"type": kind, "params": {**params, **changes}}
+
+
+@pytest.mark.parametrize("cost, fail_at", [
+    (None, 0), (None, 1), (None, 25),
+    ("quadratic", 0), ("quadratic", 25), ("softplus", 0), ("softplus", 25),
+], ids=["0", "1", "25", "quadratic-0", "quadratic-25", "softplus-0", "softplus-25"])
 def test_failed_run_leaves_the_rows_of_the_completed_steps(
-        tmp_path, small_config, monkeypatch, fail_at):
+        tmp_path, small_config, monkeypatch, cost, fail_at):
     # the trace of a run that fails at step t is the first t rows of the
-    # trace the run would have written, opt_cost and the last e_hat included
+    # trace the run would have written, opt_cost and the last e_hat included;
+    # a static cost gives no run of the oracle when no step completed
+    if cost is not None:
+        small_config.cost = CostSpec(**_static_cost(cost))
     run_experiment(small_config, out_dir=tmp_path / "full")
     real_step = Controller.step
 
@@ -844,10 +858,10 @@ def test_failed_run_leaves_the_rows_of_the_completed_steps(
 
 
 def test_failed_run_whose_oracle_fails_too_raises_the_step_error(tmp_path):
-    # a softplus c of 1e300 overflows the steering target at step 1 and the
-    # oracle's gradient alike: the run raises the step's error, and its
-    # trace shows the optimum the oracle could not find as nan
-    params = {"H": [[1, 0], [0, 1]], "target": [0.5, 1.0], "a": [1.0, -1.0], "c": 1e300}
+    # a softplus a entry of 1e300 overflows the steering target at step 1
+    # and the oracle's bracket alike: the run raises the step's error, and
+    # its trace shows the optimum the oracle could not find as nan
+    params = {"H": [[1, 0], [0, 1]], "target": [0.5, 1.0], "a": [1e300, -1.0], "c": 1.0}
     cfg = replace(demo_siso_config(), horizon=30,
                   cost=CostSpec(type="softplus", params=params))
     with warnings.catch_warnings(), np.errstate(all="ignore"):
@@ -1059,14 +1073,6 @@ def test_cli_rejects_non_finite_cost_segment(tmp_path, capsys, field, value):
                                  "segment weights and setpoint must be finite")
 
 
-def _static_cost(kind: str, **changes) -> dict:
-    """A ``quadratic`` or ``softplus`` cost section for demo-siso's z = (u, y)."""
-    params = {"H": [[1.0, 0.0], [0.0, 1.0]], "target": [0.5, 1.0]}
-    if kind == "softplus":
-        params.update(a=[1.0, -1.0], c=0.5)
-    return {"type": kind, "params": {**params, **changes}}
-
-
 @pytest.mark.parametrize("edits, message", [
     ({("plant", "B"): [[INF]]}, "A, B, C and D must be finite"),
     ({("plant", "D"): [[NAN]]}, "A, B, C and D must be finite"),
@@ -1100,17 +1106,16 @@ def test_cli_rejects_bad_plant_matrices_and_cost_parameters(tmp_path, capsys, ed
 
 
 def test_cli_runs_a_softplus_cost_through_the_iterative_oracle(tmp_path, monkeypatch):
-    # the one shipped cost that is not quadratic has no closed-form steady
-    # state, so a config that names it reaches the projected-gradient oracle
-    import ddcontrol.steady_state as ss_module
+    # the one shipped cost that is not quadratic gives no quadratic terms,
+    # so a config that names it reaches the oracle's softplus branch
+    calls, real = [], QuadraticSoftplusCost.stacked_softplus_terms
 
-    calls, real = [], ss_module._projected_gradient
+    def counting_softplus_terms(self, times):
+        calls.append(times.tolist())
+        return real(self, times)
 
-    def counting_projected_gradient(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(ss_module, "_projected_gradient", counting_projected_gradient)
+    monkeypatch.setattr(QuadraticSoftplusCost, "stacked_softplus_terms",
+                        counting_softplus_terms)
     spec = asdict(demo_siso_config())
     spec["cost"] = _static_cost("softplus")
     path = tmp_path / "conf.json"
@@ -1119,7 +1124,7 @@ def test_cli_runs_a_softplus_cost_through_the_iterative_oracle(tmp_path, monkeyp
     with open(tmp_path / "out" / "summary.csv", newline="") as fh:
         (summary,) = csv.DictReader(fh)
     assert np.isfinite([float(v) for v in summary.values()]).all(), summary
-    assert calls == [0]         # a static cost is one run of equal parameters
+    assert calls == [[0]]       # a static cost is one run of equal parameters
 
 
 def _edited(spec: dict, edits: dict) -> dict:

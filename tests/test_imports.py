@@ -127,9 +127,9 @@ def test_every_offline_field_has_a_reader_outside_tests(monkeypatch, tmp_path,
 
 
 def test_no_class_defines_the_scalar_oracle_forms():
-    # the oracle reads run_starts and stacked_quadratic_terms only, so a
+    # the oracle reads run_starts and the stacked terms forms only, so a
     # cost written to the scalar params_key and quadratic_terms of old
-    # would silently be solved once per time by the iterative oracle
+    # would be refused by the oracle instead of solved
     old = {"params_key", "quadratic_terms"}
     for folder in (SRC, ROOT / "demos", ROOT / "tests"):
         for path in sorted(folder.rglob("*.py")):
