@@ -279,10 +279,9 @@ def test_softplus_oracle_is_exact_on_random_plants(random_plants):
 
 @pytest.mark.parametrize("field", ["target", "a", "c"])
 def test_iterative_oracle_stops_at_an_overflowing_gradient(siso_proj, field):
-    # a 1e300 entry in any softplus parameter overflows the gradient at the
-    # origin. The scalar equation still has a finite bracket for a 1e300
-    # target or c, so those give finite minimizers; an a of 1e300 makes
-    # the bracket's a'Bv overflow, and the oracle refuses it at once
+    # a 1e300 entry in a softplus parameter: the scalar equation's bracket
+    # stays finite for a 1e300 target or c, so those give finite minimizers;
+    # an a of 1e300 makes k = a'Bv overflow, and the oracle refuses it at once
     params = dict(H=np.diag([3.0, 1.0]), target=np.array([0.3, 1.2]),
                   a=np.array([0.5, -0.4]), c=2.0)
     params[field] = 1e300 if field == "c" else np.array([1e300, 0.0])
