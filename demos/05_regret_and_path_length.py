@@ -17,7 +17,7 @@ from ddcontrol.costs import CostFunction
 class SwitchingCost(CostFunction):
     """Quadratic with a target that jumps at fixed times.
 
-    It writes the oracle's runs and terms, so each run is solved once.
+    It writes the oracle's terms, so the regret oracle can solve it.
     """
 
     def __init__(self, H, targets, times):
@@ -37,12 +37,11 @@ class SwitchingCost(CostFunction):
     def grad(self, t, z):
         return self.H @ (z - self.targets[self._segment(t)])
 
-    def run_starts(self, times):
-        return np.flatnonzero(np.diff(self._segment(times), prepend=-1))
-
-    def stacked_quadratic_terms(self, times):
-        x = self.targets[self._segment(times)]
-        return np.repeat(self.H[None], len(x), axis=0), -(x @ self.H)    # H is symmetric
+    def stacked_terms(self, times):
+        # each target's g is formed once, so a time's row does not depend on
+        # the other times; H is symmetric
+        k = self._segment(times)
+        return np.repeat(self.H[None], len(k), axis=0), -(self.targets @ self.H)[k]
 
 
 base = dict(

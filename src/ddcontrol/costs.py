@@ -17,22 +17,16 @@ class CostFunction:
     """Base interface: value, gradient, convexity moduli and the oracle's forms.
 
     Subclasses must set ``alpha_z`` (strong convexity) and ``l_z``
-    (smoothness) with 0 < alpha_z <= l_z, and implement ``eval`` and
+    (smoothness) with 0 < alpha_z <= l_z < inf, and implement ``eval`` and
     ``grad``. The regret oracle reads a cost over a 1-D array of times
-    through these array forms, and solves one that gives either terms form:
+    through two array forms, one row per time:
 
-    - ``run_starts(times)``: the positions in ``times`` where a run of
-      equal cost parameters starts. Times in one run must give equal
-      values and gradients: the oracle solves each run once and evaluates
-      its cost once. The default makes every time its own run.
-    - ``stacked_quadratic_terms(times)``: ``(H, g)`` with
-      L_t(z) = 0.5 z'Hz + g'z plus a constant at each time, shapes
-      (k, d, d) and (k, d), which the oracle solves in closed form; the
-      constant moves no minimizer, so it is not returned. The default,
-      None, says the cost is not quadratic.
-    - ``stacked_softplus_terms(times)``: ``(H, g, a, c)``, shaped as the
-      quadratic terms plus (k, d) and (k,), for the quadratic plus
-      c log(1 + exp(a'z)). The default, None, says there is no such form.
+    - ``stacked_terms(times)``: ``(H, g)`` with L_t(z) = 0.5 z'Hz + g'z plus
+      a constant at each time, shapes (k, d, d) and (k, d); or
+      ``(H, g, a, c)``, shaped as those plus (k, d) and (k,), for that
+      quadratic plus c log(1 + exp(a'z)). The constant moves no minimizer,
+      so it is not returned. The default, None, says the cost gives
+      neither, and the oracle refuses it.
     - ``stacked_eval(times, points)``: ``eval`` at each time and the
       matching row of ``points``; the default loops ``eval``.
     """
@@ -46,13 +40,8 @@ class CostFunction:
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def run_starts(self, times: np.ndarray) -> np.ndarray:
-        return np.arange(len(times))
-
-    def stacked_quadratic_terms(self, times: np.ndarray):
+    def stacked_terms(self, times: np.ndarray):
         return None
-
-    stacked_softplus_terms = stacked_quadratic_terms
 
     def stacked_eval(self, times: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.array([self.eval(t, z) for t, z in zip(map(int, times), points)],
@@ -65,9 +54,9 @@ class CostFunction:
                 raise ValueError(f"cost parameter {name} must be finite")
 
     def _check_moduli(self):
-        if not (0.0 < self.alpha_z <= self.l_z):
+        if not (0.0 < self.alpha_z <= self.l_z < np.inf):
             raise ValueError(
-                f"need 0 < alpha_z <= l_z, got alpha_z={self.alpha_z}, l_z={self.l_z}"
+                f"need 0 < alpha_z <= l_z < inf, got alpha_z={self.alpha_z}, l_z={self.l_z}"
             )
 
 
@@ -103,11 +92,7 @@ class QuadraticTrackingCost(CostFunction):
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
         return self.H.dot(z - self.target)
 
-    def run_starts(self, times: np.ndarray) -> np.ndarray:
-        # a static cost is one run, and no times are none
-        return np.zeros(min(len(times), 1), dtype=np.intp)
-
-    def stacked_quadratic_terms(self, times: np.ndarray):
+    def stacked_terms(self, times: np.ndarray):
         # np.repeat copies H, so a caller that edits it cannot alter the cost
         k = len(times)
         return (np.repeat(self.H[None], k, axis=0),
@@ -121,47 +106,40 @@ def _logistic(x):
 
 
 @dataclass
-class QuadraticSoftplusCost(CostFunction):
+class QuadraticSoftplusCost(QuadraticTrackingCost):
     """Quadratic plus a softplus term: smooth, strongly convex, not quadratic.
 
     L(z) = 0.5 (z - target)' H (z - target) + c * log(1 + exp(a'z)).
-    The oracle solves it through ``stacked_softplus_terms``; moduli follow
-    from the Hessian bounds H <= H + c/4 * a a'.
+    Each form extends the tracking cost's; moduli follow from the Hessian
+    bounds H <= H + c/4 * a a'.
     """
 
-    H: np.ndarray
-    target: np.ndarray
     a: np.ndarray
     c: float = 1.0
 
     def __post_init__(self):
-        # the quadratic part is a tracking cost, checked as one
-        quadratic = QuadraticTrackingCost(self.H, self.target)
-        self.H, self.target = quadratic.H, quadratic.target
+        super().__post_init__()
         self.a = np.asarray(self.a, dtype=float)
         self._check_finite("a", "c")
         if self.a.shape != self.target.shape:
             raise ValueError("a must match the target dimension")
         if self.c < 0:
             raise ValueError("softplus weight must be nonnegative")
-        self.alpha_z = quadratic.alpha_z
-        self.l_z = float(quadratic.l_z + 0.25 * self.c * self.a @ self.a)
+        # |a|^2 can overflow, and the moduli check refuses the inf it gives
+        with np.errstate(over="ignore"):
+            self.l_z = float(self.l_z + 0.25 * self.c * self.a @ self.a)
         self._check_moduli()
 
     def eval(self, t: int, z: np.ndarray) -> float:
-        d = z - self.target
-        return (0.5 * float(d.dot(self.H).dot(d))
-                + self.c * float(np.logaddexp(0.0, self.a.dot(z))))
+        return super().eval(t, z) + self.c * float(np.logaddexp(0.0, self.a.dot(z)))
 
     def grad(self, t: int, z: np.ndarray) -> np.ndarray:
-        s = _logistic(self.a.dot(z))
-        return self.H.dot(z - self.target) + self.c * s * self.a
+        return super().grad(t, z) + self.c * _logistic(self.a.dot(z)) * self.a
 
-    run_starts = QuadraticTrackingCost.run_starts
-
-    def stacked_softplus_terms(self, times: np.ndarray):
-        H, g = QuadraticTrackingCost.stacked_quadratic_terms(self, times)
-        return H, g, np.repeat(self.a[None], len(times), axis=0), np.full(len(times), self.c)
+    def stacked_terms(self, times: np.ndarray):
+        k = len(times)
+        return (*super().stacked_terms(times), np.repeat(self.a[None], k, axis=0),
+                np.full(k, self.c))
 
 
 @dataclass(frozen=True)
@@ -205,8 +183,10 @@ class QuadraticScheduledCost(CostFunction):
         H_seg, g_seg = [], []    # H without its input block, g
         lo, hi = np.inf, 0.0
         # a positive weight keeps the prices' order, so a segment's extreme
-        # weighted prices are its weight times the extreme prices
-        price_lo, price_hi = self.price_series.min(), self.price_series.max()
+        # weighted prices are its weight times the extreme prices, taken in
+        # Python floats: one that overflows is inf, which the moduli check
+        # refuses, and gives no numpy warning
+        price_lo, price_hi = float(self.price_series.min()), float(self.price_series.max())
         for seg in self.segments:
             if seg.output_weight.shape != (p, p) or seg.setpoint.size != p:
                 raise ValueError("segment dimensions disagree")
@@ -220,8 +200,8 @@ class QuadraticScheduledCost(CostFunction):
             w = np.linalg.eigvalsh(seg.output_weight)
             if w[0] < -1e-12:
                 raise ValueError("output weight must be positive semidefinite")
-            lo = min(lo, float(w[0]), float(seg.input_weight * price_lo))
-            hi = max(hi, float(w[-1]), float(seg.input_weight * price_hi))
+            lo = min(lo, float(w[0]), float(seg.input_weight) * price_lo)
+            hi = max(hi, float(w[-1]), float(seg.input_weight) * price_hi)
             H = np.zeros((self.m + p, self.m + p))
             H[self.m:, self.m:] = seg.output_weight
             H_seg.append(H)
@@ -270,14 +250,6 @@ class QuadraticScheduledCost(CostFunction):
         u, y = z[:self.m], z[self.m:]
         return np.concatenate([iw * u, W.dot(y - sp)])
 
-    def run_starts(self, times: np.ndarray) -> np.ndarray:
-        # a run ends where the segment or the price changes
-        times = np.asarray(times)
-        k, price = self._indices(times), self.price_series[times]
-        new = np.ones(len(times), dtype=bool)
-        new[1:] = (k[1:] != k[:-1]) | (price[1:] != price[:-1])
-        return np.flatnonzero(new)
-
     def stacked_eval(self, times: np.ndarray, points: np.ndarray) -> np.ndarray:
         # eval's products in eval's order, one row per time, so a one-input,
         # one-output cost gives eval's values bit for bit
@@ -288,7 +260,7 @@ class QuadraticScheduledCost(CostFunction):
         iw = self._input_weights[k] * self.price_series[times]
         return 0.5 * (dW * d).sum(axis=1) + 0.5 * iw * (u * u).sum(axis=1)
 
-    def stacked_quadratic_terms(self, times: np.ndarray):
+    def stacked_terms(self, times: np.ndarray):
         # only the price-scaled input diagonal changes within a segment;
         # indexing the stored terms copies them, so callers cannot alter them
         times = np.asarray(times)

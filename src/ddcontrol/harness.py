@@ -364,9 +364,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     into the run's arrays. The best equilibria ``zeta_t`` that regret is
     measured against do not depend on the loop: one call after it solves
     them for all t, reading the cost's array forms (see ``CostFunction``),
-    and ``stacked_eval`` evaluates each run of equal parameters once. A
-    summary value that is not finite raises ``FeasibilityError``, naming
-    the first step whose u, y, e_hat, cost or opt_cost is not finite.
+    and ``stacked_eval`` gives their costs. A summary value that is not
+    finite raises ``FeasibilityError``, naming the first step whose u, y,
+    e_hat, cost or opt_cost is not finite.
     A step that raises ``FeasibilityError`` at t ends the run: the t rows before
     it still go to ``trace.csv``, with no summary, and it raises ``step t: ...``.
 
@@ -436,19 +436,14 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     # frees the blocks before the oracle and the summary allocate
     del draw_noise, e, q
 
-    # within a run of equal cost parameters the minimizer and its cost are
-    # the same, so each is computed once per run and repeated
+    times = np.arange(done)
     try:
-        starts, zeta_runs = optimal_steady_state(
-            controller.projector, cost, np.arange(done))
+        zeta_log = optimal_steady_state(controller.projector, cost, times)
     except NonConvergenceError:  # a failed step's costs can break the oracle too
         if failure is None:
             raise
-        starts, zeta_runs = np.zeros(1, int), np.full((1, m + model.p), np.nan)
-    lengths = np.diff(starts, append=done)
-    zeta_log = np.repeat(zeta_runs, lengths, axis=0)
-    # the times are 0..done-1, so each run's start is also its time
-    opt_log = np.repeat(cost.stacked_eval(starts, zeta_runs), lengths)
+        zeta_log = np.full((done, m + model.p), np.nan)
+    opt_log = cost.stacked_eval(times, zeta_log)
 
     k = slice(done)
     record = RunRecord(u=uy_log[k, :m], y=uy_log[k, m:], y_meas=ymeas_log[k],

@@ -103,28 +103,23 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
     """Minimizers of a strongly convex cost over the steady-state set.
 
     ``t`` is one time index, which gives the minimizer at that time with
-    shape (m+p,), or a 1-D sequence of them. The cost's ``run_starts``
-    splits the times into runs of equal parameters, and each run shares one
-    solve, so a sequence gives ``(starts, zeta)``: the position in ``t``
-    where each run starts, and one minimizer row per run. One time is the
-    length-one case of the same computation. In the null-space basis B, a
-    cost's ``stacked_quadratic_terms`` (H, g) give the normal equations
-    B'HB w = -B'g, formed by stacked products and solved in one batched
-    call; B'HB >= alpha_z I, so every system is nonsingular. Its
-    ``stacked_softplus_terms`` (H, g, a, c) add B'a as a second column,
-    which leaves one scalar equation per run; one that overflows raises
-    ``NonConvergenceError``, and a cost with neither form ``ValueError``.
+    shape (m+p,), or a 1-D sequence of them, which gives one minimizer row
+    per time; one time is the length-one case of the same computation. In
+    the null-space basis B, a cost's ``stacked_terms`` (H, g) give the
+    normal equations B'HB w = -B'g, formed by stacked products and solved
+    in one batched call; B'HB >= alpha_z I, so every system is nonsingular.
+    Terms (H, g, a, c) add B'a as a second column, which leaves one scalar
+    equation per time; one that overflows raises ``NonConvergenceError``,
+    and a cost that gives no terms ``ValueError``.
     """
     times = np.atleast_1d(t)
-    starts = cost.run_starts(times)
-    run_times = times[starts]
-    terms = cost.stacked_quadratic_terms(run_times) or cost.stacked_softplus_terms(run_times)
+    terms = cost.stacked_terms(times)
     if terms is None:
-        raise ValueError(f"{type(cost).__name__} gives neither stacked_quadratic_terms "
-                         "nor stacked_softplus_terms, the two forms the oracle solves")
+        raise ValueError(f"{type(cost).__name__} gives no stacked_terms, "
+                         "the form the oracle solves")
     H, g, *softplus = terms
     B = proj.basis
-    # every product is one per run, so a run's row does not depend
+    # every product is one per time, so a time's row does not depend
     # on how many others share the call
     rhs = -(B.T @ g[..., None])
     if softplus:
@@ -135,8 +130,9 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
         # w = [w0 v]. Stationarity in s = a'Bw is phi(s) = s + ck sigma(s) - s0
         # = 0, with s0 = a'Bw0, k = a'Bv >= 0 and phi' >= 1: its root lies in
         # [s0 - ck, s0], bisected to the last bit (at most ~2100 halvings)
-        s0, k = (rhs[..., 1:] * w).sum(axis=-2).T
-        lo, hi = s0 - c * k, s0
+        with np.errstate(over="ignore", invalid="ignore"):
+            s0, k = (rhs[..., 1:] * w).sum(axis=-2).T
+            lo, hi = s0 - c * k, s0
         if not np.isfinite(lo).all():      # lo is finite only if s0 and ck are
             raise NonConvergenceError(f"the softplus bracket [s0 - ck, s0] = [{lo}, {hi}] "
                                       "is not finite: the cost's parameters overflow it")
@@ -147,4 +143,4 @@ def optimal_steady_state(proj: SteadyStateProjector, cost, t=0):
             mid = 0.5 * lo + 0.5 * hi
         w = w[..., :1] - (c * _logistic(mid))[:, None, None] * w[..., 1:]
     zeta = (B @ w)[..., 0]
-    return (starts, zeta) if np.ndim(t) else zeta[0]
+    return zeta if np.ndim(t) else zeta[0]

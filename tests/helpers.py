@@ -262,13 +262,11 @@ class SwitchingQuadraticCost(CostFunction):
     def grad(self, t, z):
         return self.H @ (z - self.targets[self._segment(t)])
 
-    def run_starts(self, times):
-        # a run ends where the segment changes
-        return np.flatnonzero(np.diff(self._segment(times), prepend=-1))
-
-    def stacked_quadratic_terms(self, times):
-        x = self.targets[self._segment(times)]
-        return np.repeat(self.H[None], len(x), axis=0), -(x @ self.H)    # H is symmetric
+    def stacked_terms(self, times):
+        # each target's g is formed once, so a time's row does not depend on
+        # the other times; H is symmetric
+        k = self._segment(times)
+        return np.repeat(self.H[None], len(k), axis=0), -(self.targets @ self.H)[k]
 
 
 def reference_cost(cost, t, z):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -110,6 +112,12 @@ def test_moduli_validation():
         QuadraticTrackingCost(H=np.diag([0.0, 1.0]), target=np.zeros(2))
     c = QuadraticTrackingCost(H=np.diag([2.0, 5.0]), target=np.zeros(2))
     assert (c.alpha_z, c.l_z) == (2.0, 5.0)
+    # a finite weight times a finite price overflows l_z to inf: refused
+    # when the cost is built, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="l_z < inf"):
+            scheduled_single(1.0, 1e300, 0.0, price=1e10)
 
 
 def test_convexity_smoothness_sandwich():
@@ -169,21 +177,17 @@ def test_schedule_rejects_non_finite_segment(field, bad):
 
 def test_schedule_hessians_within_moduli():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
-    H, _ = cost.stacked_quadratic_terms(np.array([0, 30, 50, 95]))
+    H, _ = cost.stacked_terms(np.array([0, 30, 50, 95]))
     for w in np.linalg.eigvalsh(H):
         assert cost.alpha_z - 1e-12 <= w[0]
         assert w[-1] <= cost.l_z + 1e-12
 
 
 def assert_array_forms_match_params_at(cost, times):
-    """The runs and terms of a schedule, checked against ``params_at`` per time."""
+    """The terms of a schedule, checked against ``params_at`` per time."""
     params = [cost.params_at(int(t)) for t in times]
-    # a run ends where the segment's weights, the price or the setpoint change
-    changed = [i == 0 or any(np.any(a != b) for a, b in zip(params[i], params[i - 1]))
-               for i in range(len(times))]
-    np.testing.assert_array_equal(cost.run_starts(times), np.flatnonzero(changed))
     m = cost.m
-    for (W, iw, sp), H, g in zip(params, *cost.stacked_quadratic_terms(times)):
+    for (W, iw, sp), H, g in zip(params, *cost.stacked_terms(times)):
         H_ref = np.zeros((m + cost.p, m + cost.p))
         H_ref[:m, :m] = iw * np.eye(m)
         H_ref[m:, m:] = W
@@ -200,11 +204,11 @@ def test_schedule_quadratic_terms_match_parameters():
 def test_schedule_quadratic_terms_survive_caller_mutation():
     cost = hvac_cost_schedule(p=3, m=5, day_steps=96)
     times = np.array([40, 41])           # same segment, other price
-    H0, g0 = (np.copy(x) for x in cost.stacked_quadratic_terms(times))
-    H, g = cost.stacked_quadratic_terms(times)
+    H0, g0 = (np.copy(x) for x in cost.stacked_terms(times))
+    H, g = cost.stacked_terms(times)
     H += 1.0
     g += 1.0
-    for got, want in zip(cost.stacked_quadratic_terms(times), (H0, g0)):
+    for got, want in zip(cost.stacked_terms(times), (H0, g0)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -217,10 +221,10 @@ def test_quadratic_terms_hessian_is_the_callers_copy(make):
     # editing the returned Hessian must leave the cost as it was
     cost = make()
     before = cost.eval(0, np.zeros(2))
-    H, _ = cost.stacked_quadratic_terms(np.array([0, 7]))
+    H, _ = cost.stacked_terms(np.array([0, 7]))
     H *= 3.0
     assert cost.eval(0, np.zeros(2)) == before
-    np.testing.assert_array_equal(cost.stacked_quadratic_terms(np.array([0]))[0],
+    np.testing.assert_array_equal(cost.stacked_terms(np.array([0]))[0],
                                   [np.diag([1.0, 4.0])])
 
 
@@ -230,8 +234,8 @@ def test_quadratic_terms_hessian_is_the_callers_copy(make):
                                    np.array([360]), np.array([540, 541])],
                          ids=["day", "segment-starts", "360", "540"])
 def test_shipped_day_array_forms_equal_scalar_forms(times):
-    # the oracle reads the runs and the terms of every t in one call each;
-    # they are what params_at gives at each t, bit for bit
+    # the oracle reads the terms of every t in one call; they are what
+    # params_at gives at each t, bit for bit
     cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
     assert [seg.start for seg in cost.segments] == [0, 360, 540]
     assert cost.horizon == 1440
@@ -242,13 +246,11 @@ def test_array_forms_refuse_times_beyond_the_horizon():
     cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
     for times in (np.array([0, 1440]), np.array([-1, 0])):
         with pytest.raises(IndexError, match="beyond configured horizon"):
-            cost.run_starts(times)
-        with pytest.raises(IndexError, match="beyond configured horizon"):
-            cost.stacked_quadratic_terms(times)
+            cost.stacked_terms(times)
 
 
 def test_shipped_day_stacked_eval_matches_eval():
-    # the oracle's opt_cost: one array call over a run start per step, at
+    # the oracle's opt_cost: one array call over every step, at
     # round-off from eval on the 8-dimensional thermal point
     cost = ExperimentConfig.from_json(shipped_config_path()).build()[2]
     times = np.arange(cost.horizon)
@@ -273,37 +275,28 @@ def test_scalar_schedule_stacked_eval_is_eval_bit_for_bit():
         cost.stacked_eval(np.array([100]), points[:1])
 
 
-def test_default_array_forms_make_every_time_its_own_run():
-    # a cost that states no runs is solved once per time, and one that
-    # states neither terms form is refused by the oracle
-    times = np.array([3, 4, 4, 9])
-    np.testing.assert_array_equal(CostFunction().run_starts(times), np.arange(4))
-    assert CostFunction().stacked_quadratic_terms(times) is None
-    assert CostFunction().stacked_softplus_terms(times) is None
+def test_default_terms_form_is_none():
+    # a cost that states no terms is refused by the oracle
+    assert CostFunction().stacked_terms(np.array([3, 4, 4, 9])) is None
 
 
-@pytest.mark.parametrize("make, starts, quadratic", [
+@pytest.mark.parametrize("make, quadratic", [
     (lambda: QuadraticTrackingCost(H=np.diag([1.0, 4.0]), target=np.array([1.0, -1.0])),
-     [0], True),
+     True),
     (lambda: SwitchingQuadraticCost(np.diag([2.0, 1.0]), [[0.0, 0.0], [1.5, 3.0]],
-                                    [0, 50]), [0, 50], True),
+                                    [0, 50]), True),
     (lambda: QuadraticSoftplusCost(H=np.eye(2), target=np.zeros(2),
-                                   a=np.array([1.0, -1.0])), [0], False),
+                                   a=np.array([1.0, -1.0])), False),
 ], ids=["tracking", "switching", "softplus"])
-def test_other_costs_array_forms_equal_scalar_forms(make, starts, quadratic):
-    # a static cost is one run, and a switching cost one run per target, and
-    # none over no times; the terms, quadratic or softplus, give eval, up to
-    # its value at 0, and grad at every time
+def test_other_costs_array_forms_equal_scalar_forms(make, quadratic):
+    # one row per time, and none over no times; the terms, quadratic or
+    # softplus, give eval, up to its value at 0, and grad at every time
     cost = make()
     times = np.arange(120)
-    np.testing.assert_array_equal(cost.run_starts(times), starts)
-    assert cost.run_starts(times[:0]).size == 0
+    assert all(len(x) == 0 for x in cost.stacked_terms(times[:0]))
     points = np.random.default_rng(7).normal(size=(120, 2))
-    terms = cost.stacked_quadratic_terms(times)
-    softplus = cost.stacked_softplus_terms(times)
-    assert (terms is not None) == quadratic == (softplus is None)
-    if not quadratic:
-        terms = softplus
+    terms = cost.stacked_terms(times)
+    assert len(terms) == (2 if quadratic else 4)
     for t, z, H, g, *a_c in zip(times, points, *terms):
         value, grad = 0.5 * z @ H @ z + g @ z, H @ z + g
         if a_c:

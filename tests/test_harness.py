@@ -16,8 +16,7 @@ from numpy.testing import assert_allclose
 
 from ddcontrol.behavioral import Trajectory
 from ddcontrol.controller import Controller, ControllerConfig
-from ddcontrol.costs import (CostFunction, QuadraticSoftplusCost,
-                             QuadraticTrackingCost, hvac_cost_schedule)
+from ddcontrol.costs import CostFunction, QuadraticSoftplusCost, hvac_cost_schedule
 from ddcontrol.harness import (ConfigError, CostSpec, ExperimentConfig,
                                NoiseSpec, OfflineSpec, PlantSpec, _offline_record,
                                cli_main, demo_siso_config, run_experiment,
@@ -571,11 +570,8 @@ class RecordingCost(CostFunction):
         self.log.append(("grad", t))
         return self.inner.grad(t, z)
 
-    def run_starts(self, times):
-        return self.inner.run_starts(times)
-
-    def stacked_quadratic_terms(self, times):
-        return self.inner.stacked_quadratic_terms(times)
+    def stacked_terms(self, times):
+        return self.inner.stacked_terms(times)
 
 
 def test_information_pattern(small_config):
@@ -597,11 +593,11 @@ def test_information_pattern(small_config):
 
 
 class TermsRecordingCost(RecordingCost):
-    """Also logs every access to the quadratic terms."""
+    """Also logs every access to the terms."""
 
-    def stacked_quadratic_terms(self, times):
-        self.log.append(("stacked_quadratic_terms", times))
-        return self.inner.stacked_quadratic_terms(times)
+    def stacked_terms(self, times):
+        self.log.append(("stacked_terms", times))
+        return self.inner.stacked_terms(times)
 
 
 def test_oracle_runs_once_after_the_loop(monkeypatch, small_config):
@@ -633,22 +629,8 @@ def test_oracle_runs_once_after_the_loop(monkeypatch, small_config):
     kinds = [kind for kind, _ in recorder.log]
     last_step = len(kinds) - 1 - kinds[::-1].index("step")
     assert kinds.count("step") == T + 1
-    assert "stacked_quadratic_terms" in kinds[last_step:]
-    assert "stacked_quadratic_terms" not in kinds[:last_step]
-    np.testing.assert_array_equal(
-        record.opt_cost,
-        [recorder.inner.eval(t, record.zeta[t]) for t in range(T + 1)])
-
-
-def test_oracle_cost_evaluated_once_per_run_of_equal_parameters(small_config):
-    # a static cost is one run: T+1 realized costs in the loop, then one
-    # oracle cost repeated for every t
-    T = small_config.horizon
-    recorder = RecordingCost(QuadraticTrackingCost(
-        H=np.diag([1.0, 2.0]), target=np.array([0.5, 1.0])))
-    record, _ = run_experiment(small_config, cost=recorder)
-    evals = [t for kind, t in recorder.log if kind == "eval"]
-    assert evals == list(range(T + 1)) + [0]
+    assert "stacked_terms" in kinds[last_step:]
+    assert "stacked_terms" not in kinds[:last_step]
     np.testing.assert_array_equal(
         record.opt_cost,
         [recorder.inner.eval(t, record.zeta[t]) for t in range(T + 1)])
@@ -858,16 +840,17 @@ def test_failed_run_leaves_the_rows_of_the_completed_steps(
 
 
 def test_failed_run_whose_oracle_fails_too_raises_the_step_error(tmp_path):
-    # a softplus a entry of 1e300 overflows the steering target at step 1
-    # and the oracle's bracket alike: the run raises the step's error, and
+    # a softplus a = (1e155, 0) with c = 1e-10 has finite moduli, but at a
+    # gamma of 1e10 it overflows the steering target at step 1, and |a|^2
+    # overflows the oracle's bracket: the run raises the step's error, and
     # its trace shows the optimum the oracle could not find as nan
-    params = {"H": [[1, 0], [0, 1]], "target": [0.5, 1.0], "a": [1e300, -1.0], "c": 1.0}
+    params = {"H": [[1, 0], [0, 1]], "target": [0.5, 1.0], "a": [1e155, 0.0], "c": 1e-10}
     cfg = replace(demo_siso_config(), horizon=30,
                   cost=CostSpec(type="softplus", params=params))
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         with pytest.raises(FeasibilityError, match=r"^step 1: steering correction"):
-            run_experiment(cfg, out_dir=tmp_path)
+            run_experiment(cfg, out_dir=tmp_path, gamma=1e10)
     with open(tmp_path / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["opt_cost"] == "nan"
@@ -1082,6 +1065,9 @@ def test_cli_rejects_non_finite_cost_segment(tmp_path, capsys, field, value):
      "cost parameter target must be finite"),
     ({("cost",): _static_cost("softplus", a=[NAN, -1.0])}, "cost parameter a must be finite"),
     ({("cost",): _static_cost("softplus", c=INF)}, "cost parameter c must be finite"),
+    # finite, but |a|^2 overflows l_z, which once passed validate with a
+    # numpy warning and failed the run at step 1
+    ({("cost",): _static_cost("softplus", a=[1e300, 0.0])}, "l_z < inf"),
     # a cost of the wrong shape: the run would fail in its first step, or
     # the oracle would not converge on an asymmetric H
     ({("cost",): _static_cost("quadratic", H=np.eye(3).tolist(), target=[0.5, 1.0, 0.0])},
@@ -1095,12 +1081,12 @@ def test_cli_rejects_non_finite_cost_segment(tmp_path, capsys, field, value):
       for key, value in (("setpoint", [1.0, 2.0]), ("output_weight", np.eye(2).tolist()))},
      "the cost's setpoints have 2 entries, but y has 1"),
 ], ids=["B-inf", "D-nan", "quadratic-target-nan", "softplus-target-inf", "softplus-a-nan",
-        "softplus-c-inf", "quadratic-size", "softplus-a-size", "softplus-asymmetric",
-        "schedule-size"])
+        "softplus-c-inf", "softplus-l_z-inf", "quadratic-size", "softplus-a-size",
+        "softplus-asymmetric", "schedule-size"])
 def test_cli_rejects_bad_plant_matrices_and_cost_parameters(tmp_path, capsys, edits, message):
     # refused before the run, which would otherwise exit 1 on an SVD that
     # does not converge or a steering residual of nan; a softplus c = inf
-    # would pass the moduli check, since l_z = inf satisfies it
+    # is refused as not finite, ahead of the moduli check
     spec = _edited(asdict(demo_siso_config()), edits)
     _assert_both_commands_exit_2(tmp_path, capsys, spec, message)
 
@@ -1108,14 +1094,13 @@ def test_cli_rejects_bad_plant_matrices_and_cost_parameters(tmp_path, capsys, ed
 def test_cli_runs_a_softplus_cost_through_the_iterative_oracle(tmp_path, monkeypatch):
     # the one shipped cost that is not quadratic gives no quadratic terms,
     # so a config that names it reaches the oracle's softplus branch
-    calls, real = [], QuadraticSoftplusCost.stacked_softplus_terms
+    calls, real = [], QuadraticSoftplusCost.stacked_terms
 
     def counting_softplus_terms(self, times):
         calls.append(times.tolist())
         return real(self, times)
 
-    monkeypatch.setattr(QuadraticSoftplusCost, "stacked_softplus_terms",
-                        counting_softplus_terms)
+    monkeypatch.setattr(QuadraticSoftplusCost, "stacked_terms", counting_softplus_terms)
     spec = asdict(demo_siso_config())
     spec["cost"] = _static_cost("softplus")
     path = tmp_path / "conf.json"
@@ -1124,7 +1109,7 @@ def test_cli_runs_a_softplus_cost_through_the_iterative_oracle(tmp_path, monkeyp
     with open(tmp_path / "out" / "summary.csv", newline="") as fh:
         (summary,) = csv.DictReader(fh)
     assert np.isfinite([float(v) for v in summary.values()]).all(), summary
-    assert calls == [[0]]       # a static cost is one run of equal parameters
+    assert calls == [list(range(spec["horizon"] + 1))]    # one oracle call, every time
 
 
 def _edited(spec: dict, edits: dict) -> dict:

@@ -127,14 +127,19 @@ def test_every_offline_field_has_a_reader_outside_tests(monkeypatch, tmp_path,
 
 
 def test_no_class_defines_the_scalar_oracle_forms():
-    # the oracle reads run_starts and the stacked terms forms only, so a
-    # cost written to the scalar params_key and quadratic_terms of old
-    # would be refused by the oracle instead of solved
-    old = {"params_key", "quadratic_terms"}
+    # the oracle reads stacked_terms only, so a cost written to an old form
+    # (the scalar terms, the runs of equal parameters, or the two stacked
+    # forms that stacked_terms merged) would be ignored or refused at run
+    # time instead of solved
+    old = {"params_key", "quadratic_terms", "run_starts", "stacked_quadratic_terms",
+           "stacked_softplus_terms"}
     for folder in (SRC, ROOT / "demos", ROOT / "tests"):
         for path in sorted(folder.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ClassDef):
                     names = {item.name for item in node.body
                              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                    # an alias of another class's method defines one too
+                    names |= {target.id for item in node.body if isinstance(item, ast.Assign)
+                              for target in item.targets if isinstance(target, ast.Name)}
                     assert not names & old, f"{path.name}: {node.name}"
